@@ -10,7 +10,7 @@ exact; coefficients are Python ints so nothing overflows silently.
 """
 from __future__ import annotations
 
-from .rootsystem import RootSystem, Weight, height, isDominant, norm2
+from .rootsystem import RootSystem, Weight, heightScaled, norm2
 from .weyl import WeylGroup
 
 GClassExpansion = dict[Weight, int]   # keys dominant, values nonzero
@@ -131,46 +131,59 @@ def extremalWeights(sys: RootSystem, f: Character) -> set[Weight]:
 
 
 def isInvariant(W: WeylGroup, f: Character) -> tuple[Weight, Weight] | None:
-    """None if W-invariant, else a witnessing weight pair (lam, s_i lam)."""
-    for i in range(W.sys.rank):
-        si = W.rmulTable[0][i]
-        g = weylActionChar(W, si, f)
-        if g != f:
-            for lam in f.terms.keys() | g.terms.keys():
-                if f.coeff(lam) != g.coeff(lam):
-                    return lam, W.act(si, lam)
+    """None if W-invariant, else a witnessing weight pair (lam, s_i lam).
+
+    Invariance under every simple reflection is invariance under W.  Each
+    s_i is an involution, so comparing the coefficient of every support
+    weight lam with that of s_i lam = lam - lam_i alpha_i covers the
+    weights outside the support too.
+    """
+    cart = W.sys.cartan
+    n = W.sys.rank
+    terms = f.terms
+    for i in range(n):
+        for lam, c in terms.items():
+            k = lam[i]
+            if k:
+                slam = tuple(lam[j] - k * cart[j][i] for j in range(n))
+                if terms.get(slam, 0) != c:
+                    return lam, slam
     return None
 
 
 def decomposeWeylBasis(W: WeylGroup, f: Character) -> GClassExpansion:
     """Expand a W-invariant character over the irreducible-character basis.
 
-    Greedy: repeatedly strip the (height, lex)-largest dominant support weight.
-    Each strip removes that weight and only introduces strictly lower ones, so
-    the loop terminates with an exact expansion.
-    """
-    from . import demazure   # deferred: demazure builds on this module
+    Alternant (Brauer-Klimyk / Racah-Speiser) rule: multiplying f by the Weyl
+    denominator turns each irreducible chi(lam) into the alternant of
+    lam + rho, whose only strictly dominant weight is lam + rho.  Reading off
+    those coefficients, each support weight mu of f with coefficient c sends
+    mu + rho to its dominant representative w^-1(mu + rho); it contributes
+    nothing if that lies on a wall (a zero coordinate), and otherwise
+    (-1)^l(w) c to the multiplicity of dom(mu + rho) - rho.  One toDominant
+    per support weight, no irreducible character built.  See Humphreys,
+    Introduction to Lie Algebras and Representation Theory, section 24, and
+    Stembridge, "Computational aspects of root systems, Coxeter groups and
+    Weyl characters" (2001).
 
+    Constituents come in descending (height, lex) order of highest weight.
+    """
     wit = isInvariant(W, f)
     if wit is not None:
         raise ValueError(f"character is not W-invariant: weights {wit[0]} vs {wit[1]}")
+    length = W.length
+    mult: GClassExpansion = {}
+    for mu, c in f.terms.items():
+        # rho is (1, ..., 1) in fundamental-weight coordinates
+        dom, w = W.toDominant(tuple(x + 1 for x in mu))
+        if 0 in dom:
+            continue
+        lam = tuple(x - 1 for x in dom)
+        mult[lam] = mult.get(lam, 0) + (-c if length[w] & 1 else c)
     sys = W.sys
-    rem = dict(f.terms)
-    out: GClassExpansion = {}
-    while rem:
-        lam = max(
-            (w for w in rem if isDominant(w)),
-            key=lambda w: (height(sys, w), w),
-        )
-        c = rem[lam]
-        out[lam] = c
-        for w, k in demazure.charNabla(W, lam).terms.items():
-            n = rem.get(w, 0) - c * k
-            if n:
-                rem[w] = n
-            else:
-                rem.pop(w, None)
-    return out
+    order = sorted((lam for lam, m in mult.items() if m),
+                   key=lambda lam: (heightScaled(sys, lam), lam), reverse=True)
+    return {lam: mult[lam] for lam in order}
 
 
 def expandGClass(W: WeylGroup, coeffs: GClassExpansion) -> Character:

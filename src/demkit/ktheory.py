@@ -128,7 +128,8 @@ def betaEntry(W: WeylGroup, v: int, w: int) -> Character:
     structure sheaves of the opposite Schubert cells."""
     theta = W.act(v, W.steinbergWeight(v))
     lam = negW(W.act(W.w0, theta))
-    assert isDominant(lam)
+    if not isDominant(lam):
+        raise AssertionError(f"beta weight {lam} of element {v} is not dominant")
     vw0 = W.mul(W.inverse(v), W.w0)
     ww0 = W.mul(w, W.w0)
     top = W.demazureProduct(ww0, vw0)
@@ -142,7 +143,8 @@ def alphaEntry(W: WeylGroup, v: int, w: int) -> Character:
     basis, computed on the opposite Borel side and carried back by the longest
     element."""
     lam = W.act(v, W.steinbergWeight(v))
-    assert isDominant(lam)
+    if not isDominant(lam):
+        raise AssertionError(f"alpha weight {lam} of element {v} is not dominant")
     u = W.mul(W.mul(W.w0, w), W.w0)
     vi = W.inverse(v)
     top = W.demazureProduct(u, vi)

@@ -4,7 +4,10 @@ Weights are tuples of integers: the coordinates of a weight on the basis of
 fundamental weights.  Column j of the Cartan matrix is then the coordinate
 vector of the simple root alpha_j, and the pairing of a weight with the simple
 coroot alpha_i^vee is just coordinate i.  All length computations go through
-the exact rational gram matrix of the fundamental weights; no floats anywhere.
+the gram matrix of the fundamental weights, stored as integers scaled by the
+lcm of its denominators (likewise the inverse Cartan matrix); no floats
+anywhere.  Comparisons use the scaled integers directly, and the public
+lengths and coordinates divide once into exact rationals.
 
 >>> sys = rootSystem("A2")
 >>> simpleRoot(sys, 0)
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from math import lcm
 
 Weight = tuple[int, ...]
 
@@ -73,31 +77,41 @@ def _inverse(mat: list[list[Q]]) -> list[list[Q]]:
     return [row[n:] for row in a]
 
 
+def _scaled(mat: list[list[Q]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(s * mat, s) with s the lcm of the denominators, so s * mat is integral."""
+    s = lcm(*(x.denominator for row in mat for x in row))
+    return tuple(tuple(int(x * s) for x in row) for row in mat), s
+
+
 @dataclass(frozen=True)
 class RootSystem:
     name: str
     rank: int
     cartan: tuple[tuple[int, ...], ...]      # cartan[i][j] = <alpha_j, alpha_i^vee>
     d: tuple[int, ...]                       # d[i] = (alpha_i, alpha_i)/2, short roots have d=1
-    gram: tuple[tuple[Q, ...], ...]          # gram[i][j] = (omega_i, omega_j)
-    cartanInv: tuple[tuple[Q, ...], ...]     # simple-root coordinates of weights
+    gramInt: tuple[tuple[int, ...], ...]     # gramScale * (omega_i, omega_j)
+    gramScale: int
+    cartanInvInt: tuple[tuple[int, ...], ...]  # cartanInvScale * simple-root coordinates
+    cartanInvScale: int
 
 
 def rootSystem(name: str) -> RootSystem:
     cart, d = _cartan_and_d(name)
     n = len(cart)
     cinv = _inverse([[Q(x) for x in row] for row in cart])
-    gram = tuple(tuple(d[i] * cinv[i][j] for j in range(n)) for i in range(n))
-    for i in range(n):
-        for j in range(n):
-            assert gram[i][j] == gram[j][i], "symmetrizer mismatch"
+    gram, gs = _scaled([[d[i] * cinv[i][j] for j in range(n)] for i in range(n)])
+    if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(n)):
+        raise AssertionError(f"symmetrizer mismatch for {name}")
+    cinvInt, cs = _scaled(cinv)
     return RootSystem(
         name=name,
         rank=n,
         cartan=tuple(tuple(row) for row in cart),
         d=d,
-        gram=gram,
-        cartanInv=tuple(tuple(row) for row in cinv),
+        gramInt=gram,
+        gramScale=gs,
+        cartanInvInt=cinvInt,
+        cartanInvScale=cs,
     )
 
 
@@ -134,26 +148,44 @@ def isDominant(lam: Weight) -> bool:
     return all(x >= 0 for x in lam)
 
 
+def innerProductScaled(sys: RootSystem, lam: Weight, mu: Weight) -> int:
+    """sys.gramScale * (lam, mu): an exact integer with the same order."""
+    g = sys.gramInt
+    n = sys.rank
+    return sum(lam[i] * sum(g[i][j] * mu[j] for j in range(n)) for i in range(n))
+
+
 def innerProduct(sys: RootSystem, lam: Weight, mu: Weight) -> Q:
     """W-invariant bilinear form, normalized so short roots have length^2 = 2."""
-    g = sys.gram
-    n = sys.rank
-    return sum((g[i][j] * lam[i]) * mu[j] for i in range(n) for j in range(n))
+    return Q(innerProductScaled(sys, lam, mu), sys.gramScale)
+
+
+def norm2Scaled(sys: RootSystem, lam: Weight) -> int:
+    return innerProductScaled(sys, lam, lam)
 
 
 def norm2(sys: RootSystem, lam: Weight) -> Q:
-    return innerProduct(sys, lam, lam)
+    return Q(norm2Scaled(sys, lam), sys.gramScale)
+
+
+def _rootCoordsScaled(sys: RootSystem, lam: Weight) -> list[int]:
+    cinv = sys.cartanInvInt
+    n = sys.rank
+    return [sum(cinv[i][j] * lam[j] for j in range(n)) for i in range(n)]
 
 
 def rootCoords(sys: RootSystem, lam: Weight) -> tuple[Q, ...]:
     """Coordinates of lam on the simple-root basis (exact rationals)."""
-    cinv = sys.cartanInv
-    n = sys.rank
-    return tuple(sum(cinv[i][j] * lam[j] for j in range(n)) for i in range(n))
+    return tuple(Q(c, sys.cartanInvScale) for c in _rootCoordsScaled(sys, lam))
+
+
+def heightScaled(sys: RootSystem, lam: Weight) -> int:
+    """sys.cartanInvScale * height(lam): an exact integer with the same order."""
+    return sum(_rootCoordsScaled(sys, lam))
 
 
 def height(sys: RootSystem, lam: Weight) -> Q:
-    return sum(rootCoords(sys, lam))
+    return Q(heightScaled(sys, lam), sys.cartanInvScale)
 
 
 def dominanceLeq(sys: RootSystem, lam: Weight, mu: Weight) -> bool:

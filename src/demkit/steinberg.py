@@ -19,7 +19,7 @@ from .characters import (
     dual,
 )
 from .demazure import charNabla, charP, charQ, charQhat
-from .rootsystem import Weight, fundamental, isDominant, negW, norm2, zero
+from .rootsystem import Weight, fundamental, negW, norm2Scaled, zero
 from .weyl import WeylGroup
 
 UNIT = "UNIT"
@@ -35,8 +35,8 @@ def excellentLeq(W: WeylGroup, lam: Weight, mu: Weight) -> bool:
     minimal witness decides."""
     if lam == mu:
         return True
-    a = norm2(W.sys, lam)
-    b = norm2(W.sys, mu)
+    a = norm2Scaled(W.sys, lam)
+    b = norm2Scaled(W.sys, mu)
     if a != b:
         return a < b
     dl, wl = W.toDominant(lam)
@@ -117,7 +117,8 @@ def _expand(
         for mu, c in sorted(B.terms.items()):
             if mu == lam:
                 continue
-            assert antipodalLeq(W, mu, lam), (mu, lam)
+            if not antipodalLeq(W, mu, lam):
+                raise AssertionError(f"basis term {mu} not below its head {lam}")
             for u, coef in _expand(W, mu, choices, piP, table).items():
                 take(u, coef * (-c))
     else:
@@ -134,14 +135,16 @@ def _expand(
         N = charNabla(W, omega) * Character.monomial(wtau)
         if N.coeff(lam) != 1:
             raise AssertionError(f"pivot coefficient at {lam} is {N.coeff(lam)}")
-        assert antipodalLeq(W, wtau, lam) and wtau != lam, (wtau, lam)
+        if wtau == lam or not antipodalLeq(W, wtau, lam):
+            raise AssertionError(f"pivot shift {wtau} not strictly below {lam}")
         chi = charNabla(W, omega)
         for u, coef in _expand(W, wtau, choices, piP, table).items():
             take(u, coef * chi)
         for mu, c in sorted(N.terms.items()):
             if mu == lam:
                 continue
-            assert antipodalLeq(W, mu, lam), (mu, lam)
+            if not antipodalLeq(W, mu, lam):
+                raise AssertionError(f"pivot term {mu} not below {lam}")
             for u, coef in _expand(W, mu, choices, piP, table).items():
                 take(u, coef * (-c))
     table[lam] = out
@@ -159,20 +162,25 @@ def steinbergDecomposeChar(
     for v in W.elements():
         if choices.get(v) not in _CHOICES:
             raise ValueError(f"missing or bad basis choice for element {v}")
+    table = _expandTable(W, choices, piP)
+    total: dict[int, Character] = {}
+    # the expansion recurses once per antipodal step; the caller's limit is
+    # restored on the way out
     limit = _sys.getrecursionlimit()
     if limit < 50000:
         _sys.setrecursionlimit(50000)
-    table = _expandTable(W, choices, piP)
-    total: dict[int, Character] = {}
-    for lam, c in sorted(f.terms.items()):
-        for v, coef in _expand(W, lam, choices, piP, table).items():
-            cur = total.get(v)
-            add = coef * c
-            cur = add if cur is None else cur + add
-            if cur:
-                total[v] = cur
-            else:
-                total.pop(v, None)
+    try:
+        for lam, c in sorted(f.terms.items()):
+            for v, coef in _expand(W, lam, choices, piP, table).items():
+                cur = total.get(v)
+                add = coef * c
+                cur = add if cur is None else cur + add
+                if cur:
+                    total[v] = cur
+                else:
+                    total.pop(v, None)
+    finally:
+        _sys.setrecursionlimit(limit)
     return total
 
 

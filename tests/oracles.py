@@ -1,21 +1,27 @@
-"""Independent brute-force oracles.
+"""Brute-force oracles.
 
-Nothing here reuses the code paths it is meant to check: Bruhat order comes
+Most of these share no code path with what they check: Bruhat order comes
 from subword products, lengths from inversion counts, dimensions from the
-product-over-positive-roots formula, and irreducible characters from the
-alternating-sum identity (checked multiplicatively, no division needed).
+product-over-positive-roots formula, and irreducible decompositions from
+greedy stripping of irreducible characters.  The alternating-sum identity
+(checked multiplicatively, no division needed) still checks the Demazure
+characters, but it is not independent of decomposeWeylBasis, which reads
+multiplicities off the same alternants.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction as Q
 
-from demkit.characters import Character
+from demkit.characters import Character, GClassExpansion
+from demkit.demazure import charNabla
 from demkit.rootsystem import (
     RootSystem,
     Weight,
     addW,
     corootPairing,
+    height,
+    isDominant,
     positiveRoots,
     rho,
 )
@@ -73,6 +79,32 @@ def alternantChar(W: WeylGroup, lam: Weight) -> Character:
     for w in W.elements():
         f = f + Character.monomial(W.act(w, target), (-1) ** W.length[w])
     return f
+
+
+def decomposeGreedy(W: WeylGroup, f: Character) -> GClassExpansion:
+    """Irreducible decomposition of a W-invariant f by greedy stripping.
+
+    Repeatedly strip the (height, lex)-largest dominant support weight lam
+    with its coefficient times chi(lam).  Each strip removes lam and only
+    introduces weights strictly below it, so the loop ends with an exact
+    expansion, in descending (height, lex) order.
+    """
+    rem = dict(f.terms)
+    out: GClassExpansion = {}
+    while rem:
+        lam = max(
+            (w for w in rem if isDominant(w)),
+            key=lambda w: (height(W.sys, w), w),
+        )
+        c = rem[lam]
+        out[lam] = c
+        for w, k in charNabla(W, lam).terms.items():
+            n = rem.get(w, 0) - c * k
+            if n:
+                rem[w] = n
+            else:
+                rem.pop(w, None)
+    return out
 
 
 def minimalCosetReps(W: WeylGroup, piP: tuple[int, ...]) -> set[int]:

@@ -20,8 +20,9 @@ from demkit.characters import (
     weylActionChar,
 )
 from demkit.demazure import charNabla
-from demkit.rootsystem import fundamental, rho, rootSystem
+from demkit.rootsystem import fundamental, isDominant, rho, rootSystem
 from demkit.weyl import weylGroup
+from oracles import decomposeGreedy
 
 
 def randomChar(rank: int, rng: random.Random, nterms: int = 5) -> Character:
@@ -108,25 +109,68 @@ ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
              "C2", "C3", "C4", "D4", "G2", "F4"]
 
 
-@pytest.mark.parametrize("name", ALL_TYPES)
-def test_decompose_weyl_basis_round_trip(name):
-    W = weylGroup(name)
+def smallestFundamentals(W) -> list:
+    fundamentals = [fundamental(W.sys, i) for i in range(W.sys.rank)]
+    return sorted(fundamentals, key=lambda f: augment(charNabla(W, f)))[:2]
+
+
+def invariantSamples(W, runs: int):
+    """Random products of irreducible characters, plus a multiple of one;
+    these stay invariant by construction.  Seeded by the type name."""
     rank = W.sys.rank
-    rng = random.Random(sum(map(ord, name)))
-    runs = 100 if rank <= 3 else 12
-    # random products of irreducible characters stay invariant by construction
+    rng = random.Random(sum(map(ord, W.sys.name)))
     fundamentals = [fundamental(W.sys, i) for i in range(rank)]
-    small = sorted(fundamentals, key=lambda f: augment(charNabla(W, f)))[:2]
+    small = smallestFundamentals(W)
     for _ in range(runs):
         if rank <= 3:
             a = tuple(rng.randint(0, 1) for _ in range(rank))
             b = rng.choice(fundamentals)
         else:
             a, b = rng.choice(small), rng.choice(small)
-        f = charNabla(W, a) * charNabla(W, b) + rng.randint(-2, 2) * charNabla(W, b)
+        yield charNabla(W, a) * charNabla(W, b) + rng.randint(-2, 2) * charNabla(W, b)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_decompose_weyl_basis_round_trip(name):
+    W = weylGroup(name)
+    for f in invariantSamples(W, 100 if W.sys.rank <= 3 else 12):
         coeffs = decomposeWeylBasis(W, f)
         assert expandGClass(W, coeffs) == f
         assert all(c != 0 for c in coeffs.values())
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_decompose_matches_greedy_oracle(name):
+    # the alternant rule against the greedy stripping it replaced, order too
+    W = weylGroup(name)
+    small = smallestFundamentals(W)
+    samples = list(invariantSamples(W, 25 if W.sys.rank <= 3 else 2))
+    samples.append(charNabla(W, small[0]) * charNabla(W, small[-1]))
+    for f in samples:
+        assert list(decomposeWeylBasis(W, f).items()) == \
+            list(decomposeGreedy(W, f).items())
+
+
+def test_decompose_readme_example_order():
+    W = weylGroup("B2")
+    chi = charNabla(W, (1, 0))
+    assert list(decomposeWeylBasis(W, chi * chi).items()) == \
+        [((2, 0), 1), ((0, 1), 1), ((0, 0), 1)]
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_decompose_rejects_perturbed_invariant(name):
+    W = weylGroup(name)
+    chi = charNabla(W, rho(W.sys))
+    mu = min(w for w in chi.terms if not isDominant(w))
+    bad = chi + Character.monomial(mu)
+    with pytest.raises(ValueError):
+        decomposeWeylBasis(W, bad)
+    witness = isInvariant(W, bad)
+    assert witness is not None
+    lam, slam = witness
+    assert bad.coeff(lam) != bad.coeff(slam)
+    assert slam in {W.act(W.rmul(0, i), lam) for i in range(W.sys.rank)}
 
 
 def test_decompose_rejects_non_invariant():

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import demkit
 from demkit.characters import Character, expandGClass
 from demkit.rootsystem import negW, rho, zero
 from demkit.steinberg import (
@@ -145,3 +150,60 @@ def test_bad_choice_rejected():
     W = weylGroup("A1")
     with pytest.raises(ValueError):
         steinbergDecomposeChar(W, Character.monomial((0,)), {0: "NOPE", 1: Q})
+
+
+def test_recursion_limit_restored():
+    W = weylGroup("B2")
+    before = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(3000)
+        f = Character({(1, 1): 1, (-2, 1): 3})
+        steinbergDecomposeChar(W, f, uniformChoices(W, Q))
+        assert sys.getrecursionlimit() == 3000
+        # restored on the error path too: QHAT without a parabolic subset
+        with pytest.raises(ValueError):
+            steinbergDecomposeChar(W, Character.monomial((0, 0)), uniformChoices(W, QHAT))
+        assert sys.getrecursionlimit() == 3000
+    finally:
+        sys.setrecursionlimit(before)
+
+
+OPTIMIZED_SCRIPT = textwrap.dedent("""
+    import itertools
+    from demkit.characters import Character, expandGClass
+    from demkit.ktheory import alphaEntry, betaEntry
+    from demkit.rootsystem import rootSystem
+    from demkit.steinberg import PSTAR, Q, UNIT, basisCharacter, steinbergDecompose
+    from demkit.weyl import WeylGroup, weylGroup
+
+    if __debug__:
+        raise SystemExit("expected python -O")
+    W = weylGroup("B2")
+    kinds = itertools.cycle((UNIT, Q, PSTAR))
+    choices = {v: next(kinds) for v in W.elements()}
+    f = Character({(1, -1): 2, (0, 2): -1, (-2, 1): 1})
+    back = Character.zero()
+    for v, coeffs in steinbergDecompose(W, f, choices).items():
+        back = back + expandGClass(W, coeffs) * basisCharacter(W, v, choices[v])
+    if back != f:
+        raise SystemExit("round trip did not rebuild its input")
+    bad = WeylGroup(rootSystem("B2"))
+    bad.steinbergWeight = lambda v: (-1, 0)
+    for entry in (alphaEntry, betaEntry):
+        try:
+            entry(bad, 0, 0)
+        except AssertionError:
+            continue
+        raise SystemExit(entry.__name__ + " accepted a non-dominant weight")
+    print("ok")
+""")
+
+
+def test_invariants_hold_under_python_O():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(demkit.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
