@@ -138,15 +138,15 @@ def isInvariant(W: WeylGroup, f: Character) -> tuple[Weight, Weight] | None:
     weight lam with that of s_i lam = lam - lam_i alpha_i covers the
     weights outside the support too.
     """
-    cart = W.sys.cartan
-    n = W.sys.rank
     terms = f.terms
-    for i in range(n):
+    get = terms.get
+    for i, col in enumerate(W.cartanCols):
+        idx = range(len(col))
         for lam, c in terms.items():
             k = lam[i]
             if k:
-                slam = tuple(lam[j] - k * cart[j][i] for j in range(n))
-                if terms.get(slam, 0) != c:
+                slam = tuple([lam[j] - k * col[j] for j in idx])
+                if get(slam, 0) != c:
                     return lam, slam
     return None
 

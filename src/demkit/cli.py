@@ -220,7 +220,7 @@ def _suiteWordIndependence(W: WeylGroup, rng: random.Random):
     return [("word-independence", ok, witness)], {"comparisons": pairs}
 
 
-def runSuite(name: str, W: WeylGroup, piP, order, jobs: int):
+def runSuite(name: str, W: WeylGroup, piP, order):
     """Returns (checks, extras); checks is a list of (name, ok, witness)."""
     rng = random.Random(SEED)
     if name == "steinberg-lists":
@@ -238,7 +238,7 @@ def runSuite(name: str, W: WeylGroup, piP, order, jobs: int):
     if name == "indpq-triangular":
         if W.size > 48:
             raise UsageError(f"suite {name} needs |W| <= 48; {W.sys.name} has {W.size}")
-        m = kt.indPQMatrix(W, jobs)
+        m = kt.indPQMatrix(W)
         return kt.indPQCheck(W, m), {"matrix": kt.matrixToJSON(W, m)}
     if name == "triang-alphabeta":
         if W.size > 48:
@@ -348,7 +348,6 @@ def _addCommon(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
     p.add_argument("--cache-dir", metavar="PATH", default=None)
     p.add_argument("--no-cache", action="store_true")
-    p.add_argument("--jobs", type=int, default=1, metavar="N")
     p.add_argument("--out", metavar="PATH", default=None)
 
 
@@ -413,7 +412,7 @@ def _runSuite(args, W, piP, order, cache: DiskCache) -> int:
     key = cache.key(W.sys.name, W.sys.rank, f"suite:{args.name}", params)
     report = cache.get(key)
     if report is None:
-        checks, extras = runSuite(args.name, W, piP, order, args.jobs)
+        checks, extras = runSuite(args.name, W, piP, order)
         rows = [{"name": n, "status": "pass" if ok else "fail", "witness": wit}
                 for n, ok, wit in checks]
         report = {

@@ -8,7 +8,6 @@ half of a mixed basis.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .characters import (
@@ -78,24 +77,12 @@ def _warmPQ(W: WeylGroup) -> tuple[dict[int, Character], dict[int, Character]]:
     return ps, qs
 
 
-def indPQMatrix(W: WeylGroup, jobs: int = 1) -> TransitionMatrix:
+def indPQMatrix(W: WeylGroup) -> TransitionMatrix:
     """Pairing table of the two section-character families, rows and columns
     in the fixed length-then-word order."""
     order = W.totalOrderBuild()
     ps, qs = _warmPQ(W)
-
-    def entry(vw):
-        v, w = vw
-        return eulerPair(W, ps[v], qs[w])
-
-    pairs = [(v, w) for v in order for w in order]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            flat = list(ex.map(entry, pairs))
-    else:
-        flat = [entry(p) for p in pairs]
-    n = len(order)
-    entries = [flat[i * n : (i + 1) * n] for i in range(n)]
+    entries = [[eulerPair(W, ps[v], qs[w]) for w in order] for v in order]
     return TransitionMatrix(list(order), list(order), entries)
 
 

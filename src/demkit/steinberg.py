@@ -3,14 +3,33 @@
 The weight lattice carries two orders beyond dominance: the excellent order
 (norm first, then Bruhat position of the minimal orbit witness) and its
 antipodal twin.  One distinguished weight per Weyl element (its Steinberg
-weight) heads a basis of the Borel representation ring over the group one;
-this module recognizes those weights and expands arbitrary characters over
-mixed families of head-1 basis characters, with coefficients that are
-honest invariant characters.
+weight e_v) heads a basis of the Borel representation ring over the group
+one (R. Steinberg, "On a theorem of Pittie", Topology 14, 1975); this module
+recognizes those weights and expands arbitrary characters over mixed
+families of head-1 basis characters, with coefficients that are honest
+invariant characters.
+
+The expansion has three parts, none of which depends on the choice map:
+
+* the UNIT table, one per group in ``W.memo``: e^lam over the Steinberg
+  exponentials e^{e_v}, cached by lam alone.  A Steinberg weight is its own
+  leaf; any other weight is rewritten through the pivot chi(omega_j) e^{w tau},
+  whose other terms lie strictly below it in the antipodal order, and an
+  explicit worklist builds the entries bottom-up;
+* basis rows, one per (v, choice, parabolic): the UNIT coordinates of the
+  basis character at v minus its head, stored with the sign the solve adds
+  them with.  Every row reaches only indices strictly below v in the
+  antipodal order, so each mixed family is unitriangular;
+* a per-call solve: sum the UNIT vectors of f's terms, then back-substitute
+  through the rows over the |W| indices in one fixed linear extension of the
+  antipodal order.
+
+Coefficients accumulate in place in plain terms dicts; only the outputs are
+built as Characters.
 """
 from __future__ import annotations
 
-import sys as _sys
+from operator import add as _add
 
 from .characters import (
     Character,
@@ -59,8 +78,8 @@ def basisCharacter(
     W: WeylGroup, v: int, choice: str, piP: tuple[int, ...] | None = None
 ) -> Character:
     """One head-1 basis character at v.  Every non-head weight lies strictly
-    below the head in the antipodal order, which is what drives the
-    decomposition recursion."""
+    below the head in the antipodal order, which makes each mixed family
+    unitriangular over the Steinberg exponentials."""
     ev = W.steinbergWeight(v)
     if choice == UNIT:
         return Character.monomial(ev)
@@ -75,80 +94,148 @@ def basisCharacter(
     raise ValueError(f"unknown basis choice {choice!r}")
 
 
-def _expandTable(
-    W: WeylGroup, choices: dict[int, str], piP: tuple[int, ...] | None
-) -> dict:
-    fp = (tuple(choices[v] for v in W.elements()), piP)
-    key = ("stx", fp)
-    table = W.memo.get(key)
+def _addMul(acc: dict, x: dict, m) -> None:
+    """acc += x * m in place, on terms dicts; m is a nonzero int or the terms
+    of a character."""
+    get = acc.get
+    if type(m) is int:
+        for w, c in x.items():
+            n = get(w, 0) + c * m
+            if n:
+                acc[w] = n
+            else:
+                del acc[w]
+        return
+    for w1, c1 in x.items():
+        for w2, c2 in m.items():
+            key = tuple(map(_add, w1, w2))
+            n = get(key, 0) + c1 * c2
+            if n:
+                acc[key] = n
+            else:
+                del acc[key]
+
+
+def _addVec(acc: dict, vec: dict, m) -> None:
+    """acc += vec * m in place, on vectors {index: terms dict}."""
+    for u, coef in vec.items():
+        a = acc.get(u)
+        if a is None:
+            a = acc[u] = {}
+        _addMul(a, coef, m)
+        if not a:
+            del acc[u]
+
+
+def _pivotPlan(W: WeylGroup, lam: Weight) -> list[tuple[Weight, object]]:
+    """e^lam = chi(omega_j) e^{w tau} - (other terms of that product), as
+    (weight, multiplier) pairs; every weight lies strictly below lam in the
+    antipodal order."""
+    dom, w = W.toDominant(lam)
+    n = W.sys.rank
+    if all(x <= 1 for x in dom):
+        rd = set(W.rightDescents(w))
+        j = next(j for j in range(n) if dom[j] == 1 and j not in rd)
+    else:
+        j = next(j for j in range(n) if dom[j] > 1)
+    omega = fundamental(W.sys, j)
+    tau = tuple(dom[k] - omega[k] for k in range(n))
+    wtau = W.act(w, tau)
+    chi = charNabla(W, omega)
+    N = chi * Character.monomial(wtau)
+    if N.coeff(lam) != 1:
+        raise AssertionError(f"pivot coefficient at {lam} is {N.coeff(lam)}")
+    if wtau == lam or not antipodalLeq(W, wtau, lam):
+        raise AssertionError(f"pivot shift {wtau} not strictly below {lam}")
+    plan: list[tuple[Weight, object]] = [(wtau, chi.terms)]
+    for mu, c in sorted(N.terms.items()):
+        if mu == lam:
+            continue
+        if not antipodalLeq(W, mu, lam):
+            raise AssertionError(f"pivot term {mu} not below {lam}")
+        plan.append((mu, -c))
+    return plan
+
+
+def _unitVector(W: WeylGroup, lam: Weight) -> dict:
+    """e^lam over the Steinberg exponentials: {v: terms of the invariant
+    coefficient of e^{e_v}}.  Cached by lam in the group's UNIT table and
+    built bottom-up from a worklist; entries are shared, never mutated."""
+    table = W.memo.get(("stx",))
     if table is None:
-        table = {}
-        W.memo[key] = table
-    return table
-
-
-def _expand(
-    W: WeylGroup,
-    lam: Weight,
-    choices: dict[int, str],
-    piP: tuple[int, ...] | None,
-    table: dict,
-) -> dict[int, Character]:
-    """e^lam as a combination of basis characters with invariant coefficients."""
+        table = W.memo[("stx",)] = {}
     got = table.get(lam)
     if got is not None:
         return got
-    out: dict[int, Character] = {}
+    zeroW = zero(W.sys)
+    plans: dict[Weight, list] = {}
+    stack = [lam]
+    while stack:
+        mu = stack[-1]
+        if mu in table:
+            stack.pop()
+            continue
+        plan = plans.get(mu)
+        if plan is None:
+            v = isSteinbergWeight(W, mu)
+            if v is not None:
+                table[mu] = {v: {zeroW: 1}}
+                stack.pop()
+                continue
+            plan = plans[mu] = _pivotPlan(W, mu)
+        # a plan's weights lie strictly below mu, so this never cycles
+        missing = [nu for nu, _ in plan if nu not in table]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        vec: dict = {}
+        for nu, m in plan:
+            _addVec(vec, table[nu], m)
+        table[mu] = vec
+        del plans[mu]
+    return table[lam]
 
-    def take(v: int, c: Character) -> None:
-        cur = out.get(v)
-        cur = c if cur is None else cur + c
-        if cur:
-            out[v] = cur
-        else:
-            out.pop(v, None)
 
-    v = isSteinbergWeight(W, lam)
-    if v is not None:
-        B = basisCharacter(W, v, choices[v], piP)
-        if B.coeff(lam) != 1:
-            raise AssertionError(f"basis character at {v} has head {B.coeff(lam)} at {lam}")
-        take(v, Character.monomial(zero(W.sys)))
+def _basisRow(
+    W: WeylGroup, v: int, choice: str, piP: tuple[int, ...] | None
+) -> dict:
+    """UNIT coordinates of e^{e_v} minus the basis character at v: what the
+    solve adds, times the coefficient at v, to the indices below v."""
+    rows = W.memo.get(("stxrow",))
+    if rows is None:
+        rows = W.memo[("stxrow",)] = {}
+    key = (v, choice, piP if choice == QHAT else None)
+    row = rows.get(key)
+    if row is None:
+        ev = W.steinbergWeight(v)
+        B = basisCharacter(W, v, choice, piP)
+        if B.coeff(ev) != 1:
+            raise AssertionError(f"basis character at {v} has head {B.coeff(ev)} at {ev}")
+        row = {}
         for mu, c in sorted(B.terms.items()):
-            if mu == lam:
+            if mu == ev:
                 continue
-            if not antipodalLeq(W, mu, lam):
-                raise AssertionError(f"basis term {mu} not below its head {lam}")
-            for u, coef in _expand(W, mu, choices, piP, table).items():
-                take(u, coef * (-c))
-    else:
-        dom, w = W.toDominant(lam)
-        n = W.sys.rank
-        if all(x <= 1 for x in dom):
-            rd = set(W.rightDescents(w))
-            j = next(j for j in range(n) if dom[j] == 1 and j not in rd)
-        else:
-            j = next(j for j in range(n) if dom[j] > 1)
-        omega = fundamental(W.sys, j)
-        tau = tuple(dom[k] - omega[k] for k in range(n))
-        wtau = W.act(w, tau)
-        N = charNabla(W, omega) * Character.monomial(wtau)
-        if N.coeff(lam) != 1:
-            raise AssertionError(f"pivot coefficient at {lam} is {N.coeff(lam)}")
-        if wtau == lam or not antipodalLeq(W, wtau, lam):
-            raise AssertionError(f"pivot shift {wtau} not strictly below {lam}")
-        chi = charNabla(W, omega)
-        for u, coef in _expand(W, wtau, choices, piP, table).items():
-            take(u, coef * chi)
-        for mu, c in sorted(N.terms.items()):
-            if mu == lam:
-                continue
-            if not antipodalLeq(W, mu, lam):
-                raise AssertionError(f"pivot term {mu} not below {lam}")
-            for u, coef in _expand(W, mu, choices, piP, table).items():
-                take(u, coef * (-c))
-    table[lam] = out
-    return out
+            if not antipodalLeq(W, mu, ev):
+                raise AssertionError(f"basis term {mu} not below its head {ev}")
+            _addVec(row, _unitVector(W, mu), -c)
+        rows[key] = row
+    return row
+
+
+def _antipodalOrder(W: WeylGroup) -> dict[int, int]:
+    """Position of each element in one fixed linear extension of the antipodal
+    order on Steinberg weights, highest first: descending norm of -e_v, then
+    length of its orbit witness (Bruhat-below witnesses are shorter)."""
+    pos = W.memo.get(("stxorder",))
+    if pos is None:
+        def key(v: int) -> tuple:
+            lam = negW(W.steinbergWeight(v))
+            return norm2Scaled(W.sys, lam), W.length[W.toDominant(lam)[1]], v
+
+        order = sorted(W.elements(), key=key, reverse=True)
+        pos = W.memo[("stxorder",)] = {v: k for k, v in enumerate(order)}
+    return pos
 
 
 def steinbergDecomposeChar(
@@ -162,26 +249,24 @@ def steinbergDecomposeChar(
     for v in W.elements():
         if choices.get(v) not in _CHOICES:
             raise ValueError(f"missing or bad basis choice for element {v}")
-    table = _expandTable(W, choices, piP)
-    total: dict[int, Character] = {}
-    # the expansion recurses once per antipodal step; the caller's limit is
-    # restored on the way out
-    limit = _sys.getrecursionlimit()
-    if limit < 50000:
-        _sys.setrecursionlimit(50000)
-    try:
-        for lam, c in sorted(f.terms.items()):
-            for v, coef in _expand(W, lam, choices, piP, table).items():
-                cur = total.get(v)
-                add = coef * c
-                cur = add if cur is None else cur + add
-                if cur:
-                    total[v] = cur
-                else:
-                    total.pop(v, None)
-    finally:
-        _sys.setrecursionlimit(limit)
-    return total
+    x: dict = {}
+    for lam, c in f.terms.items():
+        _addVec(x, _unitVector(W, lam), c)
+    pos = _antipodalOrder(W)
+    out: dict[int, Character] = {}
+    for v, k in pos.items():
+        y = x.pop(v, None)
+        if y is None:
+            continue
+        out[v] = Character(y)
+        row = _basisRow(W, v, choices[v], piP)
+        for u in row:
+            if pos[u] <= k:
+                raise AssertionError(f"basis row at {v} reaches {u}, which is already solved")
+        _addVec(x, row, y)
+    if x:
+        raise AssertionError(f"residual left at {sorted(x)} after the solve")
+    return dict(sorted(out.items()))
 
 
 def steinbergDecompose(

@@ -37,10 +37,13 @@ class WeylGroup:
         self.sys = sys
         n = sys.rank
         ident: Matrix = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        # column i of the Cartan matrix: alpha_i in fundamental-weight coordinates
+        self.cartanCols: tuple[tuple[int, ...], ...] = tuple(
+            tuple(sys.cartan[k][i] for k in range(n)) for i in range(n)
+        )
         # simple reflection on coordinates: column i becomes e_i - alpha_i
         self.gens: list[Matrix] = []
-        for i in range(n):
-            col = [sys.cartan[k][i] for k in range(n)]
+        for i, col in enumerate(self.cartanCols):
             self.gens.append(
                 tuple(
                     tuple(int(k == j) - (col[k] if j == i else 0) for j in range(n))
@@ -186,18 +189,23 @@ class WeylGroup:
 
     def toDominant(self, lam: Weight) -> tuple[Weight, int]:
         """Dominant representative and the minimal w with lam = w(lam_plus)."""
-        cart = self.sys.cartan
-        n = self.sys.rank
+        cols = self.cartanCols
+        rmul = self.rmulTable
+        n = len(cols)
         cur = list(lam)
         w = 0
-        while True:
-            i = next((k for k in range(n) if cur[k] < 0), None)
-            if i is None:
-                break
+        i = 0
+        # reflect by the first negative coordinate, then rescan from the start
+        while i < n:
             c = cur[i]
-            for k in range(n):
-                cur[k] -= c * cart[k][i]
-            w = self.rmulTable[w][i]
+            if c < 0:
+                col = cols[i]
+                for k in range(n):
+                    cur[k] -= c * col[k]
+                w = rmul[w][i]
+                i = 0
+            else:
+                i += 1
         return tuple(cur), w
 
     def steinbergWeight(self, v: int) -> Weight:

@@ -20,11 +20,14 @@ from demkit.rootsystem import (
     Weight,
     addW,
     corootPairing,
+    fundamental,
     height,
     isDominant,
     positiveRoots,
     rho,
+    zero,
 )
+from demkit.steinberg import antipodalLeq, basisCharacter, isSteinbergWeight
 from demkit.weyl import WeylGroup
 
 
@@ -128,3 +131,91 @@ def minimalCosetReps(W: WeylGroup, piP: tuple[int, ...]) -> set[int]:
             seen.add(coset)
             reps.add(u)
     return reps
+
+
+def toDominantPlain(W: WeylGroup, lam: Weight) -> tuple[Weight, int]:
+    """Reflect by the first negative coordinate until none is left, reading
+    the Cartan matrix directly; the minimal witness is the product of those
+    reflections."""
+    cart = W.sys.cartan
+    n = W.sys.rank
+    cur = list(lam)
+    w = 0
+    while True:
+        i = next((k for k in range(n) if cur[k] < 0), None)
+        if i is None:
+            return tuple(cur), w
+        c = cur[i]
+        for k in range(n):
+            cur[k] -= c * cart[k][i]
+        w = W.rmul(w, i)
+
+
+def expandPerChoiceMap(
+    W: WeylGroup,
+    f: Character,
+    choices: dict[int, str],
+    piP: tuple[int, ...] | None = None,
+) -> dict[int, Character]:
+    """Steinberg expansion of f by direct recursion under one choice map.
+
+    At a Steinberg weight e_v, e^{e_v} is the basis character at v minus its
+    lower terms; any other weight lam is rewritten through the pivot
+    chi(omega_j) e^{w tau}, whose other terms lie below lam.  Every weight met
+    is expanded afresh for this map, with no table shared across maps.  The
+    recursion is as deep as the longest antipodal chain below f's weights, so
+    callers raise the recursion limit for large weights.
+    """
+    table: dict[Weight, dict[int, Character]] = {}
+
+    def take(out: dict[int, Character], v: int, c: Character) -> None:
+        cur = out.get(v)
+        cur = c if cur is None else cur + c
+        if cur:
+            out[v] = cur
+        else:
+            out.pop(v, None)
+
+    def expand(lam: Weight) -> dict[int, Character]:
+        got = table.get(lam)
+        if got is not None:
+            return got
+        out: dict[int, Character] = {}
+        v = isSteinbergWeight(W, lam)
+        if v is not None:
+            B = basisCharacter(W, v, choices[v], piP)
+            assert B.coeff(lam) == 1
+            take(out, v, Character.monomial(zero(W.sys)))
+            for mu, c in B.terms.items():
+                if mu != lam:
+                    assert antipodalLeq(W, mu, lam)
+                    for u, coef in expand(mu).items():
+                        take(out, u, coef * (-c))
+        else:
+            dom, w = W.toDominant(lam)
+            n = W.sys.rank
+            if all(x <= 1 for x in dom):
+                rd = set(W.rightDescents(w))
+                j = next(j for j in range(n) if dom[j] == 1 and j not in rd)
+            else:
+                j = next(j for j in range(n) if dom[j] > 1)
+            omega = fundamental(W.sys, j)
+            wtau = W.act(w, tuple(dom[k] - omega[k] for k in range(n)))
+            chi = charNabla(W, omega)
+            N = chi * Character.monomial(wtau)
+            assert N.coeff(lam) == 1 and wtau != lam
+            for u, coef in expand(wtau).items():
+                take(out, u, coef * chi)
+            for mu, c in N.terms.items():
+                if mu != lam:
+                    assert antipodalLeq(W, mu, lam)
+                    for u, coef in expand(mu).items():
+                        take(out, u, coef * (-c))
+        table[lam] = out
+        return out
+
+    total: dict[int, Character] = {}
+    for lam, c in f.terms.items():
+        for v, coef in expand(lam).items():
+            take(total, v, coef * c)
+    return total

@@ -238,11 +238,3 @@ def test_all_suites_run_on_a_supported_type(capsys):
 def test_seed_recorded(capsys):
     code, out, _ = run(capsys, "suite", "word-independence", "--type", "A2")
     assert json.loads(out)["seed"] == cli.SEED == 20260819
-
-
-def test_jobs_flag_same_report(capsys):
-    _, one, _ = run(capsys, "suite", "indpq-triangular", "--type", "A2",
-                    "--jobs", "1")
-    _, three, _ = run(capsys, "suite", "indpq-triangular", "--type", "A2",
-                      "--jobs", "3")
-    assert one == three

@@ -67,11 +67,6 @@ def test_indpq_unitriangular(name):
     allPass(indPQCheck(W, indPQMatrix(W)))
 
 
-def test_indpq_parallel_fill_matches():
-    W = weylGroup("B2")
-    assert indPQMatrix(W, jobs=1).entries == indPQMatrix(W, jobs=3).entries
-
-
 def test_alpha_beta_A1_frozen():
     W = weylGroup("A1")
     e, s = 0, W.w0

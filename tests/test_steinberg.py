@@ -10,8 +10,9 @@ import textwrap
 import pytest
 
 import demkit
-from demkit.characters import Character, expandGClass
-from demkit.rootsystem import negW, rho, zero
+from demkit.characters import Character, dual, expandGClass
+from demkit.demazure import charP
+from demkit.rootsystem import negW, rho, rootSystem, zero
 from demkit.steinberg import (
     PSTAR,
     Q,
@@ -25,7 +26,9 @@ from demkit.steinberg import (
     steinbergDecomposeChar,
     uniformChoices,
 )
-from demkit.weyl import weylGroup
+from demkit.weyl import WeylGroup, weylGroup
+
+import oracles
 
 RANK_LE_3 = ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3"]
 
@@ -135,6 +138,75 @@ def test_support_bound_on_exponentials(name):
             assert antipodalLeq(W, W.steinbergWeight(v), lam)
 
 
+@pytest.mark.parametrize("name", RANK_LE_3)
+def test_matches_per_choice_map_oracle(name):
+    # the shared UNIT table plus a solve gives exactly what a fresh recursion
+    # under each choice map gives
+    W = weylGroup(name)
+    rng = random.Random(sum(map(ord, name)) + 7)
+    draws = 4 if W.sys.rank == 3 else 20
+    for _ in range(draws):
+        f = randomChar(W.sys.rank, rng)
+        choices = {v: rng.choice([UNIT, Q, PSTAR]) for v in W.elements()}
+        assert steinbergDecomposeChar(W, f, choices) == oracles.expandPerChoiceMap(W, f, choices)
+
+
+@pytest.mark.parametrize("name,piP", [("A2", (0,)), ("B2", (1,)), ("B3", (0, 2))])
+def test_parabolic_maps_match_per_choice_map_oracle(name, piP):
+    # the choice maps xHatClass builds: QHAT on minimal coset representatives
+    # at or after p, PSTAR everywhere else
+    W = weylGroup(name)
+    _, minimal, _ = W.parabolicData(piP)
+    pos = {w: k for k, w in enumerate(W.totalOrderBuild())}
+    for p in minimal:
+        choices = {v: (QHAT if v in minimal and pos[v] >= pos[p] else PSTAR)
+                   for v in W.elements()}
+        f = dual(charP(W, negW(W.steinbergWeight(p))))
+        got = steinbergDecomposeChar(W, f, choices, piP)
+        assert got == oracles.expandPerChoiceMap(W, f, choices, piP)
+        assert set(got) <= set(minimal)
+
+
+def _steinbergMemoKeys(W) -> list:
+    return [k for k in W.memo if isinstance(k, tuple) and str(k[0]).startswith("stx")]
+
+
+def test_memo_bounded_over_choice_maps():
+    # one fresh group, one f, 20 fresh mixed maps: the Steinberg state does
+    # not gain a table per map
+    W = WeylGroup(rootSystem("B3"))
+    rng = random.Random(2024)
+    f = Character({(1, -1, 2): 2, (-2, 1, 0): -1, (0, 2, -1): 1})
+    counts = []
+    for _ in range(20):
+        choices = {v: rng.choice([UNIT, Q, PSTAR]) for v in W.elements()}
+        assert steinbergDecomposeChar(W, f, choices) == oracles.expandPerChoiceMap(W, f, choices)
+        counts.append(len(_steinbergMemoKeys(W)))
+    assert counts[-1] == counts[0]
+
+
+def test_no_recursion_limit_change(monkeypatch):
+    # a fresh group runs the whole expansion of the costliest weight in the
+    # [-2, 2] box under the default limit, without touching it
+    W = WeylGroup(rootSystem("B3"))
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        def refuse(n):
+            raise AssertionError(f"setrecursionlimit({n}) called")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        f = Character.monomial((2, 2, 2))
+        out = steinbergDecomposeChar(W, f, uniformChoices(W, UNIT))
+        back = Character.zero()
+        for v, coef in out.items():
+            back = back + coef * basisCharacter(W, v, UNIT)
+        assert back == f
+    finally:
+        monkeypatch.undo()
+        sys.setrecursionlimit(before)
+
+
 def test_parabolic_choice_requires_minimal_rep():
     W = weylGroup("A2")
     piP = (0,)
@@ -173,20 +245,37 @@ OPTIMIZED_SCRIPT = textwrap.dedent("""
     from demkit.characters import Character, expandGClass
     from demkit.ktheory import alphaEntry, betaEntry
     from demkit.rootsystem import rootSystem
-    from demkit.steinberg import PSTAR, Q, UNIT, basisCharacter, steinbergDecompose
+    import demkit.steinberg as st
+    from demkit.steinberg import (
+        PSTAR, Q, UNIT, basisCharacter, steinbergDecompose, steinbergDecomposeChar,
+        uniformChoices,
+    )
     from demkit.weyl import WeylGroup, weylGroup
 
     if __debug__:
         raise SystemExit("expected python -O")
-    W = weylGroup("B2")
     kinds = itertools.cycle((UNIT, Q, PSTAR))
-    choices = {v: next(kinds) for v in W.elements()}
-    f = Character({(1, -1): 2, (0, 2): -1, (-2, 1): 1})
-    back = Character.zero()
-    for v, coeffs in steinbergDecompose(W, f, choices).items():
-        back = back + expandGClass(W, coeffs) * basisCharacter(W, v, choices[v])
-    if back != f:
-        raise SystemExit("round trip did not rebuild its input")
+    for name, f in (("B2", Character({(1, -1): 2, (0, 2): -1, (-2, 1): 1})),
+                    ("B3", Character({(1, -1, 2): 2, (0, 2, -1): -1, (-2, 1, 1): 1}))):
+        W = weylGroup(name)
+        choices = {v: next(kinds) for v in W.elements()}
+        back = Character.zero()
+        for v, coeffs in steinbergDecompose(W, f, choices).items():
+            back = back + expandGClass(W, coeffs) * basisCharacter(W, v, choices[v])
+        if back != f:
+            raise SystemExit(name + " round trip did not rebuild its input")
+    # e_0 = 0 is the antipodal minimum, solved last; a row there that reaches
+    # the already solved w0 must be refused
+    W = weylGroup("B3")
+    one = Character.monomial((0, 0, 0))
+    st._basisRow = lambda W, v, choice, piP: {W.w0: dict(one.terms)} if v == 0 else {}
+    try:
+        steinbergDecomposeChar(W, one, uniformChoices(W, Q))
+    except AssertionError as e:
+        if "already solved" not in str(e):
+            raise SystemExit("wrong refusal: " + str(e))
+    else:
+        raise SystemExit("a basis row reaching above its own index was accepted")
     bad = WeylGroup(rootSystem("B2"))
     bad.steinbergWeight = lambda v: (-1, 0)
     for entry in (alphaEntry, betaEntry):

@@ -106,6 +106,13 @@ def test_to_dominant(name):
         assert W.length[w] == oracles.hyperplanesSeparating(W.sys, lam)
 
 
+@pytest.mark.parametrize("name", sorted(ORDERS))
+def test_to_dominant_matches_plain_reference(name):
+    W = weylGroup(name)
+    for lam in itertools.product(range(-3, 4), repeat=W.sys.rank):
+        assert W.toDominant(lam) == oracles.toDominantPlain(W, lam)
+
+
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3", "B3", "C3"])
 def test_steinberg_weights(name):
     W = weylGroup(name)
