@@ -1,21 +1,40 @@
 """Persistent result cache keyed by content hashes.
 
-Entries are plain JSON, re-derivable from scratch; a version tag inside the
-key means a library upgrade silently starts a fresh namespace instead of
-serving stale values.  Writes go through a temp file and an atomic rename.
+Entries are plain JSON, re-derivable from scratch.  The key carries a hash
+of the package's sources, so any change to the code silently starts a fresh
+namespace instead of serving stale values.  Writes go through a temp file
+and an atomic rename.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import tempfile
 
 
+def hashSources(directory: str) -> str:
+    """sha256 over the names and bytes of the *.py files in directory."""
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".py"):
+            with open(os.path.join(directory, name), "rb") as fh:
+                data = fh.read()
+            h.update(f"{name}\0{len(data)}\0".encode())
+            h.update(data)
+    return h.hexdigest()
+
+
+@functools.cache
+def sourceTag() -> str:
+    """Hash of this package's sources, computed once, at first use."""
+    return hashSources(os.path.dirname(os.path.abspath(__file__)))
+
+
 class DiskCache:
-    def __init__(self, root: str | None, versionTag: str):
+    def __init__(self, root: str | None):
         self.root = root
-        self.versionTag = versionTag
         if root:
             os.makedirs(root, exist_ok=True)
 
@@ -26,7 +45,7 @@ class DiskCache:
     def key(self, family: str, rank: int, kind: str, params) -> str:
         blob = json.dumps(
             {"family": family, "rank": rank, "kind": kind, "params": params,
-             "version": self.versionTag},
+             "source": sourceTag()},
             sort_keys=True, separators=(",", ":"),
         )
         return hashlib.sha256(blob.encode()).hexdigest()

@@ -151,8 +151,8 @@ def isInvariant(W: WeylGroup, f: Character) -> tuple[Weight, Weight] | None:
     return None
 
 
-def decomposeWeylBasis(W: WeylGroup, f: Character) -> GClassExpansion:
-    """Expand a W-invariant character over the irreducible-character basis.
+def alternantCoeffs(W: WeylGroup, f: Character) -> GClassExpansion:
+    """Signed irreducible multiplicities read off the alternant of f.
 
     Alternant (Brauer-Klimyk / Racah-Speiser) rule: multiplying f by the Weyl
     denominator turns each irreducible chi(lam) into the alternant of
@@ -166,23 +166,36 @@ def decomposeWeylBasis(W: WeylGroup, f: Character) -> GClassExpansion:
     Stembridge, "Computational aspects of root systems, Coxeter groups and
     Weyl characters" (2001).
 
+    For W-invariant f this is its expansion over the irreducibles; for any f
+    it is that of the Euler characteristic of f (Demazure's character
+    formula).  Nonzero multiplicities only, in first-seen order.
+    """
+    length = W.length
+    toDominant = W.toDominant
+    mult: GClassExpansion = {}
+    get = mult.get
+    for mu, c in f.terms.items():
+        # rho is (1, ..., 1) in fundamental-weight coordinates
+        dom, w = toDominant(tuple([x + 1 for x in mu]))
+        if 0 in dom:
+            continue
+        lam = tuple([x - 1 for x in dom])
+        mult[lam] = get(lam, 0) + (-c if length[w] & 1 else c)
+    return {lam: m for lam, m in mult.items() if m}
+
+
+def decomposeWeylBasis(W: WeylGroup, f: Character) -> GClassExpansion:
+    """Expand a W-invariant character over the irreducible-character basis
+    by the alternant rule (alternantCoeffs).
+
     Constituents come in descending (height, lex) order of highest weight.
     """
     wit = isInvariant(W, f)
     if wit is not None:
         raise ValueError(f"character is not W-invariant: weights {wit[0]} vs {wit[1]}")
-    length = W.length
-    mult: GClassExpansion = {}
-    for mu, c in f.terms.items():
-        # rho is (1, ..., 1) in fundamental-weight coordinates
-        dom, w = W.toDominant(tuple(x + 1 for x in mu))
-        if 0 in dom:
-            continue
-        lam = tuple(x - 1 for x in dom)
-        mult[lam] = mult.get(lam, 0) + (-c if length[w] & 1 else c)
+    mult = alternantCoeffs(W, f)
     sys = W.sys
-    order = sorted((lam for lam, m in mult.items() if m),
-                   key=lambda lam: (heightScaled(sys, lam), lam), reverse=True)
+    order = sorted(mult, key=lambda lam: (heightScaled(sys, lam), lam), reverse=True)
     return {lam: mult[lam] for lam in order}
 
 
@@ -190,10 +203,12 @@ def expandGClass(W: WeylGroup, coeffs: GClassExpansion) -> Character:
     """Inverse of decomposeWeylBasis: assemble the invariant character."""
     from . import demazure
 
-    total = Character.zero()
-    for lam, c in coeffs.items():
-        total = total + demazure.charNabla(W, lam) * c
-    return total
+    acc: dict[Weight, int] = {}
+    get = acc.get
+    for lam, m in coeffs.items():
+        for nu, d in demazure.charNabla(W, lam).terms.items():
+            acc[nu] = get(nu, 0) + m * d
+    return Character(acc)
 
 
 # -- serialization ------------------------------------------------------------

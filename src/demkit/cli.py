@@ -372,7 +372,7 @@ def main(argv=None) -> int:
         piP = _parseParabolic(args.parabolic, W.sys.rank)
         order = _loadOrder(args.order_file, W) if args.order_file else None
         root = None if args.no_cache else (args.cache_dir or os.environ.get("DEMKIT_CACHE"))
-        cache = DiskCache(root, __version__)
+        cache = DiskCache(root)
 
         if args.command == "eval":
             return _runEval(args, W, piP, order, cache)

@@ -1,14 +1,23 @@
 """Demazure operators and the characters built from them.
 
 The push-pull operator for a simple reflection acts on monomials by a
-three-case geometric-series formula; everything else here (orbit characters,
-section characters over unions of Schubert varieties, their twisted variants)
-is a fold of that one step.
+three-case geometric-series formula.  demWord applies a word of such steps
+to weights packed into single integers: coordinate j sits in a field of a
+width chosen per call from an exact bound on every weight the word can
+reach, so a step subtracts multiples of the packed simple root and reads
+the coroot pairing from one field.  Orbit characters, section characters
+over unions of Schubert varieties and their twisted variants are built on
+demWord.  The Euler characteristic (the longest operator) of an arbitrary
+character instead follows the Weyl character formula: e^mu goes to
+(-1)^l(w) chi(w^-1(mu + rho) - rho), or to 0 when mu + rho lies on a wall.
 """
 from __future__ import annotations
 
-from .characters import Character
-from .rootsystem import Weight, isDominant, rho, simpleRoot
+from math import isqrt
+from operator import mul
+
+from .characters import Character, alternantCoeffs, expandGClass
+from .rootsystem import Weight, isDominant, norm2Scaled, rho, simpleRoot
 from .weyl import WeylGroup
 
 LowerSet = tuple[int, ...]   # canonical antichain of Bruhat-maximal elements
@@ -16,34 +25,72 @@ LowerSet = tuple[int, ...]   # canonical antichain of Bruhat-maximal elements
 
 def demStep(W: WeylGroup, i: int, f: Character) -> Character:
     """One simple push-pull.  Idempotent; image = s_i-invariants."""
-    alpha = simpleRoot(W.sys, i)
-    n_ = len(alpha)
-    out: dict[Weight, int] = {}
+    return demWord(W, (i,), f)
 
-    def bump(w: Weight, c: int) -> None:
-        v = out.get(w, 0) + c
-        if v:
-            out[w] = v
-        else:
-            del out[w]
 
-    for lam, c in f.terms.items():
-        n = lam[i]   # pairing with the i-th simple coroot
-        if n >= 0:
-            for k in range(n + 1):
-                bump(tuple(lam[j] - k * alpha[j] for j in range(n_)), c)
-        elif n <= -2:
-            for k in range(1, -n):
-                bump(tuple(lam[j] + k * alpha[j] for j in range(n_)), -c)
-        # n == -1 contributes nothing
-    return Character(out)
+def _coordBound(W: WeylGroup, f: Character) -> int:
+    """A bound on |<mu, alpha_j^vee>| over every weight mu a word reaches from f.
+
+    A step sends e^lam to weights on the segment from lam to s_i lam, so
+    every weight reached lies in the convex hull of the W-orbit of supp f,
+    and its norm is at most the largest norm N in supp f.  Cauchy-Schwarz
+    with |alpha_j|^2 >= 2 gives |<mu, alpha_j^vee>| = 2|(mu, alpha_j)| /
+    |alpha_j|^2 <= 2|mu| / |alpha_j| <= sqrt(2 N), computed in integers
+    from the scaled norms; the + 1 is headroom.
+    """
+    sys = W.sys
+    top = max((norm2Scaled(sys, lam) for lam in f.terms), default=0)
+    return isqrt(2 * top // sys.gramScale) + 1
 
 
 def demWord(W: WeylGroup, word: tuple[int, ...], f: Character) -> Character:
-    """Compose steps for a word i1..ik, rightmost letter applied first."""
+    """Compose steps for a word i1..ik, rightmost letter applied first.
+
+    Weights are packed once: coordinate j is stored as x_j + bound in the
+    field at bit j * width, so lam - k alpha_i is key - k * D_i with D_i the
+    packed simple root, and field i holds <lam, alpha_i^vee> + bound.
+    """
+    if not word:
+        return f
+    bound = _coordBound(W, f)
+    width = (2 * bound).bit_length()   # a field holds 0 .. 2 * bound
+    mask = (1 << width) - 1
+    shifts = [j * width for j in range(W.sys.rank)]
+    place = [1 << s for s in shifts]
+    base = bound * sum(place)
+    cur = {base + sum(map(mul, lam, place)): c for lam, c in f.terms.items()}
+    cols = W.cartanCols
+    low = bound - 1   # the field value of pairing -1, which contributes nothing
     for i in reversed(word):
-        f = demStep(W, i, f)
-    return f
+        step = sum(map(mul, cols[i], place))
+        sh = shifts[i]
+        out: dict[int, int] = {}
+        get = out.get
+        for key, c in cur.items():
+            d = (key >> sh) & mask
+            if d >= bound:     # pairing n >= 0: e^lam + ... + e^(lam - n alpha_i)
+                out[key] = get(key, 0) + c
+                while d > bound:
+                    key -= step
+                    out[key] = get(key, 0) + c
+                    d -= 1
+            elif d < low:      # n <= -2: -e^(lam + alpha_i) - ... - e^(lam + (-n - 1) alpha_i)
+                c = -c
+                while d < low:
+                    key += step
+                    out[key] = get(key, 0) + c
+                    d += 1
+        cur = {k: c for k, c in out.items() if c}
+    # unpack field by field; the top field is read unmasked, so a carry out
+    # of it is not lost
+    coords = [[((k >> s) & mask) - bound for k in cur] for s in shifts[:-1]]
+    coords.append([(k >> shifts[-1]) - bound for k in cur])
+    for j, xs in enumerate(coords):
+        if max(xs, default=0) > bound or min(xs, default=0) < -bound:
+            raise AssertionError(f"coordinate {j} outside the packing bound {bound}")
+    r = Character.__new__(Character)
+    r.terms = dict(zip(zip(*coords), cur.values()))
+    return r
 
 
 def demElt(W: WeylGroup, w: int, f: Character) -> Character:
@@ -61,12 +108,10 @@ def _demMono(W: WeylGroup, w: int, lam: Weight) -> Character:
 
 
 def eulerChar(W: WeylGroup, f: Character) -> Character:
-    """Apply the full-group operator termwise (it is linear), with a
-    per-monomial cache.  Output is W-invariant."""
-    total = Character.zero()
-    for lam, c in f.terms.items():
-        total = total + _demMono(W, W.w0, lam) * c
-    return total
+    """The full-group operator by the Weyl character formula (see module
+    docstring): one toDominant per term, then one irreducible character per
+    constituent.  Output is W-invariant."""
+    return expandGClass(W, alternantCoeffs(W, f))
 
 
 def charNabla(W: WeylGroup, lam: Weight) -> Character:
@@ -111,10 +156,6 @@ def antichainFromMask(W: WeylGroup, mask: int) -> LowerSet:
         below |= W.bruhatBits[u] ^ low
         m ^= low
     return tuple(u for u in elems if not (below >> u) & 1)
-
-
-def inLowerSet(W: WeylGroup, s: LowerSet, u: int) -> bool:
-    return any(W.bruhatLeq(u, m) for m in s)
 
 
 def boundary(W: WeylGroup, w: int) -> LowerSet:

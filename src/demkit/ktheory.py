@@ -417,13 +417,7 @@ def rank2BundleChecks(W: WeylGroup) -> list[tuple[str, bool, str]]:
             "" if got == want else compact(got),
         ))
     checks.append(_tensorListCheck(W))
-    got_set = {W.steinbergWeight(v) for v in W.elements()}
-    want_set = _STEINBERG_LISTS[name]
-    checks.append((
-        "steinberg-weight-list",
-        got_set == want_set,
-        "" if got_set == want_set else str(sorted(got_set ^ want_set)),
-    ))
+    checks.append(steinbergListCheck(W)[0])
     return checks
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import lcm
+from operator import mul
 
 Weight = tuple[int, ...]
 
@@ -150,9 +151,7 @@ def isDominant(lam: Weight) -> bool:
 
 def innerProductScaled(sys: RootSystem, lam: Weight, mu: Weight) -> int:
     """sys.gramScale * (lam, mu): an exact integer with the same order."""
-    g = sys.gramInt
-    n = sys.rank
-    return sum(lam[i] * sum(g[i][j] * mu[j] for j in range(n)) for i in range(n))
+    return sum(map(mul, lam, [sum(map(mul, row, mu)) for row in sys.gramInt]))
 
 
 def innerProduct(sys: RootSystem, lam: Weight, mu: Weight) -> Q:

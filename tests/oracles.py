@@ -7,6 +7,11 @@ greedy stripping of irreducible characters.  The alternating-sum identity
 (checked multiplicatively, no division needed) still checks the Demazure
 characters, but it is not independent of decomposeWeylBasis, which reads
 multiplicities off the same alternants.
+
+eulerChar follows the Weyl character formula too, so test_c11_euler_sign_rule
+in the acceptance gate now restates what eulerChar computes; what keeps it
+independent is eulerCharTermwise, which folds demStepPlain (the step on
+weight tuples that demWord's packed keys replace) along the longest word.
 """
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ import itertools
 from fractions import Fraction as Q
 
 from demkit.characters import Character, GClassExpansion
-from demkit.demazure import charNabla
+from demkit.demazure import LowerSet, charNabla
 from demkit.rootsystem import (
     RootSystem,
     Weight,
@@ -25,6 +30,7 @@ from demkit.rootsystem import (
     isDominant,
     positiveRoots,
     rho,
+    simpleRoot,
     zero,
 )
 from demkit.steinberg import antipodalLeq, basisCharacter, isSteinbergWeight
@@ -108,6 +114,53 @@ def decomposeGreedy(W: WeylGroup, f: Character) -> GClassExpansion:
             else:
                 rem.pop(w, None)
     return out
+
+
+def demStepPlain(W: WeylGroup, i: int, f: Character) -> Character:
+    """One simple push-pull on weight tuples, term by term, deleting a
+    weight as soon as its coefficient cancels."""
+    alpha = simpleRoot(W.sys, i)
+    n_ = len(alpha)
+    out: dict[Weight, int] = {}
+
+    def bump(w: Weight, c: int) -> None:
+        v = out.get(w, 0) + c
+        if v:
+            out[w] = v
+        else:
+            del out[w]
+
+    for lam, c in f.terms.items():
+        n = lam[i]   # pairing with the i-th simple coroot
+        if n >= 0:
+            for k in range(n + 1):
+                bump(tuple(lam[j] - k * alpha[j] for j in range(n_)), c)
+        elif n <= -2:
+            for k in range(1, -n):
+                bump(tuple(lam[j] + k * alpha[j] for j in range(n_)), -c)
+        # n == -1 contributes nothing
+    return Character(out)
+
+
+def demWordPlain(W: WeylGroup, word: tuple[int, ...], f: Character) -> Character:
+    for i in reversed(word):
+        f = demStepPlain(W, i, f)
+    return f
+
+
+def eulerCharTermwise(W: WeylGroup, f: Character) -> Character:
+    """The longest Demazure operator, applied to each monomial of f by
+    folding demStepPlain along the canonical word of w0, and summed."""
+    word = W.canonicalWord(W.w0)
+    total = Character.zero()
+    for lam, c in f.terms.items():
+        total = total + demWordPlain(W, word, Character.monomial(lam)) * c
+    return total
+
+
+def inLowerSet(W: WeylGroup, s: LowerSet, u: int) -> bool:
+    """Membership in the lower set generated by the antichain s."""
+    return any(W.bruhatLeq(u, m) for m in s)
 
 
 def minimalCosetReps(W: WeylGroup, piP: tuple[int, ...]) -> set[int]:

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 
 import pytest
 
+import demkit.cache as cache
 import demkit.cli as cli
 from demkit.cli import main
 from demkit.weyl import weylGroup
@@ -177,6 +179,32 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     # cached eval result must not re-run anything
     code, _, _ = run(capsys, "eval", "e([0,0])", "--type", "A2")
     assert code == 0
+
+
+def test_cache_keyed_on_source_tag(tmp_path, capsys, monkeypatch):
+    cdir = str(tmp_path / "cache")
+    argv = ("eval", "chi([1,0])", "--type", "A2", "--cache-dir", cdir)
+    monkeypatch.setattr(cache, "sourceTag", lambda: "tag-a")
+    _, cold, _ = run(capsys, *argv)
+    calls = []
+    real = cli.evalExpr
+    monkeypatch.setattr(cli, "evalExpr", lambda *a: calls.append(a) or real(*a))
+    _, hot, _ = run(capsys, *argv)
+    assert calls == [] and hot == cold   # same tag: hit
+    monkeypatch.setattr(cache, "sourceTag", lambda: "tag-b")
+    _, again, _ = run(capsys, *argv)
+    assert len(calls) == 1 and again == cold   # changed tag: miss
+    assert len([f for _, _, fs in os.walk(cdir) for f in fs]) == 2
+
+
+def test_source_tag_hashes_package_sources(tmp_path):
+    pkg = os.path.dirname(os.path.abspath(cache.__file__))
+    copy = tmp_path / "pkg"
+    shutil.copytree(pkg, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    assert cache.hashSources(str(copy)) == cache.sourceTag()
+    edited = copy / "demazure.py"
+    edited.write_text(edited.read_text() + "\n")
+    assert cache.hashSources(str(copy)) != cache.sourceTag()
 
 
 def writeOrder(path, words):

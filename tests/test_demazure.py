@@ -19,7 +19,6 @@ from demkit.demazure import (
     demStep,
     demWord,
     eulerChar,
-    inLowerSet,
     lowerSet,
     lowerSetMask,
 )
@@ -27,6 +26,9 @@ from demkit.rootsystem import fundamental, isDominant, rho, zero
 from demkit.weyl import weylGroup
 
 import oracles
+
+ALL_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4",
+             "C2", "C3", "C4", "D4", "G2", "F4")
 
 
 def randomChar(rank: int, rng: random.Random) -> Character:
@@ -162,7 +164,7 @@ def test_lower_sets():
         mask = lowerSetMask(W, s)
         assert antichainFromMask(W, mask) == s == (w,)
         for u in W.elements():
-            assert inLowerSet(W, s, u) == W.bruhatLeq(u, w)
+            assert oracles.inLowerSet(W, s, u) == W.bruhatLeq(u, w)
         assert set(boundary(W, w)) == set(W.covers(w))
     # union of two incomparable elements survives as a two-element antichain
     s1s2 = W.rmul(W.rmul(0, 0), 1)
@@ -221,3 +223,75 @@ def test_word_order_matters_in_demword():
     f = Character.monomial((1, 1))
     assert demWord(W, (0, 1), f) == demStep(W, 0, demStep(W, 1, f))
     assert demWord(W, (), f) == f
+
+
+
+def packingSamples(W, rng: random.Random):
+    """(word, f) pairs for the packed demWord.  Coordinates paired with the
+    word's letters stay small so strings stay short; the others sit near 0,
+    +-10^3 or +-10^6, which changes the field width.  One more sample per
+    letter strings a +-10^3 coordinate out under that letter alone."""
+    rank = W.sys.rank
+    for trial in range(12):
+        letters = rng.sample(range(rank), rng.randint(1, rank))
+        word = tuple(rng.choice(letters) for _ in range(rng.randint(1, 5)))
+        scale = (0, 10**3, 10**6)[trial % 3]
+        terms = {}
+        for _ in range(5):
+            lam = tuple(rng.randint(-3, 3) if j in letters
+                        else rng.choice((-1, 1)) * scale + rng.randint(-3, 3)
+                        for j in range(rank))
+            terms[lam] = rng.choice((-3, -2, -1, 1, 2, 3))
+        yield word, Character(terms)
+    for i in range(rank):
+        big = tuple(rng.choice((-1, 1)) * (10**3 + rng.randint(0, 3)) if j == i
+                    else rng.choice((-1, 1)) * 10**6 for j in range(rank))
+        yield (i,), Character({big: 2, zero(W.sys): -1})
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_demword_matches_plain_oracle(name):
+    W = weylGroup(name)
+    rng = random.Random(23)
+    for word, f in packingSamples(W, rng):
+        got = demWord(W, word, f)
+        want = oracles.demWordPlain(W, word, f)
+        assert got.terms == want.terms, (word, f)
+        assert 0 not in got.terms.values()
+        if len(word) == 1:
+            assert demStep(W, word[0], f).terms == want.terms
+
+
+def eulerSamples(W, rng: random.Random):
+    """Non-invariant characters whose monomials e^mu have mu + rho in random
+    chambers: regular (rho, or rho plus a fundamental weight) or on a wall
+    (rho minus a fundamental weight).  Small groups also get random
+    weights in [-2, 1]^r."""
+    sys = W.sys
+    r = rho(sys)
+    rank = sys.rank
+    for _ in range(6 if rank < 4 else 2):
+        terms = {}
+        for _ in range(4):
+            j = rng.randrange(rank)
+            shift = rng.choice((-1, 0, 1))
+            nu = tuple(r[k] + (shift if k == j else 0) for k in range(rank))
+            mu = tuple(x - 1 for x in W.act(rng.randrange(W.size), nu))
+            terms[mu] = rng.choice((-2, -1, 1, 2))
+        if rank < 4:
+            for _ in range(3):
+                terms[tuple(rng.randint(-2, 1) for _ in range(rank))] = rng.randint(1, 3)
+        yield Character(terms)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_euler_char_matches_termwise_oracle(name):
+    W = weylGroup(name)
+    rng = random.Random(29)
+    nonzero = 0
+    for f in eulerSamples(W, rng):
+        assert isInvariant(W, f) is not None
+        got = eulerChar(W, f)
+        assert got.terms == oracles.eulerCharTermwise(W, f).terms, f
+        nonzero += bool(got)
+    assert nonzero

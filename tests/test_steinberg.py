@@ -284,6 +284,16 @@ OPTIMIZED_SCRIPT = textwrap.dedent("""
         except AssertionError:
             continue
         raise SystemExit(entry.__name__ + " accepted a non-dominant weight")
+    # a packing bound that is too small must be caught when unpacking
+    import demkit.demazure as dz
+    dz._coordBound = lambda W, f: 1
+    try:
+        dz.demWord(weylGroup("A1"), (0,), Character.monomial((5,)))
+    except AssertionError as e:
+        if "packing bound" not in str(e):
+            raise SystemExit("wrong refusal: " + str(e))
+    else:
+        raise SystemExit("a weight outside the packing bound was accepted")
     print("ok")
 """)
 
