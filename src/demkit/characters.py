@@ -10,7 +10,7 @@ exact; coefficients are Python ints so nothing overflows silently.
 """
 from __future__ import annotations
 
-from .rootsystem import RootSystem, Weight, heightScaled, norm2
+from .rootsystem import Weight, heightScaled
 from .weyl import WeylGroup
 
 GClassExpansion = dict[Weight, int]   # keys dominant, values nonzero
@@ -115,21 +115,6 @@ def augment(f: Character) -> int:
     return sum(f.terms.values())
 
 
-def extremalWeights(sys: RootSystem, f: Character) -> set[Weight]:
-    if not f.terms:
-        raise ValueError("zero character has no extremal weights")
-    best = None
-    out: set[Weight] = set()
-    for w in f.terms:
-        n = norm2(sys, w)
-        if best is None or n > best:
-            best = n
-            out = {w}
-        elif n == best:
-            out.add(w)
-    return out
-
-
 def isInvariant(W: WeylGroup, f: Character) -> tuple[Weight, Weight] | None:
     """None if W-invariant, else a witnessing weight pair (lam, s_i lam).
 
@@ -221,43 +206,31 @@ def charFromJSON(data: list[dict]) -> Character:
     return Character({tuple(d["w"]): d["c"] for d in data})
 
 
-def _monome(w: Weight, c: int, tight: bool) -> str:
-    body = "e[" + ",".join(str(x) for x in w) + "]"
-    mag = abs(c)
-    if mag == 1:
-        return body
-    return f"{mag}{body}" if tight else f"{mag}·{body}"
+def _formatTerms(items, symbol: str, tight: bool) -> str:
+    """Sorted (weight, coeff) pairs, nonzero coefficients, as a sum of
+    symbol[weight] monomials: "2·e[0,0] - e[1,-1]", or "2e[0,0]-e[1,-1]"
+    when tight; "0" if there are none."""
+    parts = []
+    for w, c in items:
+        mono = symbol + "[" + ",".join(str(x) for x in w) + "]"
+        if abs(c) != 1:
+            mono = f"{abs(c)}{'' if tight else '·'}{mono}"
+        if parts:
+            sign = "-" if c < 0 else "+"
+            parts.append(sign + mono if tight else f" {sign} {mono}")
+        else:
+            parts.append("-" + mono if c < 0 else mono)
+    return "".join(parts) or "0"
 
 
 def pretty(f: Character) -> str:
-    """Human form, lex-sorted: "e[1,-1] + 2·e[0,0]"."""
-    if not f.terms:
-        return "0"
-    parts = []
-    for i, (w, c) in enumerate(f.sortedItems()):
-        sign = "-" if c < 0 else "+"
-        mono = _monome(w, c, tight=False)
-        if i == 0:
-            parts.append(mono if c > 0 else "-" + mono)
-        else:
-            parts.append(f" {sign} {mono}")
-    return "".join(parts)
+    """Human form, lex-sorted: "2·e[0,0] + e[1,-1]"."""
+    return _formatTerms(f.sortedItems(), "e", tight=False)
 
 
 def compact(f: Character) -> str:
-    """CSV cell form, lex-sorted: "e[1,-1]+2e[0,0]"."""
-    if not f.terms:
-        return "0"
-    parts = []
-    for i, (w, c) in enumerate(f.sortedItems()):
-        mono = _monome(w, c, tight=True)
-        if c < 0:
-            parts.append("-" + mono)
-        elif i > 0:
-            parts.append("+" + mono)
-        else:
-            parts.append(mono)
-    return "".join(parts)
+    """CSV cell form, lex-sorted: "2e[0,0]+e[1,-1]"."""
+    return _formatTerms(f.sortedItems(), "e", tight=True)
 
 
 def gexpToJSON(coeffs: GClassExpansion) -> list[dict]:

@@ -26,27 +26,20 @@ from . import __version__
 from . import demazure as dz
 from . import ktheory as kt
 from .cache import DiskCache
-from .characters import Character, charToJSON, compact, gexpToJSON, pretty
-from .exprlang import EvalContext, ParseError, evalExpr, parse, printExpr
+from .characters import (
+    Character,
+    _formatTerms,
+    charFromJSON,
+    charToJSON,
+    compact,
+    gexpToJSON,
+)
+from .exprlang import EvalContext, ParseError, asciiInt, evalExpr, parse, printExpr
 from .weyl import WeylGroup, weylGroup
 
 SEED = 20260819
 
 RANK2 = ("A2", "B2", "G2")
-
-SUITES = (
-    "steinberg-lists",
-    "tensor-decomp",
-    "q-equivalence",
-    "indpq-triangular",
-    "triang-alphabeta",
-    "orthogonality",
-    "xclass-gram",
-    "parabolic",
-    "rank2-bundles",
-    "dual-conjecture-report",
-    "word-independence",
-)
 
 
 class UsageError(Exception):
@@ -62,9 +55,9 @@ def _parseParabolic(spec: str | None, rank: int) -> tuple[int, ...]:
     out = []
     for part in spec.split(","):
         part = part.strip()
-        if not part.isdigit():
+        k = asciiInt(part)
+        if k is None:
             raise UsageError(f"--parabolic expects 1-based indices, got {part!r}")
-        k = int(part)
         if not 1 <= k <= rank:
             raise UsageError(f"--parabolic index {k} out of range 1..{rank}")
         out.append(k - 1)
@@ -76,9 +69,9 @@ def _parseWord(text: str, W: WeylGroup, where: str) -> int:
     if text == "e":
         return w
     for tok in text.split():
-        if len(tok) < 2 or tok[0] != "s" or not tok[1:].isdigit():
+        k = asciiInt(tok[1:]) if tok[0] == "s" else None
+        if k is None:
             raise UsageError(f"{where}: bad word letter {tok!r}")
-        k = int(tok[1:])
         if not 1 <= k <= W.sys.rank:
             raise UsageError(f"{where}: letter {tok} out of range for {W.sys.name}")
         w = W.rmul(w, k - 1)
@@ -132,12 +125,6 @@ def randomCharacters(W: WeylGroup, rng: random.Random, count: int) -> list[Chara
 # -- suites ---------------------------------------------------------------------
 
 
-def _need(name: str, W: WeylGroup, allowed) -> None:
-    if W.sys.name not in allowed:
-        raise UsageError(
-            f"suite {name} supports {', '.join(allowed)}; got {W.sys.name}")
-
-
 def _suiteQEquivalence(W: WeylGroup):
     checks = []
     ok, witness = True, ""
@@ -152,6 +139,11 @@ def _suiteQEquivalence(W: WeylGroup):
             ok, witness = False, str(lam)
     checks.append(("q-twist-on-grid", ok, witness))
     return checks, {}
+
+
+def _suiteIndPQ(W: WeylGroup):
+    m = kt.indPQMatrix(W)
+    return kt.indPQCheck(W, m), {"matrix": kt.matrixToJSON(W, m)}
 
 
 def _suiteTriang(W: WeylGroup, rng: random.Random):
@@ -220,50 +212,57 @@ def _suiteWordIndependence(W: WeylGroup, rng: random.Random):
     return [("word-independence", ok, witness)], {"comparisons": pairs}
 
 
+def _types(*names: str):
+    return lambda W: (None if W.sys.name in names
+                      else f"supports {', '.join(names)}; got {W.sys.name}")
+
+
+def _maxSize(n: int):
+    return lambda W: None if W.size <= n else f"needs |W| <= {n}; {W.sys.name} has {W.size}"
+
+
+def _maxRank(r: int):
+    return lambda W: None if W.sys.rank <= r else f"supports rank <= {r}; got {W.sys.name}"
+
+
+# name -> (gate, runner).  A gate returns None for a Weyl group the suite
+# accepts and otherwise the reason it does not; a runner takes
+# (W, piP, order, rng) and returns (checks, extras).
+SUITES = {
+    "steinberg-lists": (
+        _types(*RANK2), lambda W, *_: (kt.steinbergListCheck(W), {})),
+    "tensor-decomp": (
+        _types(*RANK2), lambda W, *_: (kt.tensorDecompCheck(W), {})),
+    "q-equivalence": (
+        _types(*RANK2, "A3", "B3", "C3"), lambda W, *_: _suiteQEquivalence(W)),
+    "indpq-triangular": (
+        _maxSize(48), lambda W, *_: _suiteIndPQ(W)),
+    "triang-alphabeta": (
+        _maxSize(48), lambda W, piP, order, rng: _suiteTriang(W, rng)),
+    "orthogonality": (
+        _maxRank(2), lambda W, *_: (kt.orthogonalityCheck(W), {})),
+    "xclass-gram": (
+        _maxRank(3), lambda W, piP, order, rng: _suiteXclassGram(W, order)),
+    "parabolic": (
+        _maxRank(3), lambda W, piP, order, rng: (
+            kt.parabolicChecks(W, piP, order),
+            {"minimalReps": len(W.parabolicData(piP)[1])})),
+    "rank2-bundles": (
+        _types(*RANK2), lambda W, *_: (kt.rank2BundleChecks(W), {})),
+    "dual-conjecture-report": (
+        _maxRank(3), lambda W, *_: _suiteDualConjecture(W)),
+    "word-independence": (
+        _types(*RANK2, "B3"), lambda W, piP, order, rng: _suiteWordIndependence(W, rng)),
+}
+
+
 def runSuite(name: str, W: WeylGroup, piP, order):
     """Returns (checks, extras); checks is a list of (name, ok, witness)."""
-    rng = random.Random(SEED)
-    if name == "steinberg-lists":
-        _need(name, W, RANK2)
-        return kt.steinbergListCheck(W), {}
-    if name == "tensor-decomp":
-        _need(name, W, RANK2)
-        return kt.tensorDecompCheck(W), {}
-    if name == "rank2-bundles":
-        _need(name, W, RANK2)
-        return kt.rank2BundleChecks(W), {}
-    if name == "q-equivalence":
-        _need(name, W, ("A2", "B2", "G2", "A3", "B3", "C3"))
-        return _suiteQEquivalence(W)
-    if name == "indpq-triangular":
-        if W.size > 48:
-            raise UsageError(f"suite {name} needs |W| <= 48; {W.sys.name} has {W.size}")
-        m = kt.indPQMatrix(W)
-        return kt.indPQCheck(W, m), {"matrix": kt.matrixToJSON(W, m)}
-    if name == "triang-alphabeta":
-        if W.size > 48:
-            raise UsageError(f"suite {name} needs |W| <= 48; {W.sys.name} has {W.size}")
-        return _suiteTriang(W, rng)
-    if name == "orthogonality":
-        if W.sys.rank > 2:
-            raise UsageError(f"suite {name} supports rank <= 2; got {W.sys.name}")
-        return kt.orthogonalityCheck(W), {}
-    if name == "xclass-gram":
-        if W.sys.rank > 3:
-            raise UsageError(f"suite {name} supports rank <= 3; got {W.sys.name}")
-        return _suiteXclassGram(W, order)
-    if name == "parabolic":
-        if W.sys.rank > 3:
-            raise UsageError(f"suite {name} supports rank <= 3; got {W.sys.name}")
-        return kt.parabolicChecks(W, piP, order), {"minimalReps": len(W.parabolicData(piP)[1])}
-    if name == "dual-conjecture-report":
-        if W.sys.rank > 3:
-            raise UsageError(f"suite {name} supports rank <= 3; got {W.sys.name}")
-        return _suiteDualConjecture(W)
-    if name == "word-independence":
-        _need(name, W, RANK2 + ("B3",))
-        return _suiteWordIndependence(W, rng)
-    raise UsageError(f"unknown suite {name!r}")
+    gate, runner = SUITES[name]
+    refusal = gate(W)
+    if refusal is not None:
+        raise UsageError(f"suite {name} {refusal}")
+    return runner(W, piP, order, random.Random(SEED))
 
 
 # -- rendering --------------------------------------------------------------------
@@ -272,32 +271,13 @@ def runSuite(name: str, W: WeylGroup, piP, order):
 def _renderEval(payload: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    value = payload["value"]
-    if payload["kind"] == "gexp":
-        if fmt == "csv":
-            lines = ["weight,coeff"]
-            lines += ['"[%s]",%d' % (",".join(str(x) for x in d["weight"]), d["c"])
-                      for d in value]
-            return "\n".join(lines) + "\n"
-        if not value:
-            return "0\n"
-        parts = []
-        for i, d in enumerate(value):
-            mono = "chi[" + ",".join(str(x) for x in d["weight"]) + "]"
-            c = d["c"]
-            mono = mono if abs(c) == 1 else f"{abs(c)}·{mono}"
-            if i == 0:
-                parts.append(mono if c > 0 else "-" + mono)
-            else:
-                parts.append((" + " if c > 0 else " - ") + mono)
-        return "".join(parts) + "\n"
+    key, symbol = ("weight", "chi") if payload["kind"] == "gexp" else ("w", "e")
+    pairs = [(d[key], d["c"]) for d in payload["value"]]
     if fmt == "csv":
         lines = ["weight,coeff"]
-        lines += ['"[%s]",%d' % (",".join(str(x) for x in d["w"]), d["c"])
-                  for d in value]
+        lines += ['"[%s]",%d' % (",".join(str(x) for x in w), c) for w, c in pairs]
         return "\n".join(lines) + "\n"
-    f = Character({tuple(d["w"]): d["c"] for d in value})
-    return pretty(f) + "\n"
+    return _formatTerms(pairs, symbol, tight=False) + "\n"
 
 
 def _renderSuite(report: dict, fmt: str) -> str:
@@ -308,8 +288,7 @@ def _renderSuite(report: dict, fmt: str) -> str:
             m = report["matrix"]
             lines = ["," + ",".join(m["cols"])]
             for r, row in zip(m["rows"], m["entries"]):
-                cells = [compact(Character({tuple(d["w"]): d["c"] for d in cell}))
-                         for cell in row]
+                cells = [compact(charFromJSON(cell)) for cell in row]
                 lines.append(r + "," + ",".join(cells))
             return "\n".join(lines) + "\n"
         lines = ["name,status,witness"]

@@ -16,6 +16,7 @@ ill-formed call never reaches evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from . import demazure as _dz
 from . import ktheory as _kt
@@ -27,21 +28,39 @@ WEIGHT = "weight"
 WORD = "word"
 GEXP = "gexp"
 
-# name -> (argument kinds, result kind)
-FUNCS: dict[str, tuple[tuple[str, ...], str]] = {
-    "e": ((WEIGHT,), CHAR),
-    "chi": ((WEIGHT,), CHAR),
-    "P": ((WEIGHT,), CHAR),
-    "Q": ((WEIGHT,), CHAR),
-    "Qhat": ((WEIGHT,), CHAR),
-    "dualOf": ((CHAR,), CHAR),
-    "D": ((WORD, CHAR), CHAR),
-    "pair": ((CHAR, CHAR), CHAR),
-    "euler": ((CHAR,), CHAR),
-    "decomposeG": ((CHAR,), GEXP),
-    "steinberg": ((WORD,), CHAR),
-    "xclass": ((WORD,), CHAR),
+# name -> (argument kinds, result kind, evaluator).  The evaluator gets the
+# EvalContext and one resolved value per argument: a rank-checked weight
+# tuple, a range-checked tuple of 0-based letters, or an evaluated character.
+# It reaches library functions through their modules or this module's
+# globals, so a wrapper installed on a module after import is the one called.
+FUNCS: dict[str, tuple] = {
+    "e": ((WEIGHT,), CHAR, lambda ctx, lam: Character.monomial(lam)),
+    "chi": ((WEIGHT,), CHAR, lambda ctx, lam: _dz.charNabla(ctx.W, lam)),
+    "P": ((WEIGHT,), CHAR, lambda ctx, lam: _dz.charP(ctx.W, lam)),
+    "Q": ((WEIGHT,), CHAR, lambda ctx, lam: _dz.charQ(ctx.W, lam)),
+    "Qhat": ((WEIGHT,), CHAR, lambda ctx, lam: _dz.charQhat(ctx.W, lam, ctx.piP)),
+    "dualOf": ((CHAR,), CHAR, lambda ctx, f: dual(f)),
+    # demWord, not demElt: D on a non-reduced word is not D of its product
+    "D": ((WORD, CHAR), CHAR, lambda ctx, word, f: _dz.demWord(ctx.W, word, f)),
+    "pair": ((CHAR, CHAR), CHAR, lambda ctx, f, g: _kt.eulerPair(ctx.W, f, g)),
+    "euler": ((CHAR,), CHAR, lambda ctx, f: _dz.eulerChar(ctx.W, f)),
+    "decomposeG": ((CHAR,), GEXP, lambda ctx, f: decomposeWeylBasis(ctx.W, f)),
+    "steinberg": ((WORD,), CHAR, lambda ctx, word: Character.monomial(
+        ctx.W.steinbergWeight(reduce(ctx.W.rmul, word, 0)))),
+    "xclass": ((WORD,), CHAR, lambda ctx, word: _kt.xClass(
+        ctx.W, reduce(ctx.W.rmul, word, 0), ctx.order)),
 }
+
+
+def asciiInt(text: str) -> int | None:
+    """The value of a nonempty string of ASCII digits; None for any other
+    string, and for one longer than int() converts."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:   # more digits than sys.get_int_max_str_digits()
+        return None
 
 
 class ParseError(ValueError):
@@ -76,9 +95,9 @@ def _tokenize(src: str) -> list[_Tok]:
             col += 1
             continue
         start_col = col
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and "0" <= src[j] <= "9":
                 j += 1
             toks.append(_Tok("INT", src[i:j], line, start_col))
             col += j - i
@@ -174,7 +193,7 @@ class _Parser:
         if sig is None:
             raise ParseError(f"unknown function {name_tok.text!r}",
                              name_tok.line, name_tok.col)
-        argkinds, result = sig
+        argkinds, result, _ = sig
         self.expect("LPAREN", "'('")
         args = []
         for k, want in enumerate(argkinds):
@@ -210,7 +229,10 @@ class _Parser:
             self.next()
             sign = -1
         t = self.expect("INT", "an integer")
-        return sign * int(t.text)
+        k = asciiInt(t.text)
+        if k is None:
+            raise ParseError(f"integer of {len(t.text)} digits is too long", t.line, t.col)
+        return sign * k
 
     def wordLit(self):
         t = self.peek()
@@ -222,9 +244,9 @@ class _Parser:
         letters = []
         while self.peek().kind == "IDENT":
             tok = self.next()
-            if len(tok.text) < 2 or tok.text[0] != "s" or not tok.text[1:].isdigit():
+            k = asciiInt(tok.text[1:]) if tok.text[0] == "s" else None
+            if k is None:
                 raise ParseError(f"bad word letter {tok.text!r}", tok.line, tok.col)
-            k = int(tok.text[1:])
             if k < 1:
                 raise ParseError("word letters are numbered from s1", tok.line, tok.col)
             letters.append(k - 1)
@@ -277,7 +299,7 @@ class EvalContext:
     order: list[int] | None = None
 
 
-def _weight(ctx: EvalContext, node):
+def _weight(ctx: EvalContext, node) -> tuple[int, ...]:
     coords = node[1]
     if len(coords) != ctx.W.sys.rank:
         raise ValueError(
@@ -285,18 +307,23 @@ def _weight(ctx: EvalContext, node):
             f"{ctx.W.sys.name} needs {ctx.W.sys.rank}")
     return coords
 
-def _element(ctx: EvalContext, node) -> int:
-    w = 0
+
+def _word(ctx: EvalContext, node) -> tuple[int, ...]:
     for i in node[1]:
         if i >= ctx.W.sys.rank:
             raise ValueError(f"word letter s{i + 1} out of range for {ctx.W.sys.name}")
-        w = ctx.W.rmul(w, i)
-    return w
+    return node[1]
+
+
+_RESOLVE = {
+    WEIGHT: _weight,
+    WORD: _word,
+    CHAR: lambda ctx, node: evalExpr(node, ctx),
+}
 
 
 def evalExpr(node, ctx: EvalContext):
     kind = node[0]
-    W = ctx.W
     if kind == "add":
         return evalExpr(node[1], ctx) + evalExpr(node[2], ctx)
     if kind == "sub":
@@ -305,32 +332,8 @@ def evalExpr(node, ctx: EvalContext):
         return evalExpr(node[1], ctx) * evalExpr(node[2], ctx)
     if kind == "neg":
         return -evalExpr(node[1], ctx)
-    if kind == "e":
-        return Character.monomial(_weight(ctx, node[1]))
-    if kind == "chi":
-        return _dz.charNabla(W, _weight(ctx, node[1]))
-    if kind == "P":
-        return _dz.charP(W, _weight(ctx, node[1]))
-    if kind == "Q":
-        return _dz.charQ(W, _weight(ctx, node[1]))
-    if kind == "Qhat":
-        return _dz.charQhat(W, _weight(ctx, node[1]), ctx.piP)
-    if kind == "dualOf":
-        return dual(evalExpr(node[1], ctx))
-    if kind == "D":
-        word = node[1][1]
-        for i in word:
-            if i >= W.sys.rank:
-                raise ValueError(f"word letter s{i + 1} out of range for {W.sys.name}")
-        return _dz.demWord(W, word, evalExpr(node[2], ctx))
-    if kind == "pair":
-        return _kt.eulerPair(W, evalExpr(node[1], ctx), evalExpr(node[2], ctx))
-    if kind == "euler":
-        return _dz.eulerChar(W, evalExpr(node[1], ctx))
-    if kind == "decomposeG":
-        return decomposeWeylBasis(W, evalExpr(node[1], ctx))
-    if kind == "steinberg":
-        return Character.monomial(W.steinbergWeight(_element(ctx, node[1])))
-    if kind == "xclass":
-        return _kt.xClass(W, _element(ctx, node[1]), ctx.order)
-    raise ValueError(f"cannot evaluate node kind {kind!r}")
+    entry = FUNCS.get(kind)
+    if entry is None:
+        raise ValueError(f"cannot evaluate node kind {kind!r}")
+    argkinds, _, fn = entry
+    return fn(ctx, *[_RESOLVE[k](ctx, a) for k, a in zip(argkinds, node[1:])])

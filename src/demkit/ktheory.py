@@ -14,13 +14,11 @@ from .characters import (
     Character,
     augment,
     charToJSON,
-    compact,
     decomposeWeylBasis,
     dual,
     weylActionChar,
 )
 from .demazure import (
-    boundary,
     charNabla,
     charP,
     charQ,
@@ -30,7 +28,7 @@ from .demazure import (
     eulerChar,
     lowerSet,
 )
-from .rootsystem import Weight, fundamental, isDominant, negW, rho, subW, zero
+from .rootsystem import fundamental, isDominant, negW, rho, subW, zero
 from .steinberg import PSTAR, Q, QHAT, steinbergDecomposeChar
 from .weyl import WeylGroup
 
@@ -58,13 +56,6 @@ def matrixToJSON(W: WeylGroup, m: TransitionMatrix) -> dict:
         "cols": [wordStr(W, w) for w in m.colOrder],
         "entries": [[charToJSON(c) for c in row] for row in m.entries],
     }
-
-
-def matrixToCSV(W: WeylGroup, m: TransitionMatrix) -> str:
-    lines = ["," + ",".join(wordStr(W, w) for w in m.colOrder)]
-    for w, row in zip(m.rowOrder, m.entries):
-        lines.append(wordStr(W, w) + "," + ",".join(compact(c) for c in row))
-    return "\n".join(lines) + "\n"
 
 
 def _warmPQ(W: WeylGroup) -> tuple[dict[int, Character], dict[int, Character]]:

@@ -191,27 +191,3 @@ def dominanceLeq(sys: RootSystem, lam: Weight, mu: Weight) -> bool:
     """lam <= mu iff mu - lam is a nonnegative integer combination of simple roots."""
     coords = rootCoords(sys, subW(mu, lam))
     return all(c >= 0 and c.denominator == 1 for c in coords)
-
-
-def positiveRoots(sys: RootSystem) -> list[Weight]:
-    """All positive roots, as weights, found by closing the simple roots
-    under the simple reflections."""
-    simples = [simpleRoot(sys, i) for i in range(sys.rank)]
-    seen = set(simples)
-    queue = list(simples)
-    while queue:
-        beta = queue.pop()
-        for i in range(sys.rank):
-            # reflect: s_i(beta) = beta - <beta, alpha_i^vee> alpha_i
-            refl = subW(beta, tuple(beta[i] * x for x in simples[i]))
-            if refl not in seen:
-                seen.add(refl)
-                queue.append(refl)
-    pos = [b for b in seen if all(c >= 0 for c in rootCoords(sys, b))]
-    pos.sort(key=lambda b: (height(sys, b), b))
-    return pos
-
-
-def corootPairing(sys: RootSystem, lam: Weight, beta: Weight) -> Q:
-    """<lam, beta^vee> = 2 (lam, beta) / (beta, beta) for any root beta."""
-    return 2 * innerProduct(sys, lam, beta) / norm2(sys, beta)

@@ -11,7 +11,6 @@ from .rootsystem import (
     RootSystem,
     Weight,
     WEYL_SIZE_CAP,
-    fundamental,
     rootSystem,
 )
 
@@ -153,9 +152,6 @@ class WeylGroup:
 
     def rmul(self, w: int, i: int) -> int:
         return self.rmulTable[w][i]
-
-    def lmul(self, i: int, w: int) -> int:
-        return self.lmulTable[w][i]
 
     def inverse(self, w: int) -> int:
         return self.inv[w]

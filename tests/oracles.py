@@ -24,17 +24,59 @@ from demkit.rootsystem import (
     RootSystem,
     Weight,
     addW,
-    corootPairing,
     fundamental,
     height,
+    innerProduct,
     isDominant,
-    positiveRoots,
+    norm2,
     rho,
+    rootCoords,
     simpleRoot,
+    subW,
     zero,
 )
 from demkit.steinberg import antipodalLeq, basisCharacter, isSteinbergWeight
 from demkit.weyl import WeylGroup
+
+
+def positiveRoots(sys: RootSystem) -> list[Weight]:
+    """All positive roots, as weights, found by closing the simple roots
+    under the simple reflections."""
+    simples = [simpleRoot(sys, i) for i in range(sys.rank)]
+    seen = set(simples)
+    queue = list(simples)
+    while queue:
+        beta = queue.pop()
+        for i in range(sys.rank):
+            # reflect: s_i(beta) = beta - <beta, alpha_i^vee> alpha_i
+            refl = subW(beta, tuple(beta[i] * x for x in simples[i]))
+            if refl not in seen:
+                seen.add(refl)
+                queue.append(refl)
+    pos = [b for b in seen if all(c >= 0 for c in rootCoords(sys, b))]
+    pos.sort(key=lambda b: (height(sys, b), b))
+    return pos
+
+
+def corootPairing(sys: RootSystem, lam: Weight, beta: Weight) -> Q:
+    """<lam, beta^vee> = 2 (lam, beta) / (beta, beta) for any root beta."""
+    return 2 * innerProduct(sys, lam, beta) / norm2(sys, beta)
+
+
+def extremalWeights(sys: RootSystem, f: Character) -> set[Weight]:
+    """Support weights of maximal norm."""
+    if not f.terms:
+        raise ValueError("zero character has no extremal weights")
+    best = None
+    out: set[Weight] = set()
+    for w in f.terms:
+        n = norm2(sys, w)
+        if best is None or n > best:
+            best = n
+            out = {w}
+        elif n == best:
+            out.add(w)
+    return out
 
 
 def subwordReachable(W: WeylGroup, w: int) -> set[int]:
@@ -171,7 +213,7 @@ def minimalCosetReps(W: WeylGroup, piP: tuple[int, ...]) -> set[int]:
         nxt = set()
         for u in frontier:
             for i in piP:
-                v = W.lmul(i, u)
+                v = W.lmulTable[u][i]
                 if v not in sub:
                     sub.add(v)
                     nxt.add(v)

@@ -13,7 +13,6 @@ from demkit.characters import (
     decomposeWeylBasis,
     dual,
     expandGClass,
-    extremalWeights,
     gexpToJSON,
     isInvariant,
     pretty,
@@ -22,7 +21,7 @@ from demkit.characters import (
 from demkit.demazure import charNabla
 from demkit.rootsystem import fundamental, isDominant, rho, rootSystem
 from demkit.weyl import weylGroup
-from oracles import decomposeGreedy
+from oracles import decomposeGreedy, extremalWeights
 
 
 def randomChar(rank: int, rng: random.Random, nterms: int = 5) -> Character:

@@ -122,6 +122,36 @@ def test_suite_type_gate_exit_2(capsys):
     assert code == 2
 
 
+ACCEPTED_TYPES = {
+    "steinberg-lists": "A2 B2 G2",
+    "tensor-decomp": "A2 B2 G2",
+    "q-equivalence": "A2 A3 B2 B3 C3 G2",
+    "indpq-triangular": "A1 A2 A3 B2 B3 C2 C3 G2",
+    "triang-alphabeta": "A1 A2 A3 B2 B3 C2 C3 G2",
+    "orthogonality": "A1 A2 B2 C2 G2",
+    "xclass-gram": "A1 A2 A3 B2 B3 C2 C3 G2",
+    "parabolic": "A1 A2 A3 B2 B3 C2 C3 G2",
+    "rank2-bundles": "A2 B2 G2",
+    "dual-conjecture-report": "A1 A2 A3 B2 B3 C2 C3 G2",
+    "word-independence": "A2 B2 B3 G2",
+}
+ALL_TYPES = "A1 A2 A3 A4 B2 B3 B4 C2 C3 C4 D4 G2 F4".split()
+
+
+def test_suite_gates(capsys):
+    assert list(cli.SUITES) == list(ACCEPTED_TYPES)
+    for name, (gate, _) in cli.SUITES.items():
+        accepted = {t for t in ALL_TYPES if gate(weylGroup(t)) is None}
+        assert accepted == set(ACCEPTED_TYPES[name].split()), name
+    for argv, msg in [
+        (("indpq-triangular", "F4"), "needs |W| <= 48; F4 has 1152"),
+        (("orthogonality", "A3"), "supports rank <= 2; got A3"),
+        (("word-independence", "C3"), "supports A2, B2, G2, B3; got C3"),
+    ]:
+        code, out, err = run(capsys, "suite", argv[0], "--type", argv[1])
+        assert (code, out, err) == (2, "", f"demkit: suite {argv[0]} {msg}\n")
+
+
 def test_unknown_suite_rejected_by_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["suite", "frobnicate", "--type", "A2"])
@@ -134,7 +164,45 @@ def test_matrix_csv(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == ",e,s1"
-    assert lines[1].startswith("e,")
+    assert lines[1].startswith("e,e[0]")
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cli.json")
+
+
+def test_golden_outputs(capsys):
+    """Exit status and exact stdout of every suite on a small type and of
+    evals covering each payload kind, sign and the zero character, in every
+    format.  Re-record a case only when its output is meant to change."""
+    with open(GOLDEN, encoding="utf-8") as fh:
+        cases = json.load(fh)
+    assert {c["argv"][-2] for c in cases} == {"json", "csv", "pretty"}
+    assert {c["argv"][1] for c in cases} >= set(cli.SUITES)
+    for case in cases:
+        code, out, err = run(capsys, *case["argv"])
+        assert (code, out, err) == (case["code"], case["stdout"], ""), case["argv"]
+
+
+@pytest.mark.parametrize("argv,order", [
+    (["eval", "e([\u00b2])", "--type", "A1"], None),
+    (["eval", "e([" + "1" * 5000 + "])", "--type", "A1"], None),
+    (["eval", "xclass(s\u00b2)", "--type", "A2"], None),
+    (["eval", "xclass(s" + "1" * 5000 + ")", "--type", "A2"], None),
+    (["eval", "e([0,0])", "--type", "A2", "--parabolic", "\u00b2"], None),
+    (["eval", "e([0,0])", "--type", "A2", "--parabolic", "1" * 5000], None),
+    (["suite", "xclass-gram", "--type", "A2"],
+     ["e", "s\u00b2", "s1", "s2 s1", "s1 s2", "s1 s2 s1"]),
+    (["suite", "xclass-gram", "--type", "A2"],
+     ["e", "s" + "1" * 5000, "s1", "s2 s1", "s1 s2", "s1 s2 s1"]),
+], ids=["weight-superscript", "weight-5000-digits", "letter-superscript",
+        "letter-5000-digits", "parabolic-superscript", "parabolic-5000-digits",
+        "order-superscript", "order-5000-digits"])
+def test_non_ascii_or_oversized_integers_exit_2(tmp_path, capsys, argv, order):
+    if order is not None:
+        argv = [*argv, "--order-file", writeOrder(tmp_path / "o.txt", order)]
+    code, out, err = run(capsys, *argv, "--no-cache")
+    assert code == 2 and out == ""
+    assert err.startswith("demkit:") and "Traceback" not in err
 
 
 def test_out_file(tmp_path, capsys):

@@ -134,7 +134,12 @@ def test_eval_basic_identities():
     assert evalExpr(parse("D(s1 s2, e([1,1]))"), ctx) == \
         demWord(W, (0, 1), Character.monomial((1, 1)))
     assert evalExpr(parse("xclass(s1 s2 s1)"), ctx) == xClass(W, W.w0)
+    # D folds the letters: s1 s1 multiplies to e, but D_1 D_1 = D_1
+    assert evalExpr(parse("D(s1 s1, e([1,0]))"), ctx) == \
+        demWord(W, (0,), Character.monomial((1, 0))) != Character.monomial((1, 0))
     assert evalExpr(parse("steinberg(e)"), ctx) == Character.monomial((0, 0))
+    assert evalExpr(parse("steinberg(s1 s2)"), ctx) == \
+        Character.monomial(W.steinbergWeight(W.rmul(W.rmul(0, 0), 1)))
     assert evalExpr(parse("decomposeG(chi([1,0])*chi([0,1]))"), ctx) == \
         {(1, 1): 1, (0, 0): 1}
 
@@ -146,6 +151,8 @@ def test_eval_domain_errors():
         evalExpr(parse("chi([1,0,0])"), ctx)
     with pytest.raises(ValueError):
         evalExpr(parse("xclass(s3)"), ctx)
+    with pytest.raises(ValueError, match="s3 out of range"):
+        evalExpr(parse("D(s3, e([1,1]))"), ctx)
     with pytest.raises(ValueError):
         evalExpr(parse("chi([-1,0])"), ctx)
 

@@ -14,7 +14,6 @@ from demkit.ktheory import (
     gramCheck,
     indPQCheck,
     indPQMatrix,
-    matrixToCSV,
     matrixToJSON,
     orthogonalityCheck,
     parabolicChecks,
@@ -250,7 +249,3 @@ def test_matrix_serialization():
     data = matrixToJSON(W, m)
     assert data["rows"] == ["e", "s1"] and data["cols"] == ["e", "s1"]
     assert charFromJSON(data["entries"][1][0]) == charNabla(W, (1,))
-    csv = matrixToCSV(W, m)
-    lines = csv.strip().split("\n")
-    assert lines[0] == ",e,s1"
-    assert lines[1].startswith("e,e[0]")

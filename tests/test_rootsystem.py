@@ -7,7 +7,6 @@ import pytest
 
 from demkit.rootsystem import (
     addW,
-    corootPairing,
     dominanceLeq,
     fundamental,
     height,
@@ -15,13 +14,13 @@ from demkit.rootsystem import (
     isDominant,
     negW,
     norm2,
-    positiveRoots,
     rho,
     rootSystem,
     simpleRoot,
     zero,
 )
 from demkit.weyl import weylGroup
+from oracles import corootPairing, positiveRoots
 
 ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
              "C2", "C3", "C4", "D4", "G2", "F4"]

@@ -190,4 +190,4 @@ def test_descents():
         for i in W.rightDescents(w):
             assert W.length[W.rmul(w, i)] == W.length[w] - 1
         for i in W.leftDescents(w):
-            assert W.length[W.lmul(i, w)] == W.length[w] - 1
+            assert W.length[W.lmulTable[w][i]] == W.length[w] - 1
