@@ -10,6 +10,8 @@ exact; coefficients are Python ints so nothing overflows silently.
 """
 from __future__ import annotations
 
+from operator import add
+
 from .rootsystem import Weight, heightScaled
 from .weyl import WeylGroup
 
@@ -136,8 +138,11 @@ def isInvariant(W: WeylGroup, f: Character) -> tuple[Weight, Weight] | None:
     return None
 
 
-def alternantCoeffs(W: WeylGroup, f: Character) -> GClassExpansion:
-    """Signed irreducible multiplicities read off the alternant of f.
+def alternantCoeffs(
+    W: WeylGroup, f: Character, shift: Weight | None = None
+) -> GClassExpansion:
+    """Signed irreducible multiplicities read off the alternant of f, or of
+    e^shift f when a shift is given (without forming that product).
 
     Alternant (Brauer-Klimyk / Racah-Speiser) rule: multiplying f by the Weyl
     denominator turns each irreducible chi(lam) into the alternant of
@@ -157,11 +162,12 @@ def alternantCoeffs(W: WeylGroup, f: Character) -> GClassExpansion:
     """
     length = W.length
     toDominant = W.toDominant
+    # rho is (1, ..., 1) in fundamental-weight coordinates
+    rs = (1,) * W.sys.rank if shift is None else tuple([x + 1 for x in shift])
     mult: GClassExpansion = {}
     get = mult.get
     for mu, c in f.terms.items():
-        # rho is (1, ..., 1) in fundamental-weight coordinates
-        dom, w = toDominant(tuple([x + 1 for x in mu]))
+        dom, w = toDominant(tuple(map(add, mu, rs)))
         if 0 in dom:
             continue
         lam = tuple([x - 1 for x in dom])

@@ -34,7 +34,7 @@ from .characters import (
     compact,
     gexpToJSON,
 )
-from .exprlang import EvalContext, ParseError, asciiInt, evalExpr, parse, printExpr
+from .exprlang import EvalContext, ParseError, asciiInt, clip, evalExpr, parse, printExpr
 from .weyl import WeylGroup, weylGroup
 
 SEED = 20260819
@@ -57,9 +57,9 @@ def _parseParabolic(spec: str | None, rank: int) -> tuple[int, ...]:
         part = part.strip()
         k = asciiInt(part)
         if k is None:
-            raise UsageError(f"--parabolic expects 1-based indices, got {part!r}")
+            raise UsageError(f"--parabolic expects 1-based indices, got {clip(part)!r}")
         if not 1 <= k <= rank:
-            raise UsageError(f"--parabolic index {k} out of range 1..{rank}")
+            raise UsageError(f"--parabolic index {clip(str(k))} out of range 1..{rank}")
         out.append(k - 1)
     return tuple(sorted(set(out)))
 
@@ -71,9 +71,9 @@ def _parseWord(text: str, W: WeylGroup, where: str) -> int:
     for tok in text.split():
         k = asciiInt(tok[1:]) if tok[0] == "s" else None
         if k is None:
-            raise UsageError(f"{where}: bad word letter {tok!r}")
+            raise UsageError(f"{where}: bad word letter {clip(tok)!r}")
         if not 1 <= k <= W.sys.rank:
-            raise UsageError(f"{where}: letter {tok} out of range for {W.sys.name}")
+            raise UsageError(f"{where}: letter {clip(tok)} out of range for {W.sys.name}")
         w = W.rmul(w, k - 1)
     return w
 
@@ -158,10 +158,11 @@ def _suiteTriang(W: WeylGroup, rng: random.Random):
 
 
 def _suiteXclassGram(W: WeylGroup, order):
-    checks, below = kt.gramCheck(W, order)
+    table = kt.gramTable(W, order)
+    checks, below = kt.gramCheck(W, order, table)
     extras = {
         "belowDiagonalNonzero": sum(1 for g in below.values() if g),
-        "sameLengthPairs": kt.sameLengthPairReport(W, order),
+        "sameLengthPairs": kt.sameLengthPairReport(W, order, table),
     }
     return checks, extras
 
@@ -347,7 +348,7 @@ def main(argv=None) -> int:
         try:
             W = weylGroup(args.type)
         except (KeyError, ValueError):
-            raise UsageError(f"unknown root system {args.type!r}")
+            raise UsageError(f"unknown root system {clip(args.type)!r}")
         piP = _parseParabolic(args.parabolic, W.sys.rank)
         order = _loadOrder(args.order_file, W) if args.order_file else None
         root = None if args.no_cache else (args.cache_dir or os.environ.get("DEMKIT_CACHE"))

@@ -63,6 +63,18 @@ def asciiInt(text: str) -> int | None:
         return None
 
 
+CLIP_CHARS = 40
+
+
+def clip(token: str) -> str:
+    """A token for a usage error: the whole of it up to CLIP_CHARS
+    characters, else its first CLIP_CHARS and a marker with its length, so a
+    huge rejected input does not flood the message."""
+    if len(token) <= CLIP_CHARS:
+        return token
+    return f"{token[:CLIP_CHARS]}... ({len(token)} characters)"
+
+
 class ParseError(ValueError):
     def __init__(self, msg: str, line: int, col: int):
         super().__init__(f"{msg} at line {line}, column {col}")
@@ -139,7 +151,7 @@ class _Parser:
     def expect(self, kind: str, what: str) -> _Tok:
         t = self.peek()
         if t.kind != kind:
-            raise ParseError(f"expected {what}, found {t.text or 'end of input'!r}",
+            raise ParseError(f"expected {what}, found {clip(t.text or 'end of input')!r}",
                              t.line, t.col)
         return self.next()
 
@@ -185,13 +197,13 @@ class _Parser:
             return node, kind
         if t.kind == "IDENT":
             return self.call()
-        self.fail(f"expected an expression, found {t.text or 'end of input'!r}")
+        self.fail(f"expected an expression, found {clip(t.text or 'end of input')!r}")
 
     def call(self):
         name_tok = self.expect("IDENT", "a function name")
         sig = FUNCS.get(name_tok.text)
         if sig is None:
-            raise ParseError(f"unknown function {name_tok.text!r}",
+            raise ParseError(f"unknown function {clip(name_tok.text)!r}",
                              name_tok.line, name_tok.col)
         argkinds, result, _ = sig
         self.expect("LPAREN", "'('")
@@ -246,7 +258,7 @@ class _Parser:
             tok = self.next()
             k = asciiInt(tok.text[1:]) if tok.text[0] == "s" else None
             if k is None:
-                raise ParseError(f"bad word letter {tok.text!r}", tok.line, tok.col)
+                raise ParseError(f"bad word letter {clip(tok.text)!r}", tok.line, tok.col)
             if k < 1:
                 raise ParseError("word letters are numbered from s1", tok.line, tok.col)
             letters.append(k - 1)
@@ -260,7 +272,7 @@ def parse(src: str):
     node, kind = p.expr()
     t = p.peek()
     if t.kind != "EOF":
-        raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
+        raise ParseError(f"trailing input {clip(t.text)!r}", t.line, t.col)
     return node
 
 
@@ -303,7 +315,7 @@ def _weight(ctx: EvalContext, node) -> tuple[int, ...]:
     coords = node[1]
     if len(coords) != ctx.W.sys.rank:
         raise ValueError(
-            f"weight {list(coords)} has {len(coords)} coordinates; "
+            f"weight {clip(str(list(coords)))} has {len(coords)} coordinates; "
             f"{ctx.W.sys.name} needs {ctx.W.sys.rank}")
     return coords
 
@@ -311,7 +323,8 @@ def _weight(ctx: EvalContext, node) -> tuple[int, ...]:
 def _word(ctx: EvalContext, node) -> tuple[int, ...]:
     for i in node[1]:
         if i >= ctx.W.sys.rank:
-            raise ValueError(f"word letter s{i + 1} out of range for {ctx.W.sys.name}")
+            raise ValueError(
+                f"word letter {clip(f's{i + 1}')} out of range for {ctx.W.sys.name}")
     return node[1]
 
 

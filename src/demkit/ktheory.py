@@ -1,10 +1,21 @@
 """Euler pairing, triangular transition matrices, and exceptional-class checks.
 
-Everything here is a statement about exact integer characters: the pairing is
-the full-group Demazure operator applied to a product, the transition entries
-are differences of section characters over unions of Schubert varieties, and
-the class constructions project dualized section characters onto a chosen
-half of a mixed basis.
+Everything here is a statement about exact integer characters.  The pairing
+chi(f g) is the full-group Demazure operator applied to f g.  eulerPair forms
+that product for any two characters; the pairing tables avoid it and stay in
+R(G) coordinates (irreducible multiplicities, expanded to a character only
+where a report prints an entry):
+
+* section-class tables by Demazure adjointness: chi(pi_w(f) g) =
+  chi(f pi_{w^-1}(g)), so pairing with P_v = pi_u(e^dom) is the alternant of
+  pi_{u^-1}(g) shifted by dom (pairingsWithP);
+* the Gram table of the exceptional classes by the projection formula:
+  chi(h f) = h chi(f) for invariant h, so only the Gram table of the layer
+  characters is a product of characters (gramTable).
+
+The transition entries are differences of section characters over unions of
+Schubert varieties, and the class constructions project dualized section
+characters onto a chosen half of a mixed basis.
 """
 from __future__ import annotations
 
@@ -12,10 +23,15 @@ from dataclasses import dataclass
 
 from .characters import (
     Character,
+    GClassExpansion,
+    alternantCoeffs,
     augment,
     charToJSON,
+    compact,
     decomposeWeylBasis,
     dual,
+    expandGClass,
+    isInvariant,
     weylActionChar,
 )
 from .demazure import (
@@ -24,6 +40,7 @@ from .demazure import (
     charQ,
     charQhat,
     charSections,
+    demElt,
     demStep,
     eulerChar,
     lowerSet,
@@ -58,22 +75,41 @@ def matrixToJSON(W: WeylGroup, m: TransitionMatrix) -> dict:
     }
 
 
-def _warmPQ(W: WeylGroup) -> tuple[dict[int, Character], dict[int, Character]]:
-    ps = {}
-    qs = {}
-    for v in W.elements():
-        ev = W.steinbergWeight(v)
-        ps[v] = charP(W, negW(ev))
-        qs[v] = charQ(W, ev)
-    return ps, qs
+def pairingsWithP(W: WeylGroup, vs, gs: dict) -> dict[tuple, GClassExpansion]:
+    """chi(P_v g) for each v in vs and each g in gs, in R(G) coordinates,
+    keyed (v, key of g); P_v is the section character charP(-e_v).
+
+    With (dom, u) = toDominant(-e_v), P_v = pi_u(e^dom), and Demazure
+    adjointness chi(pi_u(f) g) = chi(f pi_{u^-1}(g)) (Demazure 1974; Kumar,
+    Kac-Moody Groups, their Flag Varieties and Representation Theory, ch. 8)
+    makes the entry the alternant of pi_{u^-1}(g) shifted by dom: no product
+    is formed.  Rows are grouped by u^-1, so each pi_{u^-1}(g) is computed
+    once and dropped after its group.
+    """
+    groups: dict[int, list[tuple[int, tuple]]] = {}
+    for v in vs:
+        dom, u = W.toDominant(negW(W.steinbergWeight(v)))
+        groups.setdefault(W.inverse(u), []).append((v, dom))
+    out = {}
+    for ui, heads in groups.items():
+        for k, g in gs.items():
+            h = demElt(W, ui, g)
+            for v, dom in heads:
+                out[(v, k)] = alternantCoeffs(W, h, dom)
+    return out
+
+
+def _qChars(W: WeylGroup, ws) -> dict[int, Character]:
+    """The layer characters Q(e_w), keyed by w."""
+    return {w: charQ(W, W.steinbergWeight(w)) for w in ws}
 
 
 def indPQMatrix(W: WeylGroup) -> TransitionMatrix:
     """Pairing table of the two section-character families, rows and columns
     in the fixed length-then-word order."""
     order = W.totalOrderBuild()
-    ps, qs = _warmPQ(W)
-    entries = [[eulerPair(W, ps[v], qs[w]) for w in order] for v in order]
+    table = pairingsWithP(W, order, _qChars(W, order))
+    entries = [[expandGClass(W, table[(v, w)]) for w in order] for v in order]
     return TransitionMatrix(list(order), list(order), entries)
 
 
@@ -160,7 +196,7 @@ def triangularityChecks(
 
 def orthogonalityCheck(W: WeylGroup) -> list[tuple[str, bool, str]]:
     """The two transition matrices multiply back to the pairing table."""
-    ps, qs = _warmPQ(W)
+    table = pairingsWithP(W, W.elements(), _qChars(W, W.elements()))
     alphas = {
         (w, y): alphaEntry(W, w, y) for w in W.elements() for y in W.elements()
     }
@@ -172,70 +208,161 @@ def orthogonalityCheck(W: WeylGroup) -> list[tuple[str, bool, str]]:
             total = Character.zero()
             for y in W.elements():
                 total = total + alphas[(w, y)] * betas[(v, y)]
-            ind = eulerPair(W, ps[v], qs[w])
-            if total != ind:
+            ind = table[(v, w)]
+            if isInvariant(W, total) is not None or alternantCoeffs(W, total) != ind:
                 return [(
                     "orthogonality",
                     False,
                     f"({wordStr(W, v)},{wordStr(W, w)}): "
-                    f"sum {compact(total)} vs pairing {compact(ind)}",
+                    f"sum {compact(total)} vs pairing {compact(expandGClass(W, ind))}",
                 )]
     return [("orthogonality", True, "")]
 
 
 # -- exceptional classes --------------------------------------------------------
 
+def _xCoefficients(W: WeylGroup, p: int, order: list[int]) -> dict[int, Character]:
+    """The W-invariant coefficients {b: c_{p,b}} of the class at p over the
+    layer characters Q_b at or after p: the upper half of the expansion of the
+    dualized section character at p (Q from p on, PSTAR before)."""
+    pos = {w: k for k, w in enumerate(order)}
+    choices = {v: (Q if pos[v] >= pos[p] else PSTAR) for v in W.elements()}
+    raw = steinbergDecomposeChar(W, dual(charP(W, negW(W.steinbergWeight(p)))), choices)
+    return {v: coef for v, coef in raw.items() if pos[v] >= pos[p]}
+
+
 def xClass(W: WeylGroup, p: int, order: list[int] | None = None) -> Character:
     """Project the dualized section character at p onto the layer classes at
     or after p: the K-class of the exceptional object attached to p."""
     order = W.totalOrderBuild() if order is None else order
-    pos = {w: k for k, w in enumerate(order)}
-    choices = {v: (Q if pos[v] >= pos[p] else PSTAR) for v in W.elements()}
-    raw = steinbergDecomposeChar(W, dual(charP(W, negW(W.steinbergWeight(p)))), choices)
     out = Character.zero()
-    for v, coef in raw.items():
-        if pos[v] >= pos[p]:
-            out = out + coef * charQ(W, W.steinbergWeight(v))
+    for v, coef in _xCoefficients(W, p, order).items():
+        out = out + coef * charQ(W, W.steinbergWeight(v))
     return out
 
 
-def gramCheck(
+def _gDual(W: WeylGroup, h: GClassExpansion) -> GClassExpansion:
+    """Dual in R(G): chi(lam)^* = chi(-w0 lam)."""
+    return {negW(W.act(W.w0, lam)): m for lam, m in h.items()}
+
+
+def _gAddMul(W: WeylGroup, acc: dict, h: GClassExpansion, k: GClassExpansion,
+             products: dict) -> None:
+    """acc += h k in R(G), in place; zero entries are left for the caller to
+    drop.  A factor chi(0) is a scaling; any other chi(lam) chi(mu) is
+    Brauer-Klimyk, the alternant of chi(lam) shifted by mu, memoised in
+    products."""
+    get = acc.get
+    for lam, a in h.items():
+        if not any(lam):
+            for mu, b in k.items():
+                acc[mu] = get(mu, 0) + a * b
+            continue
+        for mu, b in k.items():
+            if not any(mu):
+                acc[lam] = get(lam, 0) + a * b
+                continue
+            key = (lam, mu) if lam <= mu else (mu, lam)
+            terms = products.get(key)
+            if terms is None:
+                terms = products[key] = alternantCoeffs(W, charNabla(W, key[0]), key[1])
+            ab = a * b
+            for nu, c in terms.items():
+                acc[nu] = get(nu, 0) + ab * c
+
+
+def _nonzero(acc: dict) -> GClassExpansion:
+    return {nu: c for nu, c in acc.items() if c}
+
+
+def gramTable(
     W: WeylGroup, order: list[int] | None = None
-) -> tuple[list[tuple[str, bool, str]], dict[tuple[int, int], Character]]:
-    """Diagonal-1 and upper-zero conditions on the class pairing table.
-    Entries strictly below the diagonal are returned unconstrained."""
+) -> dict[tuple[int, int], GClassExpansion]:
+    """The Euler pairings chi(dual(x_v) x_w) of the exceptional classes, for
+    every ordered pair, in R(G) coordinates.
+
+    Projection formula: x_p = sum_b c_{p,b} Q_b with W-invariant c_{p,b}, and
+    chi(h f) = h chi(f) for invariant h, so the entry is
+    sum_a dual(c_{v,a}) (sum_b c_{w,b} M_ab) with M_ab = chi(dual(Q_a) Q_b).
+    The coefficients are few and mostly scalars, so the only products of
+    characters are the entries of the small layer Gram table M.
+    """
     order = W.totalOrderBuild() if order is None else order
+    coeffs = {
+        p: {b: decomposeWeylBasis(W, c) for b, c in _xCoefficients(W, p, order).items()}
+        for p in order
+    }
+    duals = {p: {a: _gDual(W, c) for a, c in cp.items()} for p, cp in coeffs.items()}
+    support = sorted({a for cp in coeffs.values() for a in cp})
+    layers = _qChars(W, support)
+    products: dict = {}
+    qGram: dict[tuple[int, int], GClassExpansion] = {}
+    table = {}
+    for w in order:
+        # inner[a] = sum_b c_{w,b} M_ab
+        inner: dict[int, GClassExpansion] = {}
+        for a in support:
+            acc: dict = {}
+            for b, c in coeffs[w].items():
+                m = qGram.get((a, b))
+                if m is None:
+                    m = qGram[(a, b)] = alternantCoeffs(W, dual(layers[a]) * layers[b])
+                _gAddMul(W, acc, c, m, products)
+            inner[a] = _nonzero(acc)
+        for v in order:
+            acc = {}
+            for a, c in duals[v].items():
+                _gAddMul(W, acc, c, inner[a], products)
+            table[(v, w)] = _nonzero(acc)
+    return table
+
+
+def gramCheck(
+    W: WeylGroup,
+    order: list[int] | None = None,
+    table: dict[tuple[int, int], GClassExpansion] | None = None,
+) -> tuple[list[tuple[str, bool, str]], dict[tuple[int, int], GClassExpansion]]:
+    """Diagonal-1 and upper-zero conditions on the class pairing table
+    (gramTable, built here unless given).  Entries strictly below the
+    diagonal are returned unconstrained."""
+    order = W.totalOrderBuild() if order is None else order
+    table = gramTable(W, order) if table is None else table
     pos = {w: k for k, w in enumerate(order)}
-    classes = {p: xClass(W, p, order) for p in order}
-    one = Character.monomial(zero(W.sys))
-    below: dict[tuple[int, int], Character] = {}
+    one = {zero(W.sys): 1}
+    below: dict[tuple[int, int], GClassExpansion] = {}
     ok, witness = True, ""
     for v in order:
         for w in order:
-            g = eulerPair(W, dual(classes[v]), classes[w])
+            g = table[(v, w)]
             if v == w and g != one:
-                ok, witness = False, f"diagonal {wordStr(W, v)}: {compact(g)}"
+                ok, witness = False, (
+                    f"diagonal {wordStr(W, v)}: {compact(expandGClass(W, g))}")
             elif pos[w] > pos[v] and g:
-                ok, witness = False, f"({wordStr(W, v)},{wordStr(W, w)}): {compact(g)}"
+                ok, witness = False, (
+                    f"({wordStr(W, v)},{wordStr(W, w)}): {compact(expandGClass(W, g))}")
             elif pos[w] < pos[v]:
                 below[(v, w)] = g
     return [("xclass-gram", ok, witness)], below
 
 
-def sameLengthPairReport(W: WeylGroup, order: list[int] | None = None) -> list[dict]:
-    """Euler pairings between distinct classes of equal length, emitted for
-    inspection only; nothing is asserted about their values."""
+def sameLengthPairReport(
+    W: WeylGroup,
+    order: list[int] | None = None,
+    table: dict[tuple[int, int], GClassExpansion] | None = None,
+) -> list[dict]:
+    """Euler pairings between distinct classes of equal length (from
+    gramTable, built here unless given), emitted for inspection only; nothing
+    is asserted about their values."""
     order = W.totalOrderBuild() if order is None else order
-    classes = {p: xClass(W, p, order) for p in order}
+    table = gramTable(W, order) if table is None else table
     rows = []
     for v in order:
         for w in order:
             if v != w and W.length[v] == W.length[w]:
-                g = eulerPair(W, dual(classes[v]), classes[w])
                 rows.append({
                     "v": wordStr(W, v),
                     "w": wordStr(W, w),
-                    "pairing": charToJSON(g),
+                    "pairing": charToJSON(expandGClass(W, table[(v, w)])),
                 })
     return rows
 
@@ -281,18 +408,18 @@ def parabolicChecks(
     matches the full-flag one; (b) the parabolic classes coincide with the
     plain ones."""
     wp, minimal, w0p = W.parabolicData(piP)
+    hat = pairingsWithP(
+        W, minimal, {w: charQhat(W, W.steinbergWeight(w), piP) for w in minimal})
+    plain = pairingsWithP(W, minimal, _qChars(W, minimal))
     checks = []
     ok, witness = True, ""
     for v in minimal:
-        pv = charP(W, negW(W.steinbergWeight(v)))
         for w in minimal:
-            ew = W.steinbergWeight(w)
-            lhs = eulerPair(W, pv, charQhat(W, ew, piP))
-            rhs = eulerPair(W, pv, charQ(W, ew))
+            lhs, rhs = hat[(v, w)], plain[(v, w)]
             if lhs != rhs:
                 ok, witness = False, (
                     f"({wordStr(W, v)},{wordStr(W, w)}): "
-                    f"{compact(lhs)} vs {compact(rhs)}"
+                    f"{compact(expandGClass(W, lhs))} vs {compact(expandGClass(W, rhs))}"
                 )
     checks.append(("parabolic-ind-matches-borel", ok, witness))
     ok, witness = True, ""

@@ -12,14 +12,19 @@ eulerChar follows the Weyl character formula too, so test_c11_euler_sign_rule
 in the acceptance gate now restates what eulerChar computes; what keeps it
 independent is eulerCharTermwise, which folds demStepPlain (the step on
 weight tuples that demWord's packed keys replace) along the longest word.
+
+The pairing tables by the product route (eulerPair of the two full
+characters, then decomposed) check the adjointness and projection-formula
+routes of ktheory.pairingsWithP and ktheory.gramTable.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction as Q
 
-from demkit.characters import Character, GClassExpansion
-from demkit.demazure import LowerSet, charNabla
+from demkit.characters import Character, GClassExpansion, decomposeWeylBasis, dual
+from demkit.demazure import LowerSet, charNabla, charP
+from demkit.ktheory import eulerPair, xClass
 from demkit.rootsystem import (
     RootSystem,
     Weight,
@@ -314,3 +319,22 @@ def expandPerChoiceMap(
         for v, coef in expand(lam).items():
             take(total, v, coef * c)
     return total
+
+
+def pairingsWithPProduct(W: WeylGroup, vs, gs: dict) -> dict[tuple, GClassExpansion]:
+    """chi(P_v g) keyed (v, key of g), as ktheory.pairingsWithP, by forming
+    each product P_v g."""
+    ps = {v: charP(W, tuple(-x for x in W.steinbergWeight(v))) for v in vs}
+    return {(v, k): decomposeWeylBasis(W, eulerPair(W, ps[v], g))
+            for v in vs for k, g in gs.items()}
+
+
+def gramTableProduct(
+    W: WeylGroup, order: list[int] | None = None
+) -> dict[tuple[int, int], GClassExpansion]:
+    """chi(dual(x_v) x_w) for every ordered pair of exceptional classes, as
+    ktheory.gramTable, by building each class and forming each product."""
+    order = W.totalOrderBuild() if order is None else order
+    classes = {p: xClass(W, p, order) for p in order}
+    return {(v, w): decomposeWeylBasis(W, eulerPair(W, dual(classes[v]), classes[w]))
+            for v in order for w in order}

@@ -3,9 +3,12 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
+import demkit
 import demkit.cache as cache
 import demkit.cli as cli
 from demkit.cli import main
@@ -203,6 +206,48 @@ def test_non_ascii_or_oversized_integers_exit_2(tmp_path, capsys, argv, order):
     code, out, err = run(capsys, *argv, "--no-cache")
     assert code == 2 and out == ""
     assert err.startswith("demkit:") and "Traceback" not in err
+
+
+LONG = {"3000": "1" * 3000, "5000": "1" * 5000}
+
+
+@pytest.mark.parametrize("digits", sorted(LONG))
+@pytest.mark.parametrize("site", ["eval-letter", "parabolic", "order-letter",
+                                  "function-name", "type"])
+def test_rejected_long_token_is_echoed_short(tmp_path, capsys, site, digits):
+    # a 3,000-digit letter converts and fails the range check; a 5,000-digit
+    # one does not convert at all; both are cut short in the message
+    n = LONG[digits]
+    argv = {
+        "eval-letter": ["eval", f"xclass(s{n})", "--type", "A2"],
+        "parabolic": ["eval", "e([0,0])", "--type", "A2", "--parabolic", n],
+        "order-letter": ["suite", "xclass-gram", "--type", "A2", "--order-file",
+                         writeOrder(tmp_path / "o.txt",
+                                    ["e", "s" + n, "s1", "s2 s1", "s1 s2", "s1 s2 s1"])],
+        "function-name": ["eval", f"f{n}(e([0,0]))", "--type", "A2"],
+        "type": ["eval", "e([0])", "--type", f"A{n}"],
+    }[site]
+    code, out, err = run(capsys, *argv, "--no-cache")
+    assert code == 2 and out == ""
+    assert err.startswith("demkit:") and len(err) < 250, err[:300]
+    assert "characters)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "xclass-gram", "--type", "B3"],
+    ["suite", "indpq-triangular", "--type", "B3"],
+    ["suite", "parabolic", "--type", "B3", "--parabolic", "1"],
+])
+def test_pairing_suites_same_under_python_O(capsys, argv):
+    # every invariant on these paths is an explicit raise, so stripping
+    # asserts changes nothing a report says
+    src = os.path.dirname(os.path.dirname(os.path.abspath(demkit.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-m", "demkit.cli", *argv, "--no-cache"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    code, out, err = run(capsys, *argv, "--no-cache")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err) == (0, out, "")
 
 
 def test_out_file(tmp_path, capsys):

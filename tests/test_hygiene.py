@@ -1,10 +1,14 @@
-"""Static checks on the package sources, read with ast (no linter needed):
-every imported name is used, and the package imports only the standard
-library and itself."""
+"""Static checks on the package sources, read with ast and symtable (no
+linter needed): every imported name is used, every global name a module
+refers to exists, and the package imports only the standard library and
+itself."""
 from __future__ import annotations
 
 import ast
+import builtins
+import importlib
 import os
+import symtable
 import sys
 
 import pytest
@@ -57,3 +61,26 @@ def test_top_level_imports_are_stdlib_or_demkit(module):
         foreign += [n for n in names
                     if n.split(".")[0] not in sys.stdlib_module_names | {"demkit"}]
     assert foreign == [], f"{module}: non-stdlib imports {foreign}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_global_name_resolves(module):
+    """A global name read anywhere in the module, at any nesting depth, is an
+    attribute of the imported module or a builtin; a name dropped from an
+    import list would otherwise surface as NameError only on the path that
+    reads it."""
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        table = symtable.symtable(fh.read(), module, "exec")
+    mod = importlib.import_module(
+        "demkit" if module == "__init__.py" else "demkit." + module[:-3])
+    missing = set()
+    stack = [table]
+    while stack:
+        t = stack.pop()
+        stack.extend(t.get_children())
+        for sym in t.get_symbols():
+            name = sym.get_name()
+            if (sym.is_referenced() and sym.is_global()
+                    and not hasattr(mod, name) and not hasattr(builtins, name)):
+                missing.add(name)
+    assert not missing, f"{module}: unresolved global names {sorted(missing)}"

@@ -4,18 +4,21 @@ import random
 
 import pytest
 
-from demkit.characters import Character, charFromJSON, dual, pretty
-from demkit.demazure import charNabla, charP, charQ
+import demkit.ktheory as kt
+from demkit.characters import Character, charFromJSON, decomposeWeylBasis, dual, pretty
+from demkit.demazure import charNabla, charP, charQ, demElt
 from demkit.ktheory import (
     alphaEntry,
     betaEntry,
     dualConjectureCheck,
     eulerPair,
     gramCheck,
+    gramTable,
     indPQCheck,
     indPQMatrix,
     matrixToJSON,
     orthogonalityCheck,
+    pairingsWithP,
     parabolicChecks,
     rank2BundleChecks,
     sameLengthPairReport,
@@ -26,9 +29,10 @@ from demkit.ktheory import (
     xClass,
     xHatClass,
 )
-from demkit.rootsystem import negW, rho, zero
+from demkit.rootsystem import negW, rho, rootSystem, zero
 from demkit.steinberg import Q, steinbergDecomposeChar, uniformChoices
-from demkit.weyl import weylGroup
+from demkit.weyl import WeylGroup, weylGroup
+from oracles import gramTableProduct, pairingsWithPProduct
 
 
 def allPass(checks):
@@ -249,3 +253,101 @@ def test_matrix_serialization():
     data = matrixToJSON(W, m)
     assert data["rows"] == ["e", "s1"] and data["cols"] == ["e", "s1"]
     assert charFromJSON(data["entries"][1][0]) == charNabla(W, (1,))
+
+
+# -- the pairing tables against the product route --------------------------------
+
+SMALL = ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3"]   # every type with |W| <= 48
+
+
+def pqTables(W):
+    order = W.totalOrderBuild()
+    qs = {w: charQ(W, W.steinbergWeight(w)) for w in order}
+    return pairingsWithP(W, order, qs), pairingsWithPProduct(W, order, qs)
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_pq_table_matches_product_route(name):
+    fast, slow = pqTables(weylGroup(name))
+    assert fast == slow
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_gram_table_matches_product_route(name):
+    W = weylGroup(name)
+    assert gramTable(W) == gramTableProduct(W)
+
+
+def test_gram_table_matches_product_route_random_order():
+    W = weylGroup("A3")
+    order = randomBruhatExtension(W, random.Random(29))
+    assert gramTable(W, order) == gramTableProduct(W, order)
+
+
+@pytest.mark.parametrize("name", ["A4", "B4", "C4", "D4", "F4"])
+def test_pq_sample_matches_product_route_rank_4(name):
+    W = weylGroup(name)
+    rng = random.Random(f"pq:{name}")
+    vs = rng.sample(list(W.elements()), 3)
+    qs = {w: charQ(W, W.steinbergWeight(w)) for w in rng.sample(list(W.elements()), 3)}
+    assert pairingsWithP(W, vs, qs) == pairingsWithPProduct(W, vs, qs)
+
+
+def test_pq_cross_check_catches_pi_u_for_pi_u_inverse(monkeypatch):
+    W = weylGroup("A3")
+    monkeypatch.setattr(kt, "demElt", lambda W, w, f: demElt(W, W.inverse(w), f))
+    fast, slow = pqTables(W)
+    assert fast != slow
+
+
+def test_gram_cross_check_catches_a_dropped_coefficient(monkeypatch):
+    W = weylGroup("A3")
+    scalar = {zero(W.sys)}
+    dropped = []
+
+    def dropFirstNonScalar(W, f):
+        got = decomposeWeylBasis(W, f)
+        if set(got) != scalar and not dropped:
+            dropped.append(got)
+            return {}
+        return got
+
+    monkeypatch.setattr(kt, "decomposeWeylBasis", dropFirstNonScalar)
+    assert gramTable(W) != gramTableProduct(W)
+    assert dropped
+
+
+def test_pairing_tables_leave_no_memo_family():
+    # the tables are rebuilt per call; the group memo keeps only the
+    # character families it had before
+    W = WeylGroup(rootSystem("B2"))
+    gramCheck(W)
+    indPQMatrix(W)
+    orthogonalityCheck(W)
+    parabolicChecks(W, (0,))
+    families = {key[0] for key in W.memo}
+    assert families <= {"dem", "h0", "Q", "Qhat", "stx", "stxrow", "stxorder"}, families
+
+
+# -- failing checks report a witness ----------------------------------------------
+
+def test_indpq_check_reports_tampered_entries():
+    W = weylGroup("A2")
+    m = indPQMatrix(W)
+    m.entries[1][1] = Character.monomial((0, 0), 2)
+    assert indPQCheck(W, m) == [("indpq-unitriangular", False, "diagonal at s1: 2e[0,0]")]
+    m = indPQMatrix(W)
+    m.entries[0][1] = Character({(1, 0): 1, (0, -1): -1})
+    assert indPQCheck(W, m) == [("indpq-unitriangular", False, "(e,s1): -e[0,-1]+e[1,0]")]
+
+
+def test_gram_check_reports_tampered_entries():
+    W = weylGroup("A2")
+    s1 = W.rmul(0, 0)
+    table = gramTable(W)
+    table[(s1, s1)] = {(0, 0): 2}
+    assert gramCheck(W, table=table)[0] == [("xclass-gram", False, "diagonal s1: 2e[0,0]")]
+    table = gramTable(W)
+    table[(0, s1)] = {(1, 0): 1}
+    assert gramCheck(W, table=table)[0] == [
+        ("xclass-gram", False, "(e,s1): e[-1,1]+e[0,-1]+e[1,0]")]
