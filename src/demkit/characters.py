@@ -18,6 +18,30 @@ from .weyl import WeylGroup
 GClassExpansion = dict[Weight, int]   # keys dominant, values nonzero
 
 
+def addMul(acc: dict[Weight, int], x: dict[Weight, int], m) -> None:
+    """acc += x * m in place, on terms dicts, dropping every coefficient that
+    cancels; m is an int or the terms of a character."""
+    get = acc.get
+    if type(m) is int:
+        if not m:
+            return
+        for w, c in x.items():
+            n = get(w, 0) + c * m
+            if n:
+                acc[w] = n
+            else:
+                del acc[w]
+        return
+    for w1, c1 in x.items():
+        for w2, c2 in m.items():
+            key = tuple(map(add, w1, w2))
+            n = get(key, 0) + c1 * c2
+            if n:
+                acc[key] = n
+            else:
+                del acc[key]
+
+
 class Character:
     __slots__ = ("terms",)
 
@@ -46,15 +70,9 @@ class Character:
         big, small = self.terms, other.terms
         if len(big) < len(small):
             big, small = small, big
-        out = dict(big)
-        for w, c in small.items():
-            n = out.get(w, 0) + c
-            if n:
-                out[w] = n
-            else:
-                out.pop(w, None)
         r = Character.__new__(Character)
-        r.terms = out
+        r.terms = out = dict(big)
+        addMul(out, small, 1)
         return r
 
     def __neg__(self) -> "Character":
@@ -66,26 +84,15 @@ class Character:
         return self + (-other)
 
     def __mul__(self, other):
+        r = Character.__new__(Character)
+        r.terms = out = {}
         if isinstance(other, int):
-            if other == 0:
-                return Character.zero()
-            r = Character.__new__(Character)
-            r.terms = {w: c * other for w, c in self.terms.items()}
+            addMul(out, self.terms, other)
             return r
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        out: dict[Weight, int] = {}
-        for w1, c1 in a.items():
-            for w2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(w1, w2))
-                n = out.get(key, 0) + c1 * c2
-                if n:
-                    out[key] = n
-                else:
-                    del out[key]
-        r = Character.__new__(Character)
-        r.terms = out
+        addMul(out, a, b)
         return r
 
     __rmul__ = __mul__
@@ -103,13 +110,7 @@ def dual(f: Character) -> Character:
 
 
 def weylActionChar(W: WeylGroup, w: int, f: Character) -> Character:
-    m = W.mats[w]
-    n = W.sys.rank
-    out: dict[Weight, int] = {}
-    for lam, c in f.terms.items():
-        key = tuple(sum(m[k][j] * lam[j] for j in range(n)) for k in range(n))
-        out[key] = out.get(key, 0) + c
-    return Character(out)
+    return Character({W.act(w, lam): c for lam, c in f.terms.items()})
 
 
 def augment(f: Character) -> int:
@@ -120,21 +121,25 @@ def augment(f: Character) -> int:
 def isInvariant(W: WeylGroup, f: Character) -> tuple[Weight, Weight] | None:
     """None if W-invariant, else a witnessing weight pair (lam, s_i lam).
 
-    Invariance under every simple reflection is invariance under W.  Each
-    s_i is an involution, so comparing the coefficient of every support
-    weight lam with that of s_i lam = lam - lam_i alpha_i covers the
-    weights outside the support too.
+    Invariance under every simple reflection is invariance under W.  s_i
+    maps the support weights with lam_i > 0 one-to-one to weights with
+    lam_i < 0, so f is s_i-invariant iff each of them meets its image with
+    the same coefficient and the two sides of the wall have equal size.
     """
     terms = f.terms
     get = terms.get
-    for i, col in enumerate(W.cartanCols):
-        idx = range(len(col))
+    reflect = W.reflect
+    for i in range(W.sys.rank):
+        offWall = 0
         for lam, c in terms.items():
-            k = lam[i]
-            if k:
-                slam = tuple([lam[j] - k * col[j] for j in idx])
+            if lam[i] > 0:
+                slam = reflect(lam, i)
                 if get(slam, 0) != c:
                     return lam, slam
+                offWall += 2
+        if offWall != sum(1 for lam in terms if lam[i]):
+            lam = next(lam for lam in terms if lam[i] < 0 and reflect(lam, i) not in terms)
+            return lam, reflect(lam, i)
     return None
 
 
@@ -194,12 +199,11 @@ def expandGClass(W: WeylGroup, coeffs: GClassExpansion) -> Character:
     """Inverse of decomposeWeylBasis: assemble the invariant character."""
     from . import demazure
 
-    acc: dict[Weight, int] = {}
-    get = acc.get
+    r = Character.__new__(Character)
+    r.terms = acc = {}
     for lam, m in coeffs.items():
-        for nu, d in demazure.charNabla(W, lam).terms.items():
-            acc[nu] = get(nu, 0) + m * d
-    return Character(acc)
+        addMul(acc, demazure.charNabla(W, lam).terms, m)
+    return r
 
 
 # -- serialization ------------------------------------------------------------

@@ -17,7 +17,7 @@ from math import isqrt
 from operator import mul
 
 from .characters import Character, alternantCoeffs, expandGClass
-from .rootsystem import Weight, isDominant, norm2Scaled, rho, simpleRoot
+from .rootsystem import Weight, isDominant, negW, norm2Scaled, rho
 from .weyl import WeylGroup
 
 LowerSet = tuple[int, ...]   # canonical antichain of Bruhat-maximal elements
@@ -205,12 +205,8 @@ def charQ(W: WeylGroup, lam: Weight) -> Character:
 
 def _twistStep(W: WeylGroup, i: int, f: Character) -> Character:
     rh = rho(W.sys)
-    alpha = simpleRoot(W.sys, i)
-    n = len(alpha)
-    si_rho = tuple(rh[j] - alpha[j] for j in range(n))
-    g = demStep(W, i, Character.monomial(si_rho) * f)
-    neg_rho = tuple(-x for x in rh)
-    return Character.monomial(neg_rho) * g
+    g = demStep(W, i, Character.monomial(W.reflect(rh, i)) * f)
+    return Character.monomial(negW(rh)) * g
 
 
 def charQviaTwist(W: WeylGroup, lam: Weight) -> Character:
@@ -225,18 +221,26 @@ def charQviaTwist(W: WeylGroup, lam: Weight) -> Character:
 
 def charSections(W: WeylGroup, s: LowerSet, lam: Weight) -> Character:
     """Sum of layer characters over the distinct orbit weights u*lam for u in
-    the lower set generated by s."""
-    s = lowerSet(W, s)
+    the lower set generated by s.
+
+    The lower set is walked up from e by left multiplication: a reduced word
+    s_i1 ... s_ik of u puts every suffix below u, so each u is reached, and
+    (s_i u) lam = s_i (u lam) is one reflection of a weight already known.
+    """
     mask = lowerSetMask(W, s)
-    seen: set[Weight] = set()
-    m = mask
-    while m:
-        low = m & -m
-        u = low.bit_length() - 1
-        m ^= low
-        seen.add(W.act(u, lam))
+    lmul = W.lmulTable
+    reflect = W.reflect
+    moved = {0: lam} if mask else {}
+    stack = list(moved)
+    while stack:
+        u = stack.pop()
+        mu = moved[u]
+        for i, v in enumerate(lmul[u]):
+            if mask >> v & 1 and v not in moved:
+                moved[v] = reflect(mu, i)
+                stack.append(v)
     total = Character.zero()
-    for mu in sorted(seen):
+    for mu in sorted(set(moved.values())):
         total = total + charQ(W, mu)
     return total
 

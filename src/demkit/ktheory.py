@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from .characters import (
     Character,
     GClassExpansion,
+    addMul,
     alternantCoeffs,
     augment,
     charToJSON,
@@ -248,31 +249,22 @@ def _gDual(W: WeylGroup, h: GClassExpansion) -> GClassExpansion:
 
 def _gAddMul(W: WeylGroup, acc: dict, h: GClassExpansion, k: GClassExpansion,
              products: dict) -> None:
-    """acc += h k in R(G), in place; zero entries are left for the caller to
-    drop.  A factor chi(0) is a scaling; any other chi(lam) chi(mu) is
-    Brauer-Klimyk, the alternant of chi(lam) shifted by mu, memoised in
-    products."""
-    get = acc.get
+    """acc += h k in R(G), in place.  A factor chi(0) is a scaling; any other
+    chi(lam) chi(mu) is Brauer-Klimyk, the alternant of chi(lam) shifted by
+    mu, memoised in products."""
     for lam, a in h.items():
         if not any(lam):
-            for mu, b in k.items():
-                acc[mu] = get(mu, 0) + a * b
+            addMul(acc, k, a)
             continue
         for mu, b in k.items():
             if not any(mu):
-                acc[lam] = get(lam, 0) + a * b
+                addMul(acc, {lam: a}, b)
                 continue
             key = (lam, mu) if lam <= mu else (mu, lam)
             terms = products.get(key)
             if terms is None:
                 terms = products[key] = alternantCoeffs(W, charNabla(W, key[0]), key[1])
-            ab = a * b
-            for nu, c in terms.items():
-                acc[nu] = get(nu, 0) + ab * c
-
-
-def _nonzero(acc: dict) -> GClassExpansion:
-    return {nu: c for nu, c in acc.items() if c}
+            addMul(acc, terms, a * b)
 
 
 def gramTable(
@@ -308,12 +300,12 @@ def gramTable(
                 if m is None:
                     m = qGram[(a, b)] = alternantCoeffs(W, dual(layers[a]) * layers[b])
                 _gAddMul(W, acc, c, m, products)
-            inner[a] = _nonzero(acc)
+            inner[a] = acc
         for v in order:
             acc = {}
             for a, c in duals[v].items():
                 _gAddMul(W, acc, c, inner[a], products)
-            table[(v, w)] = _nonzero(acc)
+            table[(v, w)] = acc
     return table
 
 

@@ -6,14 +6,16 @@ vector of the simple root alpha_j, and the pairing of a weight with the simple
 coroot alpha_i^vee is just coordinate i.  All length computations go through
 the gram matrix of the fundamental weights, stored as integers scaled by the
 lcm of its denominators (likewise the inverse Cartan matrix); no floats
-anywhere.  Comparisons use the scaled integers directly, and the public
-lengths and coordinates divide once into exact rationals.
+anywhere.  Lengths, heights and the dominance order are read off those
+scaled integers; rationals appear only while the scaled matrices are built.
 
 >>> sys = rootSystem("A2")
->>> simpleRoot(sys, 0)
+>>> sys.cartan[0]
 (2, -1)
->>> innerProduct(sys, (1, 1), (1, 1))
-Fraction(2, 1)
+>>> norm2Scaled(sys, (1, 1)), sys.gramScale
+(6, 3)
+>>> dominanceLeq(sys, (0, 0), (1, 1)), dominanceLeq(sys, (0, 0), (1, 0))
+(True, False)
 """
 from __future__ import annotations
 
@@ -116,11 +118,6 @@ def rootSystem(name: str) -> RootSystem:
     )
 
 
-def simpleRoot(sys: RootSystem, i: int) -> Weight:
-    """Fundamental-weight coordinates of the i-th simple root (0-based)."""
-    return tuple(sys.cartan[k][i] for k in range(sys.rank))
-
-
 def rho(sys: RootSystem) -> Weight:
     return (1,) * sys.rank
 
@@ -131,10 +128,6 @@ def zero(sys: RootSystem) -> Weight:
 
 def fundamental(sys: RootSystem, i: int) -> Weight:
     return tuple(1 if k == i else 0 for k in range(sys.rank))
-
-
-def addW(a: Weight, b: Weight) -> Weight:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def subW(a: Weight, b: Weight) -> Weight:
@@ -154,16 +147,12 @@ def innerProductScaled(sys: RootSystem, lam: Weight, mu: Weight) -> int:
     return sum(map(mul, lam, [sum(map(mul, row, mu)) for row in sys.gramInt]))
 
 
-def innerProduct(sys: RootSystem, lam: Weight, mu: Weight) -> Q:
-    """W-invariant bilinear form, normalized so short roots have length^2 = 2."""
-    return Q(innerProductScaled(sys, lam, mu), sys.gramScale)
-
-
 def norm2Scaled(sys: RootSystem, lam: Weight) -> int:
     return innerProductScaled(sys, lam, lam)
 
 
 def norm2(sys: RootSystem, lam: Weight) -> Q:
+    # kept as a name the benchmark's layer tracer wraps; the package uses norm2Scaled
     return Q(norm2Scaled(sys, lam), sys.gramScale)
 
 
@@ -173,21 +162,12 @@ def _rootCoordsScaled(sys: RootSystem, lam: Weight) -> list[int]:
     return [sum(cinv[i][j] * lam[j] for j in range(n)) for i in range(n)]
 
 
-def rootCoords(sys: RootSystem, lam: Weight) -> tuple[Q, ...]:
-    """Coordinates of lam on the simple-root basis (exact rationals)."""
-    return tuple(Q(c, sys.cartanInvScale) for c in _rootCoordsScaled(sys, lam))
-
-
 def heightScaled(sys: RootSystem, lam: Weight) -> int:
     """sys.cartanInvScale * height(lam): an exact integer with the same order."""
     return sum(_rootCoordsScaled(sys, lam))
 
 
-def height(sys: RootSystem, lam: Weight) -> Q:
-    return Q(heightScaled(sys, lam), sys.cartanInvScale)
-
-
 def dominanceLeq(sys: RootSystem, lam: Weight, mu: Weight) -> bool:
     """lam <= mu iff mu - lam is a nonnegative integer combination of simple roots."""
-    coords = rootCoords(sys, subW(mu, lam))
-    return all(c >= 0 and c.denominator == 1 for c in coords)
+    s = sys.cartanInvScale
+    return all(c >= 0 and c % s == 0 for c in _rootCoordsScaled(sys, subW(mu, lam)))

@@ -29,11 +29,10 @@ built as Characters.
 """
 from __future__ import annotations
 
-from operator import add as _add
-
 from .characters import (
     Character,
     GClassExpansion,
+    addMul,
     decomposeWeylBasis,
     dual,
 )
@@ -94,35 +93,13 @@ def basisCharacter(
     raise ValueError(f"unknown basis choice {choice!r}")
 
 
-def _addMul(acc: dict, x: dict, m) -> None:
-    """acc += x * m in place, on terms dicts; m is a nonzero int or the terms
-    of a character."""
-    get = acc.get
-    if type(m) is int:
-        for w, c in x.items():
-            n = get(w, 0) + c * m
-            if n:
-                acc[w] = n
-            else:
-                del acc[w]
-        return
-    for w1, c1 in x.items():
-        for w2, c2 in m.items():
-            key = tuple(map(_add, w1, w2))
-            n = get(key, 0) + c1 * c2
-            if n:
-                acc[key] = n
-            else:
-                del acc[key]
-
-
 def _addVec(acc: dict, vec: dict, m) -> None:
     """acc += vec * m in place, on vectors {index: terms dict}."""
     for u, coef in vec.items():
         a = acc.get(u)
         if a is None:
             a = acc[u] = {}
-        _addMul(a, coef, m)
+        addMul(a, coef, m)
         if not a:
             del acc[u]
 

@@ -1,9 +1,13 @@
 """Weyl group combinatorics: enumeration, words, Bruhat order, cosets.
 
-Elements are dense integer ids.  The action matrix of an element (on weight
-coordinate vectors) gives O(1) equality and hashing during enumeration; the
-canonical reduced word of an element is the ShortLex-least one, which is what
-a FIFO breadth-first search with ascending generator indices produces.
+Elements are dense integer ids.  The group acts on weight coordinate vectors
+by simple reflections only, s_i lam = lam - lam_i alpha_i, and w acts by
+folding them along its canonical word.  During enumeration an element w is
+identified by the regular weight w^-1 rho (Stembridge, "Computational aspects
+of root systems, Coxeter groups, and Weyl characters", 2001), whose key
+under w s_i is s_i applied to it.  The canonical reduced word of an element
+is the ShortLex-least one, which is what a FIFO breadth-first search with
+ascending generator indices produces.
 """
 from __future__ import annotations
 
@@ -11,18 +15,9 @@ from .rootsystem import (
     RootSystem,
     Weight,
     WEYL_SIZE_CAP,
+    rho,
     rootSystem,
 )
-
-Matrix = tuple[tuple[int, ...], ...]
-
-
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
 
 
 class WeylGroup:
@@ -35,52 +30,38 @@ class WeylGroup:
     def __init__(self, sys: RootSystem):
         self.sys = sys
         n = sys.rank
-        ident: Matrix = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         # column i of the Cartan matrix: alpha_i in fundamental-weight coordinates
         self.cartanCols: tuple[tuple[int, ...], ...] = tuple(
             tuple(sys.cartan[k][i] for k in range(n)) for i in range(n)
         )
-        # simple reflection on coordinates: column i becomes e_i - alpha_i
-        self.gens: list[Matrix] = []
-        for i, col in enumerate(self.cartanCols):
-            self.gens.append(
-                tuple(
-                    tuple(int(k == j) - (col[k] if j == i else 0) for j in range(n))
-                    for k in range(n)
-                )
-            )
 
-        mats: list[Matrix] = [ident]
+        # keys[w] = w^-1 rho, and (w s_i)^-1 rho = s_i (w^-1 rho)
+        keys: list[Weight] = [rho(sys)]
         words: list[tuple[int, ...]] = [()]
-        index: dict[Matrix, int] = {ident: 0}
+        index: dict[Weight, int] = {keys[0]: 0}
         rmul: list[list[int]] = []
         head = 0
-        while head < len(mats):
-            m = mats[head]
+        while head < len(keys):
+            key = keys[head]
             row = []
             for i in range(n):
-                prod = _matmul(m, self.gens[i])
+                prod = self.reflect(key, i)
                 j = index.get(prod)
                 if j is None:
-                    j = len(mats)
+                    j = len(keys)
                     if j >= WEYL_SIZE_CAP + 1:
                         raise ValueError("Weyl group larger than the supported cap")
                     index[prod] = j
-                    mats.append(prod)
+                    keys.append(prod)
                     words.append(words[head] + (i,))
                 row.append(j)
             rmul.append(row)
             head += 1
 
-        self.size = len(mats)
-        self.mats = mats
+        self.size = len(keys)
         self.words = words
         self.length = [len(w) for w in words]
         self.rmulTable = rmul
-        self.lmulTable = [
-            [index[_matmul(self.gens[i], mats[w])] for i in range(n)]
-            for w in range(self.size)
-        ]
         # inverse by reversing the canonical word
         inv = []
         for w in range(self.size):
@@ -89,6 +70,8 @@ class WeylGroup:
                 x = rmul[x][i]
             inv.append(x)
         self.inv = inv
+        # s_i w = (w^-1 s_i)^-1
+        self.lmulTable = [[inv[j] for j in rmul[inv[w]]] for w in range(self.size)]
         self.w0 = max(range(self.size), key=lambda w: self.length[w])
 
         self._buildBruhat()
@@ -145,10 +128,18 @@ class WeylGroup:
         """Elements covered by w: below it with length exactly one less."""
         return self.coversOf[w]
 
+    def reflect(self, lam: Weight, i: int) -> Weight:
+        """s_i lam = lam - <lam, alpha_i^vee> alpha_i."""
+        k = lam[i]
+        if not k:
+            return lam
+        return tuple([x - k * a for x, a in zip(lam, self.cartanCols[i])])
+
     def act(self, w: int, lam: Weight) -> Weight:
-        m = self.mats[w]
-        n = self.sys.rank
-        return tuple(sum(m[k][j] * lam[j] for j in range(n)) for k in range(n))
+        """w lam, reflecting by the letters of w's canonical word, rightmost first."""
+        for i in reversed(self.words[w]):
+            lam = self.reflect(lam, i)
+        return lam
 
     def rmul(self, w: int, i: int) -> int:
         return self.rmulTable[w][i]

@@ -16,32 +16,174 @@ weight tuples that demWord's packed keys replace) along the longest word.
 The pairing tables by the product route (eulerPair of the two full
 characters, then decomposed) check the adjointness and projection-formula
 routes of ktheory.pairingsWithP and ktheory.gramTable.
+
+The rational weight API (inner products, norms, heights and simple-root
+coordinates) is computed here from the Cartan matrix and the symmetrizer
+alone, inverting the Cartan matrix over Fractions, so it checks the scaled
+integer matrices the package uses.  The Weyl group by action matrices
+(matrixWeylTables) and the section characters by one action per lower-set
+element (charSectionsPlain) check the reflection-keyed enumeration and the
+lower-set walk that replaced them.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction as Q
+from math import lcm
 
 from demkit.characters import Character, GClassExpansion, decomposeWeylBasis, dual
-from demkit.demazure import LowerSet, charNabla, charP
+from demkit.demazure import LowerSet, charNabla, charP, charQ, lowerSetMask
 from demkit.ktheory import eulerPair, xClass
 from demkit.rootsystem import (
     RootSystem,
     Weight,
-    addW,
     fundamental,
-    height,
-    innerProduct,
     isDominant,
-    norm2,
     rho,
-    rootCoords,
-    simpleRoot,
     subW,
     zero,
 )
 from demkit.steinberg import antipodalLeq, basisCharacter, isSteinbergWeight
 from demkit.weyl import WeylGroup
+
+
+# -- the rational weight API ------------------------------------------------------
+
+@functools.cache
+def cartanInverse(sys: RootSystem) -> tuple[tuple[Q, ...], ...]:
+    """Inverse of the Cartan matrix by Gauss-Jordan over Fractions: entry
+    (i, j) is the alpha_i coordinate of omega_j."""
+    n = sys.rank
+    a = [[Q(x) for x in row] + [Q(int(i == j)) for j in range(n)]
+         for i, row in enumerate(sys.cartan)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col])
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(n):
+            if r != col:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return tuple(tuple(row[n:]) for row in a)
+
+
+def simpleRoot(sys: RootSystem, i: int) -> Weight:
+    """Fundamental-weight coordinates of the i-th simple root (0-based)."""
+    return tuple(sys.cartan[k][i] for k in range(sys.rank))
+
+
+def addW(a: Weight, b: Weight) -> Weight:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _integral(mat) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(den * mat, den) with den the lcm of the denominators."""
+    den = lcm(*(x.denominator for row in mat for x in row))
+    return tuple(tuple(int(x * den) for x in row) for row in mat), den
+
+
+@functools.cache
+def _coordMatrix(sys: RootSystem):
+    return _integral(cartanInverse(sys))
+
+
+@functools.cache
+def _gramMatrix(sys: RootSystem):
+    # (omega_i, omega_j) = d_i (C^-1)_ij, since (omega_i, alpha_k) = d_k delta_ik
+    cinv = cartanInverse(sys)
+    return _integral([[sys.d[i] * x for x in row] for i, row in enumerate(cinv)])
+
+
+def rootCoords(sys: RootSystem, lam: Weight) -> tuple[Q, ...]:
+    """Coordinates of lam on the simple-root basis (exact rationals)."""
+    mat, den = _coordMatrix(sys)
+    return tuple(Q(sum(c * x for c, x in zip(row, lam)), den) for row in mat)
+
+
+def height(sys: RootSystem, lam: Weight) -> Q:
+    mat, den = _coordMatrix(sys)
+    return Q(sum(c * x for row in mat for c, x in zip(row, lam)), den)
+
+
+def innerProduct(sys: RootSystem, lam: Weight, mu: Weight) -> Q:
+    """W-invariant form, normalized so short roots have length^2 = 2."""
+    mat, den = _gramMatrix(sys)
+    return Q(sum(x * sum(g * y for g, y in zip(row, mu)) for x, row in zip(lam, mat)), den)
+
+
+def norm2(sys: RootSystem, lam: Weight) -> Q:
+    return innerProduct(sys, lam, lam)
+
+
+def dominanceLeqFraction(sys: RootSystem, lam: Weight, mu: Weight) -> bool:
+    """mu - lam has nonnegative integral simple-root coordinates."""
+    return all(c >= 0 and c.denominator == 1 for c in rootCoords(sys, subW(mu, lam)))
+
+
+# -- the Weyl group by action matrices --------------------------------------------
+
+def _matmul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def matrixWeylTables(sys: RootSystem) -> dict:
+    """Breadth-first enumeration keyed by the action matrix of each element on
+    weight coordinates: the element ids, canonical words, right and left
+    multiplication tables, inverses and matrices, in the order a FIFO search
+    with ascending generator indices meets them."""
+    n = sys.rank
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    # s_i on coordinates: column i becomes e_i - alpha_i
+    gens = [
+        tuple(tuple(int(k == j) - (sys.cartan[k][i] if j == i else 0) for j in range(n))
+              for k in range(n))
+        for i in range(n)
+    ]
+    mats = [ident]
+    words: list[tuple[int, ...]] = [()]
+    index = {ident: 0}
+    rmul = []
+    head = 0
+    while head < len(mats):
+        row = []
+        for i in range(n):
+            prod = _matmul(mats[head], gens[i])
+            j = index.get(prod)
+            if j is None:
+                j = index[prod] = len(mats)
+                mats.append(prod)
+                words.append(words[head] + (i,))
+            row.append(j)
+        rmul.append(row)
+        head += 1
+    lmul = [[index[_matmul(gens[i], m)] for i in range(n)] for m in mats]
+    inv = []
+    for word in words:
+        m = ident
+        for i in reversed(word):
+            m = _matmul(m, gens[i])
+        inv.append(index[m])
+    return {"words": words, "rmul": rmul, "lmul": lmul, "inv": inv, "mats": mats}
+
+
+def matrixAct(mat, lam: Weight) -> Weight:
+    return tuple(sum(a * x for a, x in zip(row, lam)) for row in mat)
+
+
+def charSectionsPlain(W: WeylGroup, s: LowerSet, lam: Weight) -> Character:
+    """Sum of layer characters over the distinct weights u lam, one W.act per
+    element u of the lower set's mask."""
+    mask = lowerSetMask(W, s)
+    seen = {W.act(u, lam) for u in W.elements() if mask >> u & 1}
+    total = Character.zero()
+    for mu in sorted(seen):
+        total = total + charQ(W, mu)
+    return total
 
 
 def positiveRoots(sys: RootSystem) -> list[Weight]:

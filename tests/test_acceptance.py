@@ -26,8 +26,9 @@ from demkit.ktheory import (
     xClass,
     xHatClass,
 )
-from demkit.rootsystem import addW, fundamental, rho, subW, zero
+from demkit.rootsystem import fundamental, rho, subW, zero
 from demkit.weyl import weylGroup
+from oracles import addW
 
 ALL_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4",
              "C2", "C3", "C4", "D4", "G2", "F4")

@@ -172,6 +172,30 @@ def test_decompose_rejects_perturbed_invariant(name):
     assert slam in {W.act(W.rmul(0, i), lam) for i in range(W.sys.rank)}
 
 
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3"])
+def test_is_invariant_matches_simple_reflections(name):
+    """Orbit sums, with and without one weight dropped or added, against
+    applying every simple reflection; a witness is a pair lam, s_i lam with
+    different coefficients."""
+    W = weylGroup(name)
+    rng = random.Random(f"invariant:{name}")
+    cases = []
+    for _ in range(10):
+        lam = tuple(rng.randint(-2, 2) for _ in range(W.sys.rank))
+        orbit = Character({W.act(w, lam): 1 for w in W.elements()})
+        mu = rng.choice(sorted(orbit.terms))
+        cases += [orbit, orbit - Character.monomial(mu), orbit + Character.monomial(mu),
+                  randomChar(W.sys.rank, rng)]
+    for f in cases:
+        fixed = all(weylActionChar(W, W.rmul(0, i), f) == f for i in range(W.sys.rank))
+        witness = isInvariant(W, f)
+        assert (witness is None) == fixed
+        if witness is not None:
+            lam, slam = witness
+            assert f.coeff(lam) != f.coeff(slam)
+            assert slam in {W.reflect(lam, i) for i in range(W.sys.rank)}
+
+
 def test_decompose_rejects_non_invariant():
     W = weylGroup("A2")
     with pytest.raises(ValueError):

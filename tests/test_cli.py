@@ -270,6 +270,21 @@ def test_cache_byte_identity(tmp_path, capsys):
     assert cold == hot == bare
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (("eval", "e([1,0])", "--type", "A2"), []),
+    (("suite", "steinberg-lists", "--type", "A2"), {"a": 1}),
+])
+def test_cache_entry_of_wrong_shape_is_recomputed(tmp_path, capsys, argv, bad):
+    cdir = tmp_path / "cache"
+    code, cold, _ = run(capsys, *argv, "--cache-dir", str(cdir))
+    (entry,) = cdir.iterdir()
+    good = json.loads(entry.read_text())
+    entry.write_text(json.dumps(bad))
+    code2, out, err = run(capsys, *argv, "--cache-dir", str(cdir))
+    assert (code2, out, err) == (code, cold, "")
+    assert json.loads(entry.read_text()) == good
+
+
 def test_cache_eval_normalizes_expr(tmp_path, capsys):
     cdir = str(tmp_path / "cache")
     _, a, _ = run(capsys, "eval", "chi([1,0]) * chi([0,1])", "--type", "A2",

@@ -124,6 +124,26 @@ def test_filtration_identity(name):
             assert charP(W, W.act(w, lamPlus)) == charSections(W, s, lamPlus)
 
 
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_sections_walk_matches_plain_oracle(name):
+    """The lower-set walk against one W.act per element of the mask: every
+    one-generator lower set below rank 4, and seeded two-generator lower sets
+    (rank 4: a few, with 0/1 weights, as F4's layer characters are costly)."""
+    W = weylGroup(name)
+    n = W.sys.rank
+    rng = random.Random(f"sections:{name}")
+    if n < 4:
+        lams = [rho(W.sys)] + [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(2)]
+        cases = [((w,), lam) for w in W.elements() for lam in lams]
+        cases += [(lowerSet(W, rng.sample(range(W.size), 2)), rng.choice(lams))
+                  for _ in range(20)]
+    else:
+        cases = [(lowerSet(W, rng.sample(range(W.size), 2)),
+                  tuple(rng.randint(0, 1) for _ in range(n))) for _ in range(4)]
+    for s, lam in cases:
+        assert charSections(W, s, lam) == oracles.charSectionsPlain(W, s, lam), (s, lam)
+
+
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3"])
 def test_orbit_sum_gives_full_character(name):
     W = weylGroup(name)

@@ -1,11 +1,14 @@
 """Static checks on the package sources, read with ast and symtable (no
 linter needed): every imported name is used, every global name a module
-refers to exists, and the package imports only the standard library and
-itself."""
+refers to exists, the package imports only the standard library and
+itself, and only rootsystem, which builds its scaled integer matrices
+through exact rationals, imports fractions.  The module doctests run here
+too."""
 from __future__ import annotations
 
 import ast
 import builtins
+import doctest
 import importlib
 import os
 import symtable
@@ -64,6 +67,28 @@ def test_top_level_imports_are_stdlib_or_demkit(module):
 
 
 @pytest.mark.parametrize("module", MODULES)
+def test_only_rootsystem_imports_fractions(module):
+    found = []
+    for node in ast.walk(tree(module)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "fractions"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            found.append(node.module)
+    assert module == "rootsystem.py" or found == [], f"{module}: imports {found}"
+
+
+def importModule(module: str):
+    return importlib.import_module(
+        "demkit" if module == "__init__.py" else "demkit." + module[:-3])
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_doctests(module):
+    failed, _ = doctest.testmod(importModule(module))
+    assert failed == 0, f"{module}: {failed} doctest examples failed"
+
+
+@pytest.mark.parametrize("module", MODULES)
 def test_every_global_name_resolves(module):
     """A global name read anywhere in the module, at any nesting depth, is an
     attribute of the imported module or a builtin; a name dropped from an
@@ -71,8 +96,7 @@ def test_every_global_name_resolves(module):
     reads it."""
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         table = symtable.symtable(fh.read(), module, "exec")
-    mod = importlib.import_module(
-        "demkit" if module == "__init__.py" else "demkit." + module[:-3])
+    mod = importModule(module)
     missing = set()
     stack = [table]
     while stack:

@@ -6,21 +6,27 @@ import random
 import pytest
 
 from demkit.rootsystem import (
-    addW,
     dominanceLeq,
     fundamental,
-    height,
-    innerProduct,
+    heightScaled,
+    innerProductScaled,
     isDominant,
     negW,
     norm2,
     rho,
     rootSystem,
-    simpleRoot,
     zero,
 )
 from demkit.weyl import weylGroup
-from oracles import corootPairing, positiveRoots
+from oracles import (
+    addW,
+    corootPairing,
+    dominanceLeqFraction,
+    height,
+    innerProduct,
+    positiveRoots,
+    simpleRoot,
+)
 
 ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
              "C2", "C3", "C4", "D4", "G2", "F4"]
@@ -95,6 +101,33 @@ def test_dominance_partial_order(name):
             for c in sample:
                 if dominanceLeq(sys, a, b) and dominanceLeq(sys, b, c):
                     assert dominanceLeq(sys, a, c)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_scaled_integers_match_rational_oracle(name):
+    sys = rootSystem(name)
+    rng = random.Random(5)
+    for _ in range(100):
+        lam = tuple(rng.randint(-4, 4) for _ in range(sys.rank))
+        mu = tuple(rng.randint(-4, 4) for _ in range(sys.rank))
+        assert innerProductScaled(sys, lam, mu) == sys.gramScale * innerProduct(sys, lam, mu)
+        assert norm2(sys, lam) == innerProduct(sys, lam, lam)
+        assert heightScaled(sys, lam) == sys.cartanInvScale * height(sys, lam)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_dominance_matches_fraction_oracle(name):
+    """Every pair of weights in [-2, 2]^r below rank 4; a seeded sample of
+    pairs on rank 4."""
+    sys = rootSystem(name)
+    box = list(itertools.product(range(-2, 3), repeat=sys.rank))
+    if sys.rank < 4:
+        pairs = itertools.product(box, repeat=2)
+    else:
+        rng = random.Random(f"dominance:{name}")
+        pairs = [(rng.choice(box), rng.choice(box)) for _ in range(5000)]
+    for lam, mu in pairs:
+        assert dominanceLeq(sys, lam, mu) == dominanceLeqFraction(sys, lam, mu), (lam, mu)
 
 
 @pytest.mark.parametrize("name", ALL_TYPES)

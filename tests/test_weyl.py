@@ -191,3 +191,23 @@ def test_descents():
             assert W.length[W.rmul(w, i)] == W.length[w] - 1
         for i in W.leftDescents(w):
             assert W.length[W.lmulTable[w][i]] == W.length[w] - 1
+
+
+@pytest.mark.parametrize("name", sorted(ORDERS))
+def test_reflection_keys_match_matrix_enumeration(name):
+    """The enumeration keyed by w^-1 rho gives the same ids, words and tables
+    as the one keyed by action matrices, and act agrees with the matrices."""
+    W = weylGroup(name)
+    old = oracles.matrixWeylTables(W.sys)
+    assert W.words == old["words"]
+    assert W.rmulTable == old["rmul"]
+    assert W.lmulTable == old["lmul"]
+    assert W.inv == old["inv"]
+    rng = random.Random(f"act:{name}")
+    elems = list(W.elements())
+    if W.size > 200:
+        elems = rng.sample(elems, 200) + [W.w0]
+    for w in elems:
+        for _ in range(5):
+            lam = tuple(rng.randint(-4, 4) for _ in range(W.sys.rank))
+            assert W.act(w, lam) == oracles.matrixAct(old["mats"][w], lam)
