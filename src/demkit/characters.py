@@ -1,7 +1,10 @@
 """Sparse formal characters: the group ring of the weight lattice.
 
 A Character maps weight tuples to nonzero integers.  Ring operations are
-exact; coefficients are Python ints so nothing overflows silently.
+exact; coefficients are Python ints so nothing overflows silently.  An
+element of the representation ring R(G) is kept as irreducible
+multiplicities (a GClassExpansion), with gAddMul and gDual as its product
+and dual.
 
 >>> a = Character.monomial((1, 0))
 >>> b = Character.monomial((0, 1), 2)
@@ -12,7 +15,7 @@ from __future__ import annotations
 
 from operator import add
 
-from .rootsystem import Weight, heightScaled
+from .rootsystem import Weight, heightScaled, negW
 from .weyl import WeylGroup
 
 GClassExpansion = dict[Weight, int]   # keys dominant, values nonzero
@@ -189,10 +192,57 @@ def decomposeWeylBasis(W: WeylGroup, f: Character) -> GClassExpansion:
     wit = isInvariant(W, f)
     if wit is not None:
         raise ValueError(f"character is not W-invariant: weights {wit[0]} vs {wit[1]}")
-    mult = alternantCoeffs(W, f)
+    return gSorted(W, alternantCoeffs(W, f))
+
+
+def gSorted(W: WeylGroup, mult: GClassExpansion) -> GClassExpansion:
+    """The same multiplicities in descending (height, lex) order of highest
+    weight, the order every decomposition is returned in."""
     sys = W.sys
     order = sorted(mult, key=lambda lam: (heightScaled(sys, lam), lam), reverse=True)
     return {lam: mult[lam] for lam in order}
+
+
+def gDual(W: WeylGroup, h: GClassExpansion) -> GClassExpansion:
+    """Dual in R(G): chi(lam)^* = chi(-w0 lam)."""
+    return {negW(W.act(W.w0, lam)): m for lam, m in h.items()}
+
+
+def gAddMul(W: WeylGroup, acc: GClassExpansion, h: GClassExpansion,
+            k: GClassExpansion) -> None:
+    """acc += h k in R(G), in place, dropping every multiplicity that cancels.
+
+    A factor chi(0) is a scaling.  Any other chi(lam) chi(mu) is
+    Brauer-Klimyk: the alternant of the irreducible of lower height shifted
+    by the other highest weight (alternantCoeffs), memoised per group in the
+    ("stxprod",) family of W.memo.
+    """
+    products = W.memo.get(("stxprod",))
+    if products is None:
+        products = W.memo[("stxprod",)] = {}
+    for lam, a in h.items():
+        if not any(lam):
+            addMul(acc, k, a)
+            continue
+        for mu, b in k.items():
+            if not any(mu):
+                addMul(acc, {lam: a}, b)
+                continue
+            key = (lam, mu) if lam <= mu else (mu, lam)
+            terms = products.get(key)
+            if terms is None:
+                terms = products[key] = _bkProduct(W, *key)
+            addMul(acc, terms, a * b)
+
+
+def _bkProduct(W: WeylGroup, lam: Weight, mu: Weight) -> GClassExpansion:
+    """chi(lam) chi(mu), expanding the irreducible of lower height."""
+    from . import demazure
+
+    sys = W.sys
+    if (heightScaled(sys, lam), lam) > (heightScaled(sys, mu), mu):
+        lam, mu = mu, lam
+    return alternantCoeffs(W, demazure.charNabla(W, lam), mu)
 
 
 def expandGClass(W: WeylGroup, coeffs: GClassExpansion) -> Character:

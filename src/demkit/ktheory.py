@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from .characters import (
     Character,
     GClassExpansion,
-    addMul,
     alternantCoeffs,
     augment,
     charToJSON,
@@ -32,6 +31,8 @@ from .characters import (
     decomposeWeylBasis,
     dual,
     expandGClass,
+    gAddMul,
+    gDual,
     isInvariant,
     weylActionChar,
 )
@@ -47,7 +48,7 @@ from .demazure import (
     lowerSet,
 )
 from .rootsystem import fundamental, isDominant, negW, rho, subW, zero
-from .steinberg import PSTAR, Q, QHAT, steinbergDecomposeChar
+from .steinberg import PSTAR, Q, QHAT, steinbergDecompose
 from .weyl import WeylGroup
 
 
@@ -222,49 +223,30 @@ def orthogonalityCheck(W: WeylGroup) -> list[tuple[str, bool, str]]:
 
 # -- exceptional classes --------------------------------------------------------
 
-def _xCoefficients(W: WeylGroup, p: int, order: list[int]) -> dict[int, Character]:
-    """The W-invariant coefficients {b: c_{p,b}} of the class at p over the
-    layer characters Q_b at or after p: the upper half of the expansion of the
+def _xCoefficients(W: WeylGroup, p: int, order: list[int]) -> dict[int, GClassExpansion]:
+    """The R(G) coefficients {b: c_{p,b}} of the class at p over the layer
+    characters Q_b at or after p: the upper half of the expansion of the
     dualized section character at p (Q from p on, PSTAR before)."""
     pos = {w: k for k, w in enumerate(order)}
     choices = {v: (Q if pos[v] >= pos[p] else PSTAR) for v in W.elements()}
-    raw = steinbergDecomposeChar(W, dual(charP(W, negW(W.steinbergWeight(p)))), choices)
+    raw = steinbergDecompose(W, dual(charP(W, negW(W.steinbergWeight(p)))), choices)
     return {v: coef for v, coef in raw.items() if pos[v] >= pos[p]}
+
+
+def _combine(W: WeylGroup, coeffs: dict[int, GClassExpansion], layer) -> Character:
+    """sum_v coeffs[v] layer(v), each R(G) coefficient expanded to its character."""
+    out = Character.zero()
+    for v, coef in coeffs.items():
+        out = out + expandGClass(W, coef) * layer(v)
+    return out
 
 
 def xClass(W: WeylGroup, p: int, order: list[int] | None = None) -> Character:
     """Project the dualized section character at p onto the layer classes at
     or after p: the K-class of the exceptional object attached to p."""
     order = W.totalOrderBuild() if order is None else order
-    out = Character.zero()
-    for v, coef in _xCoefficients(W, p, order).items():
-        out = out + coef * charQ(W, W.steinbergWeight(v))
-    return out
-
-
-def _gDual(W: WeylGroup, h: GClassExpansion) -> GClassExpansion:
-    """Dual in R(G): chi(lam)^* = chi(-w0 lam)."""
-    return {negW(W.act(W.w0, lam)): m for lam, m in h.items()}
-
-
-def _gAddMul(W: WeylGroup, acc: dict, h: GClassExpansion, k: GClassExpansion,
-             products: dict) -> None:
-    """acc += h k in R(G), in place.  A factor chi(0) is a scaling; any other
-    chi(lam) chi(mu) is Brauer-Klimyk, the alternant of chi(lam) shifted by
-    mu, memoised in products."""
-    for lam, a in h.items():
-        if not any(lam):
-            addMul(acc, k, a)
-            continue
-        for mu, b in k.items():
-            if not any(mu):
-                addMul(acc, {lam: a}, b)
-                continue
-            key = (lam, mu) if lam <= mu else (mu, lam)
-            terms = products.get(key)
-            if terms is None:
-                terms = products[key] = alternantCoeffs(W, charNabla(W, key[0]), key[1])
-            addMul(acc, terms, a * b)
+    return _combine(W, _xCoefficients(W, p, order),
+                    lambda v: charQ(W, W.steinbergWeight(v)))
 
 
 def gramTable(
@@ -280,14 +262,10 @@ def gramTable(
     characters are the entries of the small layer Gram table M.
     """
     order = W.totalOrderBuild() if order is None else order
-    coeffs = {
-        p: {b: decomposeWeylBasis(W, c) for b, c in _xCoefficients(W, p, order).items()}
-        for p in order
-    }
-    duals = {p: {a: _gDual(W, c) for a, c in cp.items()} for p, cp in coeffs.items()}
+    coeffs = {p: _xCoefficients(W, p, order) for p in order}
+    duals = {p: {a: gDual(W, c) for a, c in cp.items()} for p, cp in coeffs.items()}
     support = sorted({a for cp in coeffs.values() for a in cp})
     layers = _qChars(W, support)
-    products: dict = {}
     qGram: dict[tuple[int, int], GClassExpansion] = {}
     table = {}
     for w in order:
@@ -299,12 +277,12 @@ def gramTable(
                 m = qGram.get((a, b))
                 if m is None:
                     m = qGram[(a, b)] = alternantCoeffs(W, dual(layers[a]) * layers[b])
-                _gAddMul(W, acc, c, m, products)
+                gAddMul(W, acc, c, m)
             inner[a] = acc
         for v in order:
             acc = {}
             for a, c in duals[v].items():
-                _gAddMul(W, acc, c, inner[a], products)
+                gAddMul(W, acc, c, inner[a])
             table[(v, w)] = acc
     return table
 
@@ -378,7 +356,7 @@ def xHatClass(
         v: (QHAT if v in minset and pos[v] >= pos[p] else PSTAR)
         for v in W.elements()
     }
-    raw = steinbergDecomposeChar(
+    raw = steinbergDecompose(
         W, dual(charP(W, negW(W.steinbergWeight(p)))), choices, piP
     )
     stray = {v for v in raw if v not in minset}
@@ -386,11 +364,8 @@ def xHatClass(
         raise AssertionError(
             f"nonzero coefficients outside the minimal representatives: {sorted(stray)}"
         )
-    out = Character.zero()
-    for v, coef in raw.items():
-        if pos[v] >= pos[p]:
-            out = out + coef * charQhat(W, W.steinbergWeight(v), piP)
-    return out
+    return _combine(W, {v: coef for v, coef in raw.items() if pos[v] >= pos[p]},
+                    lambda v: charQhat(W, W.steinbergWeight(v), piP))
 
 
 def parabolicChecks(

@@ -6,8 +6,11 @@ antipodal twin.  One distinguished weight per Weyl element (its Steinberg
 weight e_v) heads a basis of the Borel representation ring over the group
 one (R. Steinberg, "On a theorem of Pittie", Topology 14, 1975); this module
 recognizes those weights and expands arbitrary characters over mixed
-families of head-1 basis characters, with coefficients that are honest
-invariant characters.
+families of head-1 basis characters.  R(T) is free over R(G) on that basis,
+so every coefficient is an element of R(G), and it is carried from end to
+end as irreducible multiplicities (a GClassExpansion): invariance holds by
+construction, and a coefficient becomes a Character only where
+steinbergDecomposeChar expands it for its caller.
 
 The expansion has three parts, none of which depends on the choice map:
 
@@ -24,8 +27,9 @@ The expansion has three parts, none of which depends on the choice map:
   through the rows over the |W| indices in one fixed linear extension of the
   antipodal order.
 
-Coefficients accumulate in place in plain terms dicts; only the outputs are
-built as Characters.
+Every product of two R(G) values, the pivot's chi(omega_j) times a UNIT
+coefficient and a solved coefficient times a row, is one Brauer-Klimyk
+product (characters.gAddMul); no invariant character is ever multiplied.
 """
 from __future__ import annotations
 
@@ -33,8 +37,10 @@ from .characters import (
     Character,
     GClassExpansion,
     addMul,
-    decomposeWeylBasis,
     dual,
+    expandGClass,
+    gAddMul,
+    gSorted,
 )
 from .demazure import charNabla, charP, charQ, charQhat
 from .rootsystem import Weight, fundamental, negW, norm2Scaled, zero
@@ -93,13 +99,18 @@ def basisCharacter(
     raise ValueError(f"unknown basis choice {choice!r}")
 
 
-def _addVec(acc: dict, vec: dict, m) -> None:
-    """acc += vec * m in place, on vectors {index: terms dict}."""
+def _addVec(W: WeylGroup, acc: dict, vec: dict, m) -> None:
+    """acc += vec * m in place, on vectors {index: GClassExpansion}; m is an
+    int or a GClassExpansion."""
+    scalar = type(m) is int
     for u, coef in vec.items():
         a = acc.get(u)
         if a is None:
             a = acc[u] = {}
-        addMul(a, coef, m)
+        if scalar:
+            addMul(a, coef, m)
+        else:
+            gAddMul(W, a, coef, m)
         if not a:
             del acc[u]
 
@@ -118,13 +129,12 @@ def _pivotPlan(W: WeylGroup, lam: Weight) -> list[tuple[Weight, object]]:
     omega = fundamental(W.sys, j)
     tau = tuple(dom[k] - omega[k] for k in range(n))
     wtau = W.act(w, tau)
-    chi = charNabla(W, omega)
-    N = chi * Character.monomial(wtau)
+    N = charNabla(W, omega) * Character.monomial(wtau)
     if N.coeff(lam) != 1:
         raise AssertionError(f"pivot coefficient at {lam} is {N.coeff(lam)}")
     if wtau == lam or not antipodalLeq(W, wtau, lam):
         raise AssertionError(f"pivot shift {wtau} not strictly below {lam}")
-    plan: list[tuple[Weight, object]] = [(wtau, chi.terms)]
+    plan: list[tuple[Weight, object]] = [(wtau, {omega: 1})]
     for mu, c in sorted(N.terms.items()):
         if mu == lam:
             continue
@@ -135,8 +145,8 @@ def _pivotPlan(W: WeylGroup, lam: Weight) -> list[tuple[Weight, object]]:
 
 
 def _unitVector(W: WeylGroup, lam: Weight) -> dict:
-    """e^lam over the Steinberg exponentials: {v: terms of the invariant
-    coefficient of e^{e_v}}.  Cached by lam in the group's UNIT table and
+    """e^lam over the Steinberg exponentials: {v: R(G) coefficient of
+    e^{e_v}}.  Cached by lam in the group's UNIT table and
     built bottom-up from a worklist; entries are shared, never mutated."""
     table = W.memo.get(("stx",))
     if table is None:
@@ -168,7 +178,7 @@ def _unitVector(W: WeylGroup, lam: Weight) -> dict:
         stack.pop()
         vec: dict = {}
         for nu, m in plan:
-            _addVec(vec, table[nu], m)
+            _addVec(W, vec, table[nu], m)
         table[mu] = vec
         del plans[mu]
     return table[lam]
@@ -195,7 +205,7 @@ def _basisRow(
                 continue
             if not antipodalLeq(W, mu, ev):
                 raise AssertionError(f"basis term {mu} not below its head {ev}")
-            _addVec(row, _unitVector(W, mu), -c)
+            _addVec(W, row, _unitVector(W, mu), -c)
         rows[key] = row
     return row
 
@@ -215,35 +225,46 @@ def _antipodalOrder(W: WeylGroup) -> dict[int, int]:
     return pos
 
 
+def _solve(
+    W: WeylGroup,
+    f: Character,
+    choices: dict[int, str],
+    piP: tuple[int, ...] | None,
+) -> dict[int, GClassExpansion]:
+    """The R(G) coefficients of f over the chosen basis."""
+    for v in W.elements():
+        if choices.get(v) not in _CHOICES:
+            raise ValueError(f"missing or bad basis choice for element {v}")
+    x: dict = {}
+    for lam, c in f.terms.items():
+        _addVec(W, x, _unitVector(W, lam), c)
+    pos = _antipodalOrder(W)
+    out: dict[int, GClassExpansion] = {}
+    for v, k in pos.items():
+        y = x.pop(v, None)
+        if y is None:
+            continue
+        out[v] = y
+        row = _basisRow(W, v, choices[v], piP)
+        for u in row:
+            if pos[u] <= k:
+                raise AssertionError(f"basis row at {v} reaches {u}, which is already solved")
+        _addVec(W, x, row, y)
+    if x:
+        raise AssertionError(f"residual left at {sorted(x)} after the solve")
+    return out
+
+
 def steinbergDecomposeChar(
     W: WeylGroup,
     f: Character,
     choices: dict[int, str],
     piP: tuple[int, ...] | None = None,
 ) -> dict[int, Character]:
-    """Expansion of f over the chosen basis, coefficients as invariant
-    characters (not yet split into irreducibles)."""
-    for v in W.elements():
-        if choices.get(v) not in _CHOICES:
-            raise ValueError(f"missing or bad basis choice for element {v}")
-    x: dict = {}
-    for lam, c in f.terms.items():
-        _addVec(x, _unitVector(W, lam), c)
-    pos = _antipodalOrder(W)
-    out: dict[int, Character] = {}
-    for v, k in pos.items():
-        y = x.pop(v, None)
-        if y is None:
-            continue
-        out[v] = Character(y)
-        row = _basisRow(W, v, choices[v], piP)
-        for u in row:
-            if pos[u] <= k:
-                raise AssertionError(f"basis row at {v} reaches {u}, which is already solved")
-        _addVec(x, row, y)
-    if x:
-        raise AssertionError(f"residual left at {sorted(x)} after the solve")
-    return dict(sorted(out.items()))
+    """Expansion of f over the chosen basis, each coefficient expanded to its
+    invariant character."""
+    out = _solve(W, f, choices, piP)
+    return {v: expandGClass(W, out[v]) for v in sorted(out)}
 
 
 def steinbergDecompose(
@@ -252,9 +273,10 @@ def steinbergDecompose(
     choices: dict[int, str],
     piP: tuple[int, ...] | None = None,
 ) -> dict[int, GClassExpansion]:
-    """Full decomposition: each invariant coefficient split over irreducibles."""
-    raw = steinbergDecomposeChar(W, f, choices, piP)
-    return {v: decomposeWeylBasis(W, coef) for v, coef in sorted(raw.items())}
+    """Expansion of f over the chosen basis, each coefficient as irreducible
+    multiplicities in descending (height, lex) order of highest weight."""
+    out = _solve(W, f, choices, piP)
+    return {v: gSorted(W, out[v]) for v in sorted(out)}
 
 
 def uniformChoices(W: WeylGroup, choice: str) -> dict[int, str]:

@@ -24,7 +24,9 @@ class WeylGroup:
     """The full Weyl group of a root system, enumerated eagerly.
 
     Immutable after construction; memo caches used by the character layers
-    hang off instances so distinct groups never share state.
+    hang off instances so distinct groups never share state.  A memo key is
+    a tuple whose first item names its family: a one-item key holds a whole
+    table of that family, a longer key one entry.
     """
 
     def __init__(self, sys: RootSystem):
@@ -112,6 +114,20 @@ class WeylGroup:
                     row |= 1 << u
             bits[w] = row
         self.bruhatBits = bits
+
+    # -- memo ------------------------------------------------------------------
+
+    def memoSizes(self) -> dict[str, int]:
+        """Entries per memo family, families in name order."""
+        sizes: dict[str, int] = {}
+        for key, val in self.memo.items():
+            fam = key[0]
+            sizes[fam] = sizes.get(fam, 0) + (len(val) if len(key) == 1 else 1)
+        return dict(sorted(sizes.items()))
+
+    def clearMemo(self) -> None:
+        """Drop every memoised character and table; later calls rebuild them."""
+        self.memo.clear()
 
     # -- queries ---------------------------------------------------------------
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -13,6 +14,8 @@ from demkit.characters import (
     decomposeWeylBasis,
     dual,
     expandGClass,
+    gAddMul,
+    gDual,
     gexpToJSON,
     isInvariant,
     pretty,
@@ -148,6 +151,59 @@ def test_decompose_matches_greedy_oracle(name):
     for f in samples:
         assert list(decomposeWeylBasis(W, f).items()) == \
             list(decomposeGreedy(W, f).items())
+
+
+RANK_LE_3 = [name for name in ALL_TYPES if rootSystem(name).rank <= 3]
+
+
+def gProduct(W, lam, mu) -> dict:
+    acc = {}
+    gAddMul(W, acc, {lam: 1}, {mu: 1})
+    return acc
+
+
+def checkProduct(W, lam, mu) -> None:
+    f = charNabla(W, lam) * charNabla(W, mu)
+    got = gProduct(W, lam, mu)
+    assert got == decomposeWeylBasis(W, f)
+    assert got == decomposeGreedy(W, f)
+    assert gProduct(W, mu, lam) == got
+
+
+@pytest.mark.parametrize("name", RANK_LE_3)
+def test_brauer_klimyk_product_every_small_pair(name):
+    # chi(lam) chi(mu) in R(G) against decomposing the product of characters,
+    # for every pair of dominant weights with coordinates <= 1
+    W = weylGroup(name)
+    weights = list(itertools.product((0, 1), repeat=W.sys.rank))
+    for lam, mu in itertools.combinations_with_replacement(weights, 2):
+        checkProduct(W, lam, mu)
+    for lam in weights:
+        assert gDual(W, {lam: 3}) == decomposeWeylBasis(W, dual(3 * charNabla(W, lam)))
+
+
+@pytest.mark.parametrize("name", [t for t in ALL_TYPES if t not in RANK_LE_3])
+def test_brauer_klimyk_product_rank_4_sample(name):
+    # seeded pairs over the two smallest fundamentals and their sum
+    W = weylGroup(name)
+    a, b = smallestFundamentals(W)
+    pool = [a, b, tuple(x + y for x, y in zip(a, b))]
+    rng = random.Random(sum(map(ord, "bk:" + name)))
+    for _ in range(3):
+        checkProduct(W, rng.choice(pool), rng.choice([a, b]))
+
+
+def test_g_add_mul_accumulates_and_cancels():
+    W = weylGroup("B2")
+    h = {(0, 0): 2, (1, 0): 1}
+    k = {(1, 0): 1, (0, 1): -1}
+    acc = {(0, 1): 2}
+    gAddMul(W, acc, h, k)
+    want = decomposeWeylBasis(
+        W, expandGClass(W, h) * expandGClass(W, k) + 2 * charNabla(W, (0, 1)))
+    assert acc == want
+    gAddMul(W, acc, {(0, 0): -1}, want)
+    assert acc == {}
 
 
 def test_decompose_readme_example_order():

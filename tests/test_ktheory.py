@@ -304,15 +304,18 @@ def test_gram_cross_check_catches_a_dropped_coefficient(monkeypatch):
     W = weylGroup("A3")
     scalar = {zero(W.sys)}
     dropped = []
+    xCoefficients = kt._xCoefficients
 
-    def dropFirstNonScalar(W, f):
-        got = decomposeWeylBasis(W, f)
-        if set(got) != scalar and not dropped:
-            dropped.append(got)
-            return {}
+    def dropFirstNonScalar(W, p, order):
+        got = xCoefficients(W, p, order)
+        for b, c in got.items():
+            if set(c) != scalar and not dropped:
+                dropped.append((p, b, c))
+                del got[b]
+                break
         return got
 
-    monkeypatch.setattr(kt, "decomposeWeylBasis", dropFirstNonScalar)
+    monkeypatch.setattr(kt, "_xCoefficients", dropFirstNonScalar)
     assert gramTable(W) != gramTableProduct(W)
     assert dropped
 
@@ -326,7 +329,7 @@ def test_pairing_tables_leave_no_memo_family():
     orthogonalityCheck(W)
     parabolicChecks(W, (0,))
     families = {key[0] for key in W.memo}
-    assert families <= {"dem", "h0", "Q", "Qhat", "stx", "stxrow", "stxorder"}, families
+    assert families <= {"dem", "h0", "Q", "Qhat", "stx", "stxrow", "stxorder", "stxprod"}, families
 
 
 # -- failing checks report a witness ----------------------------------------------

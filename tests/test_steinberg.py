@@ -10,7 +10,7 @@ import textwrap
 import pytest
 
 import demkit
-from demkit.characters import Character, dual, expandGClass
+from demkit.characters import Character, decomposeWeylBasis, dual, expandGClass
 from demkit.demazure import charP
 from demkit.rootsystem import negW, rho, rootSystem, zero
 from demkit.steinberg import (
@@ -167,22 +167,50 @@ def test_parabolic_maps_match_per_choice_map_oracle(name, piP):
         assert set(got) <= set(minimal)
 
 
-def _steinbergMemoKeys(W) -> list:
-    return [k for k in W.memo if isinstance(k, tuple) and str(k[0]).startswith("stx")]
-
-
 def test_memo_bounded_over_choice_maps():
-    # one fresh group, one f, 20 fresh mixed maps: the Steinberg state does
-    # not gain a table per map
+    # one fresh group, one f, 20 fresh mixed maps: once the three uniform
+    # maps have built the rows f reaches, no map adds a UNIT-table entry,
+    # and the rows stay within one per (element, choice)
     W = WeylGroup(rootSystem("B3"))
     rng = random.Random(2024)
     f = Character({(1, -1, 2): 2, (-2, 1, 0): -1, (0, 2, -1): 1})
-    counts = []
+    for choice in (UNIT, Q, PSTAR):
+        steinbergDecomposeChar(W, f, uniformChoices(W, choice))
+    units = W.memoSizes()["stx"]
     for _ in range(20):
         choices = {v: rng.choice([UNIT, Q, PSTAR]) for v in W.elements()}
         assert steinbergDecomposeChar(W, f, choices) == oracles.expandPerChoiceMap(W, f, choices)
-        counts.append(len(_steinbergMemoKeys(W)))
-    assert counts[-1] == counts[0]
+        sizes = W.memoSizes()
+        assert sizes["stx"] == units
+        assert sizes["stxrow"] <= 3 * W.size
+
+
+def test_clear_memo_then_same_output():
+    W = WeylGroup(rootSystem("B3"))
+    f = Character({(1, -1, 2): 2, (-2, 1, 0): -1, (0, 2, -1): 1})
+    choices = {v: (UNIT, Q, PSTAR)[v % 3] for v in W.elements()}
+    first = steinbergDecompose(W, f, choices)
+    assert {"stx", "stxrow", "stxorder"} <= set(W.memoSizes())
+    W.clearMemo()
+    assert W.memo == {} and W.memoSizes() == {}
+    again = steinbergDecompose(W, f, choices)
+    assert repr(again) == repr(first)
+
+
+@pytest.mark.parametrize("name", ["A2", "G2", "B3", "C3"])
+def test_coefficients_in_decomposition_order(name):
+    # the R(G) coefficients come out as decomposeWeylBasis would split the
+    # expanded characters, in its (height, lex) order
+    W = weylGroup(name)
+    rng = random.Random(sum(map(ord, name)) + 3)
+    for _ in range(5):
+        f = randomChar(W.sys.rank, rng)
+        choices = {v: rng.choice([UNIT, Q, PSTAR]) for v in W.elements()}
+        got = steinbergDecompose(W, f, choices)
+        chars = steinbergDecomposeChar(W, f, choices)
+        assert list(got) == list(chars)
+        for v, coef in got.items():
+            assert list(coef.items()) == list(decomposeWeylBasis(W, chars[v]).items())
 
 
 def test_no_recursion_limit_change(monkeypatch):

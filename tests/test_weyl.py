@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from demkit.rootsystem import isDominant, negW, rho, zero
-from demkit.weyl import weylGroup
+from demkit.rootsystem import isDominant, negW, rho, rootSystem, zero
+from demkit.weyl import WeylGroup, weylGroup
 
 import oracles
 
@@ -211,3 +211,16 @@ def test_reflection_keys_match_matrix_enumeration(name):
         for _ in range(5):
             lam = tuple(rng.randint(-4, 4) for _ in range(W.sys.rank))
             assert W.act(w, lam) == oracles.matrixAct(old["mats"][w], lam)
+
+
+def test_memo_sizes_count_entries_per_family():
+    # a one-item key holds a table and counts its entries; a longer key is
+    # one entry of its family
+    W = WeylGroup(rootSystem("A2"))
+    assert W.memoSizes() == {}
+    W.memo[("Q", (1, 0))] = None
+    W.memo[("Q", (0, 1))] = None
+    W.memo[("stx",)] = {(0, 0): {}, (1, 0): {}, (0, 1): {}}
+    assert W.memoSizes() == {"Q": 2, "stx": 3}
+    W.clearMemo()
+    assert W.memoSizes() == {}
