@@ -68,7 +68,8 @@ class DiskCache:
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(value, fh, sort_keys=True)
+                # one-shot dumps runs the C encoder; json.dump never does
+                fh.write(json.dumps(value, sort_keys=True))
             os.replace(tmp, self._path(key))
         except OSError:
             try:

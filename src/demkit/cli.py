@@ -9,6 +9,11 @@ Suite reports are JSON by default; every check row carries a name, a status,
 and a witness string that is empty on success and pinpoints the first
 counterexample otherwise.  The process exits 0 only if every check passed.
 
+JSON output, reports and eval payloads alike, comes from one emitter,
+`_jsonText`.  Its bytes are those of json.dumps with sorted keys and an
+indent of 2, but it writes a list of term rows with one %-template per row
+instead of running the stdlib's pure-Python indenting encoder.
+
 Results are re-derivable, so caching is safe: pass --cache-dir (or set the
 DEMKIT_CACHE environment variable) to reuse previous runs.  Output bytes are
 identical with the cache hot, cold, or disabled.
@@ -16,11 +21,13 @@ identical with the cache hot, cold, or disabled.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
-import json
 import os
 import random
 import sys as _sys
+from json.encoder import encode_basestring_ascii as _jsonStr
+from operator import itemgetter
 
 from . import __version__
 from . import demazure as dz
@@ -269,9 +276,82 @@ def runSuite(name: str, W: WeylGroup, piP, order):
 # -- rendering --------------------------------------------------------------------
 
 
+def _termColumns(rows: list, key: str, r: int):
+    """(coefficients, weights) of rows that are all {"c": int, key: [int] * r},
+    or None.  Every test runs over whole columns at C speed; a bool is not an
+    int here."""
+    if set(map(type, rows)) - {dict} or set(map(len, rows)) - {2}:
+        return None
+    try:
+        cs = list(map(itemgetter("c"), rows))
+        ws = list(map(itemgetter(key), rows))
+    except KeyError:
+        return None
+    if (set(map(type, cs)) - {int} or set(map(type, ws)) - {list}
+            or set(map(len, ws)) - {r}
+            or set(map(type, itertools.chain.from_iterable(ws))) - {int}):
+        return None
+    return cs, ws
+
+
+@functools.cache
+def _rowTemplate(nl: str, key: str, r: int) -> str:
+    """One term row's text, with a %d for c and for each of the r weight
+    entries, in a list whose own line starts with nl."""
+    i1, i2, i3 = nl + "  ", nl + "    ", nl + "      "
+    w = "[" + i3 + ("," + i3).join(["%d"] * r) + i2 + "]" if r else "[]"
+    return "{" + i2 + '"c": %d,' + i2 + _jsonStr(key) + ": " + w + i1 + "}"
+
+
+def _json(o, nl: str) -> str:
+    """o as _jsonText writes it, nl being the newline and indent of the
+    line o starts on."""
+    t = type(o)
+    if t is str:
+        return _jsonStr(o)
+    if t is int:
+        return int.__repr__(o)
+    inner = nl + "  "
+    if t is list:
+        if not o:
+            return "[]"
+        first = o[0]
+        key = type(first) is dict and ("w" if "w" in first else "weight")
+        w = key and first.get(key)
+        cols = type(w) is list and _termColumns(o, key, len(w))
+        if cols:
+            items = map(_rowTemplate(nl, key, len(w)).__mod__, zip(cols[0], *zip(*cols[1])))
+        else:
+            items = (_json(x, inner) for x in o)
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if t is dict:
+        if not o:
+            return "{}"
+        if set(map(type, o)) - {str}:
+            raise TypeError("report JSON keys must be str")
+        return "{" + inner + ("," + inner).join(
+            _jsonStr(k) + ": " + _json(o[k], inner) for k in sorted(o)) + nl + "}"
+    if o is None:
+        return "null"
+    if t is bool:
+        return "true" if o else "false"
+    raise TypeError(f"cannot write {t.__name__} as report JSON")
+
+
+def _jsonText(obj) -> str:
+    """The text json.dumps(obj, sort_keys=True) writes with an indent of 2,
+    byte for byte, for the values reports and eval payloads are made of:
+    dicts with str keys, lists, str, int, bool and None.  Any other type
+    raises TypeError, where json.dumps would write a float or a tuple.  A
+    nonempty list of term rows ({"c": int, "w" or "weight": [int] * r}) is
+    written by one %-template per row; a list with any other row takes the
+    node-by-node route."""
+    return _json(obj, "\n")
+
+
 def _renderEval(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return _jsonText(payload) + "\n"
     key, symbol = ("weight", "chi") if payload["kind"] == "gexp" else ("w", "e")
     pairs = [(d[key], d["c"]) for d in payload["value"]]
     if fmt == "csv":
@@ -283,7 +363,7 @@ def _renderEval(payload: dict, fmt: str) -> str:
 
 def _renderSuite(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return _jsonText(report) + "\n"
     if fmt == "csv":
         if "matrix" in report:
             m = report["matrix"]
@@ -362,10 +442,20 @@ def main(argv=None) -> int:
         return 2
 
 
-# The top-level keys of a suite report.  A cache entry of any other shape
-# than the one a command writes is a miss: it is recomputed and overwritten.
-# Only the top level is checked, which keeps hot reads cheap.
+# A cache entry of any other shape than the one a command writes is a miss:
+# it is recomputed and overwritten.  A suite report is checked by its
+# top-level keys; an eval payload down to every term row (_evalPayloadOk).
 REPORT_KEYS = frozenset(("suite", "context", "checks", "failures", "seed", "version"))
+
+
+def _evalPayloadOk(payload, rank: int) -> bool:
+    """payload is {"kind": "char" or "gexp", "value": rows}, every row an int
+    "c" and a list of rank ints under "w" (char) or "weight" (gexp)."""
+    if not (isinstance(payload, dict) and payload.keys() == {"kind", "value"}
+            and payload["kind"] in ("char", "gexp") and type(payload["value"]) is list):
+        return False
+    key = "w" if payload["kind"] == "char" else "weight"
+    return _termColumns(payload["value"], key, rank) is not None
 
 
 def _runEval(args, W, piP, order, cache: DiskCache) -> int:
@@ -378,8 +468,7 @@ def _runEval(args, W, piP, order, cache: DiskCache) -> int:
               "order": _orderSig(W, order)}
     key = cache.key(W.sys.name, W.sys.rank, "eval", params)
     payload = cache.get(key)
-    if not (isinstance(payload, dict) and payload.get("kind") in ("char", "gexp")
-            and isinstance(payload.get("value"), list)):
+    if not _evalPayloadOk(payload, W.sys.rank):
         try:
             value = evalExpr(node, EvalContext(W, piP, order))
         except ValueError as e:

@@ -155,6 +155,64 @@ def test_suite_gates(capsys):
         assert (code, out, err) == (2, "", f"demkit: suite {argv[0]} {msg}\n")
 
 
+def smallestAcceptedType(name):
+    gate, _ = cli.SUITES[name]
+    return min((weylGroup(t) for t in ALL_TYPES if gate(weylGroup(t)) is None),
+               key=lambda W: (W.size, W.sys.name)).sys.name
+
+
+def stdlibText(x):
+    return json.dumps(x, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("name", list(ACCEPTED_TYPES))
+def test_json_text_equals_stdlib_on_suite_reports(capsys, name):
+    argv = ["suite", name, "--type", smallestAcceptedType(name), "--no-cache"]
+    if name == "parabolic":
+        argv += ["--parabolic", "1"]
+    _, out, _ = run(capsys, *argv)
+    report = json.loads(out)
+    assert cli._jsonText(report) == stdlibText(report) == out[:-1]
+
+
+ROW = {"c": -3, "w": [0, -1]}
+EMITTER_CASES = {
+    "empty-dict": {},
+    "empty-list": [],
+    "nested-empties": {"a": [], "b": {}, "c": [[], [{}]]},
+    "zero-char": {"kind": "char", "value": []},
+    "rank-1": {"kind": "char", "value": [{"c": 1, "w": [2]}, {"c": -1, "w": [-2]}]},
+    "rank-0": [{"c": 5, "w": []}],
+    "gexp": {"kind": "gexp", "value": [{"c": 2, "weight": [1, 0, 1]}]},
+    "negatives": [-1, -(10 ** 30), 0, 10 ** 30],
+    "constants": [True, False, None, {"t": True, "f": False, "n": None}],
+    "strings": ['say "hi"', "back\\slash", "·", "²", "", "tab\t\n"],
+    "string-keys": {'"': 1, "\\": 2, "·": 3, "²": 4, "B": 5, "a": 6},
+    "int-list": [1, 2, 3],
+    "row-third-key": [ROW, {"c": 1, "w": [1, 1], "x": 0}],
+    "row-c-true": [{"c": True, "w": [1, 0]}],
+    "row-weight-bool": [ROW, {"c": 1, "w": [1, False]}],
+    "row-wrong-rank": [ROW, {"c": 1, "w": [1]}],
+    "row-mixed-keys": [ROW, {"c": 1, "weight": [1, 0]}],
+    "row-then-int": [ROW, 7],
+    "row-lists": [[ROW, ROW], [ROW]],
+    "matrix-like": {"matrix": {"entries": [[[ROW], []], [[], [ROW, ROW]]], "cols": ["e"]}},
+}
+
+
+@pytest.mark.parametrize("case", list(EMITTER_CASES))
+def test_json_text_equals_stdlib_on_edge_values(case):
+    x = EMITTER_CASES[case]
+    assert cli._jsonText(x) == stdlibText(x)
+
+
+@pytest.mark.parametrize("bad", [1.5, {"a": 1.5}, [ROW, {"c": 1, "w": [0.5, 0]}], (1, 2),
+                                 [{"c": 1, "w": (1, 0)}], {1: 2}])
+def test_json_text_rejects_other_types(bad):
+    with pytest.raises(TypeError):
+        cli._jsonText(bad)
+
+
 def test_unknown_suite_rejected_by_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["suite", "frobnicate", "--type", "A2"])
@@ -258,31 +316,95 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(dest.read_text())["suite"] == "steinberg-lists"
 
 
+BIG_EVALS = [
+    ("eval", "chi([1,1,1])", "--type", "B3"),
+    ("eval", "decomposeG(chi([1,1,1])*chi([1,1,1]))", "--type", "B3"),
+]
+
+
 def test_cache_byte_identity(tmp_path, capsys):
-    cdir = str(tmp_path / "cache")
-    argv = ("suite", "q-equivalence", "--type", "A2", "--cache-dir", cdir)
-    _, cold, _ = run(capsys, *argv)
-    files = [f for _, _, fs in os.walk(cdir) for f in fs]
-    assert files
-    _, hot, _ = run(capsys, *argv)
-    _, bare, _ = run(capsys, "suite", "q-equivalence", "--type", "A2",
-                     "--no-cache")
-    assert cold == hot == bare
+    for k, argv in enumerate([("suite", "q-equivalence", "--type", "A2"), *BIG_EVALS]):
+        if argv[0] == "eval":   # payloads large enough to show the term-row route
+            payload = json.loads(run(capsys, *argv, "--no-cache")[1])
+            key = "w" if payload["kind"] == "char" else "weight"
+            assert len(payload["value"]) > 30
+            assert cli._termColumns(payload["value"], key, 3) is not None
+        for fmt in ("json", "csv", "pretty"):
+            cdir = str(tmp_path / f"cache-{k}-{fmt}")
+            _, cold, _ = run(capsys, *argv, "--format", fmt, "--cache-dir", cdir)
+            files = [f for _, _, fs in os.walk(cdir) for f in fs]
+            assert files
+            _, hot, _ = run(capsys, *argv, "--format", fmt, "--cache-dir", cdir)
+            _, bare, _ = run(capsys, *argv, "--format", fmt, "--no-cache")
+            assert cold == hot == bare, (argv, fmt)
+
+
+def test_golden_outputs_under_python_O():
+    # one -O process runs every golden case through cli.main in turn
+    src = os.path.dirname(os.path.dirname(os.path.abspath(demkit.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = """if 1:
+        import contextlib, io, json, sys
+        import demkit.cli as cli
+        assert not __debug__
+        bad = []
+        for case in json.load(open(sys.argv[1], encoding="utf-8")):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(case["argv"])
+            if (code, out.getvalue(), err.getvalue()) != (case["code"], case["stdout"], ""):
+                bad.append(case["argv"])
+        print(json.dumps(bad))
+    """
+    proc = subprocess.run([sys.executable, "-O", "-c", script, GOLDEN], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == []
+
+
+def test_cache_put_writes_one_shot_dumps(tmp_path):
+    store = cache.DiskCache(str(tmp_path))
+    value = {"kind": "char", "value": [{"c": -2, "w": [1, 0]}, {"c": 1, "w": [0, 0]}],
+             "·": ["²", None, True]}
+    store.put("k", value)
+    assert (tmp_path / "k.json").read_text() == json.dumps(value, sort_keys=True)
+    assert store.get("k") == value
+
+
+NESTED_BAD = [
+    {"kind": "char", "value": [{"c": "x", "w": [1, 0]}]},
+    {"kind": "char", "value": [{"c": True, "w": [1, 0]}]},
+    {"kind": "char", "value": [ROW, {"c": 1, "w": [1]}]},
+    {"kind": "char", "value": [ROW, {"c": 1, "w": [1, 0.5]}]},
+    {"kind": "char", "value": [ROW, {"c": 1, "w": [1, False]}]},
+    {"kind": "char", "value": [{"c": 1, "weight": [1, 0]}]},
+    {"kind": "char", "value": [{"c": 1, "w": [1, 0], "x": 0}]},
+    {"kind": "char", "value": [ROW, [1, 0]]},
+    {"kind": "char", "value": [ROW], "x": 0},
+    {"kind": "gexp", "value": [ROW]},
+]
 
 
 @pytest.mark.parametrize("argv, bad", [
     (("eval", "e([1,0])", "--type", "A2"), []),
     (("suite", "steinberg-lists", "--type", "A2"), {"a": 1}),
+    (("eval", "e([1,0])", "--type", "A2"), {"kind": "char", "value": {}}),
+    *[(("eval", "e([1,0])", "--type", "A2"), b) for b in NESTED_BAD],
+    (("eval", "decomposeG(chi([1,0])*chi([0,1]))", "--type", "A2"),
+     {"kind": "gexp", "value": [{"c": 1, "weight": [1, "1"]}]}),
 ])
 def test_cache_entry_of_wrong_shape_is_recomputed(tmp_path, capsys, argv, bad):
-    cdir = tmp_path / "cache"
-    code, cold, _ = run(capsys, *argv, "--cache-dir", str(cdir))
-    (entry,) = cdir.iterdir()
-    good = json.loads(entry.read_text())
-    entry.write_text(json.dumps(bad))
-    code2, out, err = run(capsys, *argv, "--cache-dir", str(cdir))
-    assert (code2, out, err) == (code, cold, "")
-    assert json.loads(entry.read_text()) == good
+    for fmt in ("json", "csv", "pretty"):
+        cdir = tmp_path / f"cache-{fmt}"
+        fargv = (*argv, "--format", fmt, "--cache-dir", str(cdir))
+        code, cold, _ = run(capsys, *fargv)
+        (entry,) = cdir.iterdir()
+        good = json.loads(entry.read_text())
+        entry.write_text(json.dumps(bad))
+        code2, out, err = run(capsys, *fargv)
+        assert (code2, out, err) == (code, cold, ""), fmt
+        assert json.loads(entry.read_text()) == good
 
 
 def test_cache_eval_normalizes_expr(tmp_path, capsys):
