@@ -303,6 +303,14 @@ def _rowTemplate(nl: str, key: str, r: int) -> str:
     return "{" + i2 + '"c": %d,' + i2 + _jsonStr(key) + ": " + w + i1 + "}"
 
 
+def _termRows(nl: str, key: str, cs: list, ws: list) -> str:
+    """A nonempty list of term rows, given by its columns (_termColumns), as
+    _jsonText writes it on a line that starts with nl."""
+    inner = nl + "  "
+    items = map(_rowTemplate(nl, key, len(ws[0])).__mod__, zip(cs, *zip(*ws)))
+    return "[" + inner + ("," + inner).join(items) + nl + "]"
+
+
 def _json(o, nl: str) -> str:
     """o as _jsonText writes it, nl being the newline and indent of the
     line o starts on."""
@@ -320,10 +328,8 @@ def _json(o, nl: str) -> str:
         w = key and first.get(key)
         cols = type(w) is list and _termColumns(o, key, len(w))
         if cols:
-            items = map(_rowTemplate(nl, key, len(w)).__mod__, zip(cols[0], *zip(*cols[1])))
-        else:
-            items = (_json(x, inner) for x in o)
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
+            return _termRows(nl, key, *cols)
+        return "[" + inner + ("," + inner).join(_json(x, inner) for x in o) + nl + "]"
     if t is dict:
         if not o:
             return "{}"
@@ -349,11 +355,14 @@ def _jsonText(obj) -> str:
     return _json(obj, "\n")
 
 
-def _renderEval(payload: dict, fmt: str) -> str:
+def _renderEval(kind: str, cs: list, ws: list, fmt: str) -> str:
+    """An eval payload of this kind with term rows given by their columns
+    (_evalColumns); as JSON, the text _jsonText writes for the payload."""
+    key, symbol = ("weight", "chi") if kind == "gexp" else ("w", "e")
     if fmt == "json":
-        return _jsonText(payload) + "\n"
-    key, symbol = ("weight", "chi") if payload["kind"] == "gexp" else ("w", "e")
-    pairs = [(d[key], d["c"]) for d in payload["value"]]
+        value = _termRows("\n  ", key, cs, ws) if cs else "[]"
+        return '{\n  "kind": %s,\n  "value": %s\n}\n' % (_jsonStr(kind), value)
+    pairs = zip(ws, cs)
     if fmt == "csv":
         lines = ["weight,coeff"]
         lines += ['"[%s]",%d' % (",".join(str(x) for x in w), c) for w, c in pairs]
@@ -444,18 +453,19 @@ def main(argv=None) -> int:
 
 # A cache entry of any other shape than the one a command writes is a miss:
 # it is recomputed and overwritten.  A suite report is checked by its
-# top-level keys; an eval payload down to every term row (_evalPayloadOk).
+# top-level keys; an eval payload down to every term row (_evalColumns).
 REPORT_KEYS = frozenset(("suite", "context", "checks", "failures", "seed", "version"))
 
 
-def _evalPayloadOk(payload, rank: int) -> bool:
-    """payload is {"kind": "char" or "gexp", "value": rows}, every row an int
-    "c" and a list of rank ints under "w" (char) or "weight" (gexp)."""
+def _evalColumns(payload, rank: int):
+    """The (coefficients, weights) columns of payload's rows if payload is
+    {"kind": "char" or "gexp", "value": rows}, every row an int "c" and a
+    list of rank ints under "w" (char) or "weight" (gexp); else None."""
     if not (isinstance(payload, dict) and payload.keys() == {"kind", "value"}
             and payload["kind"] in ("char", "gexp") and type(payload["value"]) is list):
-        return False
+        return None
     key = "w" if payload["kind"] == "char" else "weight"
-    return _termColumns(payload["value"], key, rank) is not None
+    return _termColumns(payload["value"], key, rank)
 
 
 def _runEval(args, W, piP, order, cache: DiskCache) -> int:
@@ -468,7 +478,8 @@ def _runEval(args, W, piP, order, cache: DiskCache) -> int:
               "order": _orderSig(W, order)}
     key = cache.key(W.sys.name, W.sys.rank, "eval", params)
     payload = cache.get(key)
-    if not _evalPayloadOk(payload, W.sys.rank):
+    cols = _evalColumns(payload, W.sys.rank)
+    if cols is None:
         try:
             value = evalExpr(node, EvalContext(W, piP, order))
         except ValueError as e:
@@ -479,7 +490,8 @@ def _runEval(args, W, piP, order, cache: DiskCache) -> int:
         else:
             payload = {"kind": "gexp", "value": gexpToJSON(value)}
         cache.put(key, payload)
-    _emit(_renderEval(payload, args.format), args.out)
+        cols = _evalColumns(payload, W.sys.rank)
+    _emit(_renderEval(payload["kind"], *cols, args.format), args.out)
     return 0
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from math import isqrt
 from operator import mul
 
-from .characters import Character, alternantCoeffs, expandGClass
+from .characters import Character, addMul, alternantCoeffs, expandGClass
 from .rootsystem import Weight, isDominant, negW, norm2Scaled, rho
 from .weyl import WeylGroup
 
@@ -114,11 +114,16 @@ def eulerChar(W: WeylGroup, f: Character) -> Character:
     return expandGClass(W, alternantCoeffs(W, f))
 
 
-def charNabla(W: WeylGroup, lam: Weight) -> Character:
-    """Character of the irreducible with highest weight lam (dominant)."""
+def highestWeight(lam: Weight) -> Weight:
+    """lam, checked to be dominant, as the highest weight of an irreducible."""
     if not isDominant(lam):
         raise ValueError(f"highest weight must be dominant, got {lam}")
-    return _demMono(W, W.w0, lam)
+    return lam
+
+
+def charNabla(W: WeylGroup, lam: Weight) -> Character:
+    """Character of the irreducible with highest weight lam (dominant)."""
+    return _demMono(W, W.w0, highestWeight(lam))
 
 
 def charP(W: WeylGroup, lam: Weight) -> Character:
@@ -219,15 +224,15 @@ def charQviaTwist(W: WeylGroup, lam: Weight) -> Character:
     return f
 
 
-def charSections(W: WeylGroup, s: LowerSet, lam: Weight) -> Character:
+def _sections(W: WeylGroup, mask: int, lam: Weight, below: int = 0) -> Character:
     """Sum of layer characters over the distinct orbit weights u*lam for u in
-    the lower set generated by s.
+    the lower set with bit mask `mask`, leaving out every weight also reached
+    from the lower set with mask `below` (a subset of it).
 
     The lower set is walked up from e by left multiplication: a reduced word
     s_i1 ... s_ik of u puts every suffix below u, so each u is reached, and
     (s_i u) lam = s_i (u lam) is one reflection of a weight already known.
     """
-    mask = lowerSetMask(W, s)
     lmul = W.lmulTable
     reflect = W.reflect
     moved = {0: lam} if mask else {}
@@ -239,10 +244,28 @@ def charSections(W: WeylGroup, s: LowerSet, lam: Weight) -> Character:
             if mask >> v & 1 and v not in moved:
                 moved[v] = reflect(mu, i)
                 stack.append(v)
-    total = Character.zero()
-    for mu in sorted(set(moved.values())):
-        total = total + charQ(W, mu)
-    return total
+    left = {mu for u, mu in moved.items() if below >> u & 1}
+    r = Character.__new__(Character)
+    r.terms = acc = {}
+    for mu in sorted(set(moved.values()) - left):
+        addMul(acc, charQ(W, mu).terms, 1)
+    return r
+
+
+def charSections(W: WeylGroup, s: LowerSet, lam: Weight) -> Character:
+    """Sum of layer characters over the distinct orbit weights u*lam for u in
+    the lower set generated by s."""
+    return _sections(W, lowerSetMask(W, s), lam)
+
+
+def charSectionsAbove(W: WeylGroup, top: int, zs: LowerSet, lam: Weight) -> Character:
+    """charSections(W, (top,), lam) - charSections(W, zs, lam) for a lower set
+    zs below top, from one walk: the layer characters of the orbit weights
+    reached from top and not from zs."""
+    below = lowerSetMask(W, zs)
+    if below & ~W.bruhatBits[top]:
+        raise AssertionError(f"lower set {zs} is not below element {top}")
+    return _sections(W, W.bruhatBits[top], lam, below)
 
 
 def charQhat(W: WeylGroup, lam: Weight, piP: tuple[int, ...]) -> Character:

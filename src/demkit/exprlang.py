@@ -10,6 +10,12 @@ Weights are bracketed integer lists like [1,-1]; Weyl words are written
 word.  Argument counts and kinds are checked while parsing, so an
 ill-formed call never reaches evaluation.
 
+The argument of decomposeG is evaluated in R(G) coordinates (dominant
+multiplicities) when it is built from chi, euler and pair by + - * and
+dualOf: such a value is in R(G) by construction, and a product of
+irreducibles is decomposed by Brauer-Klimyk without being formed.  Any
+other argument is evaluated as a character and then decomposed.
+
 >>> printExpr(parse("pair(P([-1,-1]), Q([0,0]))"))
 'pair(P([-1,-1]), Q([0,0]))'
 """
@@ -20,17 +26,29 @@ from functools import reduce
 
 from . import demazure as _dz
 from . import ktheory as _kt
-from .characters import Character, decomposeWeylBasis, dual
+from .characters import (
+    Character,
+    GClassExpansion,
+    addMul,
+    alternantCoeffs,
+    decomposeWeylBasis,
+    dual,
+    gAddMul,
+    gDual,
+    gSorted,
+)
 from .weyl import WeylGroup
 
 CHAR = "char"
 WEIGHT = "weight"
 WORD = "word"
 GEXP = "gexp"
+RG = "rg"   # a character argument, resolved to dominant multiplicities
 
 # name -> (argument kinds, result kind, evaluator).  The evaluator gets the
 # EvalContext and one resolved value per argument: a rank-checked weight
-# tuple, a range-checked tuple of 0-based letters, or an evaluated character.
+# tuple, a range-checked tuple of 0-based letters, an evaluated character,
+# or the dominant multiplicities of an R(G) argument (_gClass).
 # It reaches library functions through their modules or this module's
 # globals, so a wrapper installed on a module after import is the one called.
 FUNCS: dict[str, tuple] = {
@@ -44,7 +62,7 @@ FUNCS: dict[str, tuple] = {
     "D": ((WORD, CHAR), CHAR, lambda ctx, word, f: _dz.demWord(ctx.W, word, f)),
     "pair": ((CHAR, CHAR), CHAR, lambda ctx, f, g: _kt.eulerPair(ctx.W, f, g)),
     "euler": ((CHAR,), CHAR, lambda ctx, f: _dz.eulerChar(ctx.W, f)),
-    "decomposeG": ((CHAR,), GEXP, lambda ctx, f: decomposeWeylBasis(ctx.W, f)),
+    "decomposeG": ((RG,), GEXP, lambda ctx, h: gSorted(ctx.W, h)),
     "steinberg": ((WORD,), CHAR, lambda ctx, word: Character.monomial(
         ctx.W.steinbergWeight(reduce(ctx.W.rmul, word, 0)))),
     "xclass": ((WORD,), CHAR, lambda ctx, word: _kt.xClass(
@@ -328,10 +346,58 @@ def _word(ctx: EvalContext, node) -> tuple[int, ...]:
     return node[1]
 
 
+# Nodes of an expression that is in R(G) by construction: these leaves,
+# combined by these operations.
+_G_LEAVES = frozenset(("chi", "euler", "pair"))
+_G_OPS = frozenset(("add", "sub", "mul", "neg", "dualOf"))
+
+
+def _inRG(node) -> bool:
+    if node[0] in _G_OPS:
+        return all(map(_inRG, node[1:]))
+    return node[0] in _G_LEAVES
+
+
+def _evalG(node, ctx: EvalContext) -> GClassExpansion:
+    """The value of an _inRG expression as dominant multiplicities: chi(lam)
+    is {lam: 1}, euler and pair are read off the alternant of their
+    character, products are gAddMul and duals gDual."""
+    kind, W = node[0], ctx.W
+    if kind == "chi":
+        return {_dz.highestWeight(_weight(ctx, node[1])): 1}
+    if kind == "euler":
+        return alternantCoeffs(W, evalExpr(node[1], ctx))
+    if kind == "pair":   # the Euler characteristic of the product
+        return alternantCoeffs(W, evalExpr(node[1], ctx) * evalExpr(node[2], ctx))
+    a = _evalG(node[1], ctx)
+    if kind == "dualOf":
+        return gDual(W, a)
+    if kind == "neg":
+        return {lam: -m for lam, m in a.items()}
+    b = _evalG(node[2], ctx)
+    acc: GClassExpansion = {}
+    if kind == "mul":
+        gAddMul(W, acc, a, b)
+    else:
+        addMul(acc, a, 1)
+        addMul(acc, b, 1 if kind == "add" else -1)
+    return acc
+
+
+def _gClass(ctx: EvalContext, node) -> GClassExpansion:
+    """decomposeG's argument in R(G) coordinates: by _evalG when it is in
+    R(G) by construction, else evaluated as a character and decomposed (a
+    product like e([1,0])*e([-1,0]) is invariant only as a whole)."""
+    if _inRG(node):
+        return _evalG(node, ctx)
+    return decomposeWeylBasis(ctx.W, evalExpr(node, ctx))
+
+
 _RESOLVE = {
     WEIGHT: _weight,
     WORD: _word,
     CHAR: lambda ctx, node: evalExpr(node, ctx),
+    RG: _gClass,
 }
 
 

@@ -41,7 +41,7 @@ from .demazure import (
     charP,
     charQ,
     charQhat,
-    charSections,
+    charSectionsAbove,
     demElt,
     demStep,
     eulerChar,
@@ -149,9 +149,8 @@ def betaEntry(W: WeylGroup, v: int, w: int) -> Character:
     vw0 = W.mul(W.inverse(v), W.w0)
     ww0 = W.mul(w, W.w0)
     top = W.demazureProduct(ww0, vw0)
-    first = charSections(W, (top,), lam)
     zs = lowerSet(W, [W.demazureProduct(z, vw0) for z in W.covers(ww0)])
-    return first - charSections(W, zs, lam)
+    return charSectionsAbove(W, top, zs, lam)
 
 
 def alphaEntry(W: WeylGroup, v: int, w: int) -> Character:
@@ -164,9 +163,8 @@ def alphaEntry(W: WeylGroup, v: int, w: int) -> Character:
     u = W.mul(W.mul(W.w0, w), W.w0)
     vi = W.inverse(v)
     top = W.demazureProduct(u, vi)
-    first = charSections(W, (top,), lam)
     zs = lowerSet(W, [W.demazureProduct(u, z) for z in W.covers(vi)])
-    return weylActionChar(W, W.w0, first - charSections(W, zs, lam))
+    return weylActionChar(W, W.w0, charSectionsAbove(W, top, zs, lam))
 
 
 def triangularityChecks(

@@ -23,7 +23,9 @@ alone, inverting the Cartan matrix over Fractions, so it checks the scaled
 integer matrices the package uses.  The Weyl group by action matrices
 (matrixWeylTables) and the section characters by one action per lower-set
 element (charSectionsPlain) check the reflection-keyed enumeration and the
-lower-set walk that replaced them.
+lower-set walk that replaced them.  The transition-matrix entries as the
+difference of two full section sums (alphaEntryTwoSums, betaEntryTwoSums)
+check ktheory's sum over the orbit weights of one walk.
 """
 from __future__ import annotations
 
@@ -33,13 +35,22 @@ from fractions import Fraction as Q
 from math import lcm
 
 from demkit.characters import Character, GClassExpansion, decomposeWeylBasis, dual
-from demkit.demazure import LowerSet, charNabla, charP, charQ, lowerSetMask
+from demkit.demazure import (
+    LowerSet,
+    charNabla,
+    charP,
+    charQ,
+    charSections,
+    lowerSet,
+    lowerSetMask,
+)
 from demkit.ktheory import eulerPair, xClass
 from demkit.rootsystem import (
     RootSystem,
     Weight,
     fundamental,
     isDominant,
+    negW,
     rho,
     subW,
     zero,
@@ -184,6 +195,25 @@ def charSectionsPlain(W: WeylGroup, s: LowerSet, lam: Weight) -> Character:
     for mu in sorted(seen):
         total = total + charQ(W, mu)
     return total
+
+
+def betaEntryTwoSums(W: WeylGroup, v: int, w: int) -> Character:
+    """ktheory.betaEntry as the difference of two full section sums."""
+    lam = negW(W.act(W.w0, W.act(v, W.steinbergWeight(v))))
+    vw0 = W.mul(W.inverse(v), W.w0)
+    ww0 = W.mul(w, W.w0)
+    zs = lowerSet(W, [W.demazureProduct(z, vw0) for z in W.covers(ww0)])
+    return charSections(W, (W.demazureProduct(ww0, vw0),), lam) - charSections(W, zs, lam)
+
+
+def alphaEntryTwoSums(W: WeylGroup, v: int, w: int) -> Character:
+    """ktheory.alphaEntry as the difference of two full section sums."""
+    lam = W.act(v, W.steinbergWeight(v))
+    u = W.mul(W.mul(W.w0, w), W.w0)
+    vi = W.inverse(v)
+    zs = lowerSet(W, [W.demazureProduct(u, z) for z in W.covers(vi)])
+    diff = charSections(W, (W.demazureProduct(u, vi),), lam) - charSections(W, zs, lam)
+    return Character({W.act(W.w0, mu): c for mu, c in diff.terms.items()})
 
 
 def positiveRoots(sys: RootSystem) -> list[Weight]:

@@ -4,11 +4,14 @@ import random
 
 import pytest
 
-from demkit.characters import Character, dual
+import demkit.exprlang as ex
+from demkit.characters import Character, augment, decomposeWeylBasis, dual
+from demkit.cli import main
 from demkit.demazure import charNabla, charP, charQ, demWord, eulerChar
 from demkit.exprlang import EvalContext, ParseError, evalExpr, parse, printExpr
 from demkit.ktheory import xClass
-from demkit.weyl import weylGroup
+from demkit.rootsystem import fundamental, rootSystem
+from demkit.weyl import WeylGroup, weylGroup
 
 
 def genWeight(rng, rank=2):
@@ -163,3 +166,114 @@ def test_eval_qhat_uses_context():
     got = evalExpr(parse("Qhat([2,1])"), EvalContext(W, piP=(0,)))
     assert got == charQhat(W, (2, 1), (0,))
     assert got != evalExpr(parse("Qhat([2,1])"), EvalContext(W, piP=()))
+
+
+# -- decomposeG in R(G) coordinates ----------------------------------------------
+
+TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4"]
+
+
+def lit(w) -> str:
+    return "[" + ",".join(map(str, w)) + "]"
+
+
+def genPure(rng, pool, rank, depth):
+    """A random expression that is in R(G) by construction: chi of weights
+    from pool, euler and pair of small characters, combined by + - * and
+    dualOf."""
+    if depth <= 0:
+        leaf = rng.choice(["chi", "chi", "euler", "pair"])
+        chi = f"chi({lit(rng.choice(pool))})"
+        mono = f"e({genWeight(rng, rank)})"
+        if leaf == "chi":
+            return chi
+        if leaf == "euler":
+            return f"euler({rng.choice([mono, f'{chi}*{mono}'])})"
+        return f"pair({rng.choice([mono, chi])}, {mono})"
+    op = rng.choice(["add", "sub", "mul", "neg", "dualOf"])
+    a = genPure(rng, pool, rank, depth - 1)
+    if op == "neg":
+        return f"-({a})"
+    if op == "dualOf":
+        return f"dualOf({a})"
+    b = genPure(rng, pool, rank, depth - 1)
+    return f"({a}) {dict(add='+', sub='-', mul='*')[op]} ({b})"
+
+
+def smallWeights(W) -> list:
+    """0, the two fundamentals of smallest dimension and their sum."""
+    fundamentals = [fundamental(W.sys, i) for i in range(W.sys.rank)]
+    a, b = sorted(fundamentals, key=lambda f: augment(charNabla(W, f)))[:2]
+    return [(0,) * W.sys.rank, a, b, tuple(x + y for x, y in zip(a, b))]
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_pure_decompose_matches_character_route(name):
+    # value and constituent order, against decomposing the character
+    W = weylGroup(name)
+    rank = W.sys.rank
+    small = rank <= 3
+    rng = random.Random(sum(map(ord, "rg:" + name)))
+    ctx = EvalContext(W)
+    for _ in range(25 if small else 4):
+        pool = smallWeights(W) if not small else \
+            [tuple(rng.randint(0, 1) for _ in range(rank)) for _ in range(3)]
+        src = genPure(rng, pool, rank, rng.randint(0, 2 if small else 1))
+        node = parse(f"decomposeG({src})")
+        assert ex._inRG(node[1]), src
+        got = evalExpr(node, ctx)
+        want = decomposeWeylBasis(W, evalExpr(parse(src), ctx))
+        assert got == want and list(got) == list(want), src
+
+
+@pytest.mark.parametrize("src, want", [
+    ("decomposeG(e([1,0])*e([-1,0]))", {(0, 0): 1}),
+    ("decomposeG((chi([1,1]) + e([1,0])) - e([1,0]))", {(1, 1): 1}),
+    ("decomposeG(D(s1 s2 s1, e([1,0]))*chi([0,1]))", {(1, 1): 1, (0, 0): 1}),
+])
+def test_impure_argument_takes_the_character_route(src, want):
+    W = weylGroup("A2")
+    node = parse(src)
+    assert not ex._inRG(node[1])
+    assert evalExpr(node, EvalContext(W)) == want
+
+
+@pytest.mark.parametrize("src", ["decomposeG(e([1,0]))",
+                                 "decomposeG(chi([1,0]) + e([1,0]))",
+                                 "decomposeG(chi([1,0])*chi([0,1])*e([0,1]))"])
+def test_non_invariant_argument_refused_as_before(src):
+    W = weylGroup("A2")
+    ctx = EvalContext(W)
+    with pytest.raises(ValueError) as before:
+        decomposeWeylBasis(W, evalExpr(parse(src)[1], ctx))
+    assert str(before.value).startswith("character is not W-invariant")
+    with pytest.raises(ValueError) as exc:
+        evalExpr(parse(src), ctx)
+    assert str(exc.value) == str(before.value)
+
+
+@pytest.mark.parametrize("src, top", [
+    ("decomposeG(chi([1,0])*chi([-1,0]))", "chi([-1,0])"),
+    ("decomposeG(dualOf(chi([0,-2])) + chi([1,1]))", "chi([0,-2])"),
+    ("decomposeG(chi([1,0]) - chi([1,0,0]))", "chi([1,0,0])"),
+])
+def test_bad_chi_inside_pure_argument_exits_2_as_before(capsys, src, top):
+    assert ex._inRG(parse(src)[1])
+    codes = []
+    for expr in (src, top):
+        codes.append(main(["eval", expr, "--type", "A2", "--no-cache"]))
+        codes.append(capsys.readouterr())
+    assert codes[0] == codes[2] == 2
+    assert codes[1].out == codes[3].out == ""
+    assert codes[1].err == codes[3].err and codes[1].err.startswith("demkit: ")
+
+
+def test_product_of_irreducibles_is_never_built():
+    W = WeylGroup(rootSystem("F4"))
+    got = evalExpr(parse("decomposeG(chi([1,1,0,1])*chi([0,0,0,1]))"), EvalContext(W))
+    assert ("dem", W.w0, (1, 1, 0, 1)) not in W.memo
+    f = charNabla(W, (1, 1, 0, 1)) * charNabla(W, (0, 0, 0, 1))
+    want = decomposeWeylBasis(W, f)
+    assert got == want and list(got) == list(want)
+    # a product that is printed is still the product of characters
+    assert evalExpr(parse("chi([1,1,0,1])*chi([0,0,0,1])"), EvalContext(W)) == f

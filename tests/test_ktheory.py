@@ -6,7 +6,7 @@ import pytest
 
 import demkit.ktheory as kt
 from demkit.characters import Character, charFromJSON, decomposeWeylBasis, dual, pretty
-from demkit.demazure import charNabla, charP, charQ, demElt
+from demkit.demazure import charNabla, charP, charQ, charSections, charSectionsAbove, demElt
 from demkit.ktheory import (
     alphaEntry,
     betaEntry,
@@ -32,7 +32,7 @@ from demkit.ktheory import (
 from demkit.rootsystem import negW, rho, rootSystem, zero
 from demkit.steinberg import Q, steinbergDecomposeChar, uniformChoices
 from demkit.weyl import WeylGroup, weylGroup
-from oracles import gramTableProduct, pairingsWithPProduct
+from oracles import alphaEntryTwoSums, betaEntryTwoSums, gramTableProduct, pairingsWithPProduct
 
 
 def allPass(checks):
@@ -81,6 +81,35 @@ def test_alpha_beta_A1_frozen():
     assert betaEntry(W, e, s) == Character.monomial((0,))
     assert betaEntry(W, s, e) == Character.monomial((-1,))
     assert betaEntry(W, s, s) == Character.monomial((1,))
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "C2", "G2"])
+def test_alpha_beta_entries_match_two_section_sums(name):
+    W = weylGroup(name)
+    for v in W.elements():
+        for w in W.elements():
+            assert alphaEntry(W, v, w) == alphaEntryTwoSums(W, v, w), (v, w)
+            assert betaEntry(W, v, w) == betaEntryTwoSums(W, v, w), (v, w)
+
+
+@pytest.mark.parametrize("name", ["B3", "C3"])
+def test_alpha_beta_entries_match_two_section_sums_sampled(name):
+    W = weylGroup(name)
+    rng = random.Random(10)
+    elems = list(W.elements())
+    for _ in range(200):
+        v, w = rng.choice(elems), rng.choice(elems)
+        assert alphaEntry(W, v, w) == alphaEntryTwoSums(W, v, w), (v, w)
+        assert betaEntry(W, v, w) == betaEntryTwoSums(W, v, w), (v, w)
+
+
+def test_sections_above_refuses_a_lower_set_not_below_top():
+    W = weylGroup("A2")
+    s1, s2 = W.rmul(0, 0), W.rmul(0, 1)
+    assert charSectionsAbove(W, W.w0, (s1, s2), (1, 1)) == \
+        charSections(W, (W.w0,), (1, 1)) - charSections(W, (s1, s2), (1, 1))
+    with pytest.raises(AssertionError, match="not below"):
+        charSectionsAbove(W, s1, (s2,), (1, 1))
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])

@@ -312,8 +312,17 @@ OPTIMIZED_SCRIPT = textwrap.dedent("""
         except AssertionError:
             continue
         raise SystemExit(entry.__name__ + " accepted a non-dominant weight")
-    # a packing bound that is too small must be caught when unpacking
+    # a lower set that is not below the top element has no section difference
     import demkit.demazure as dz
+    A2 = weylGroup("A2")
+    try:
+        dz.charSectionsAbove(A2, A2.rmul(0, 0), (A2.rmul(0, 1),), (1, 1))
+    except AssertionError as e:
+        if "not below" not in str(e):
+            raise SystemExit("wrong refusal: " + str(e))
+    else:
+        raise SystemExit("a lower set not below the top element was accepted")
+    # a packing bound that is too small must be caught when unpacking
     dz._coordBound = lambda W, f: 1
     try:
         dz.demWord(weylGroup("A1"), (0,), Character.monomial((5,)))
