@@ -5,13 +5,14 @@ import random
 import pytest
 
 import demkit.exprlang as ex
-from demkit.characters import Character, augment, decomposeWeylBasis, dual
+from demkit.characters import Character, decomposeWeylBasis, dual
 from demkit.cli import main
 from demkit.demazure import charNabla, charP, charQ, demWord, eulerChar
 from demkit.exprlang import EvalContext, ParseError, evalExpr, parse, printExpr
 from demkit.ktheory import xClass
-from demkit.rootsystem import fundamental, rootSystem
+from demkit.rootsystem import rootSystem
 from demkit.weyl import WeylGroup, weylGroup
+from test_characters import smallestFundamentals
 
 
 def genWeight(rng, rank=2):
@@ -202,8 +203,7 @@ def genPure(rng, pool, rank, depth):
 
 def smallWeights(W) -> list:
     """0, the two fundamentals of smallest dimension and their sum."""
-    fundamentals = [fundamental(W.sys, i) for i in range(W.sys.rank)]
-    a, b = sorted(fundamentals, key=lambda f: augment(charNabla(W, f)))[:2]
+    a, b = smallestFundamentals(W)
     return [(0,) * W.sys.rank, a, b, tuple(x + y for x, y in zip(a, b))]
 
 
@@ -259,13 +259,13 @@ def test_non_invariant_argument_refused_as_before(src):
 ])
 def test_bad_chi_inside_pure_argument_exits_2_as_before(capsys, src, top):
     assert ex._inRG(parse(src)[1])
-    codes = []
+    got = []
     for expr in (src, top):
-        codes.append(main(["eval", expr, "--type", "A2", "--no-cache"]))
-        codes.append(capsys.readouterr())
-    assert codes[0] == codes[2] == 2
-    assert codes[1].out == codes[3].out == ""
-    assert codes[1].err == codes[3].err and codes[1].err.startswith("demkit: ")
+        code = main(["eval", expr, "--type", "A2", "--no-cache"])
+        got.append((code, *capsys.readouterr()))
+    assert got[0] == got[1]
+    code, out, err = got[0]
+    assert code == 2 and out == "" and err.startswith("demkit: ")
 
 
 def test_product_of_irreducibles_is_never_built():
