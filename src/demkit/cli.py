@@ -452,9 +452,26 @@ def main(argv=None) -> int:
 
 
 # A cache entry of any other shape than the one a command writes is a miss:
-# it is recomputed and overwritten.  A suite report is checked by its
-# top-level keys; an eval payload down to every term row (_evalColumns).
+# it is recomputed and overwritten.  A suite report is checked down to every
+# field the renderers read (_reportOk); an eval payload down to every term
+# row (_evalColumns).
 REPORT_KEYS = frozenset(("suite", "context", "checks", "failures", "seed", "version"))
+CHECK_KEYS = frozenset(("name", "status", "witness"))
+
+
+def _reportOk(report) -> bool:
+    """Whether report has the top-level keys, check rows {"name": str,
+    "status": "pass" or "fail", "witness": str}, a list of str failures and
+    a context with a str type."""
+    if not (isinstance(report, dict) and REPORT_KEYS <= report.keys()):
+        return False
+    checks, failures, context = report["checks"], report["failures"], report["context"]
+    return (type(checks) is list and type(failures) is list and type(context) is dict
+            and type(context.get("type")) is str
+            and all(type(f) is str for f in failures)
+            and all(type(c) is dict and c.keys() == CHECK_KEYS
+                    and type(c["name"]) is str and type(c["witness"]) is str
+                    and c["status"] in ("pass", "fail") for c in checks))
 
 
 def _evalColumns(payload, rank: int):
@@ -490,7 +507,9 @@ def _runEval(args, W, piP, order, cache: DiskCache) -> int:
         else:
             payload = {"kind": "gexp", "value": gexpToJSON(value)}
         cache.put(key, payload)
-        cols = _evalColumns(payload, W.sys.rank)
+        rows = payload["value"]
+        field = "w" if payload["kind"] == "char" else "weight"
+        cols = list(map(itemgetter("c"), rows)), list(map(itemgetter(field), rows))
     _emit(_renderEval(payload["kind"], *cols, args.format), args.out)
     return 0
 
@@ -499,7 +518,7 @@ def _runSuite(args, W, piP, order, cache: DiskCache) -> int:
     params = {"parabolic": list(piP), "order": _orderSig(W, order), "seed": SEED}
     key = cache.key(W.sys.name, W.sys.rank, f"suite:{args.name}", params)
     report = cache.get(key)
-    if not (isinstance(report, dict) and REPORT_KEYS <= report.keys()):
+    if not _reportOk(report):
         checks, extras = runSuite(args.name, W, piP, order)
         rows = [{"name": n, "status": "pass" if ok else "fail", "witness": wit}
                 for n, ok, wit in checks]

@@ -7,9 +7,14 @@ width chosen per call from an exact bound on every weight the word can
 reach, so a step subtracts multiples of the packed simple root and reads
 the coroot pairing from one field.  Orbit characters, section characters
 over unions of Schubert varieties and their twisted variants are built on
-demWord.  The Euler characteristic (the longest operator) of an arbitrary
-character instead follows the Weyl character formula: e^mu goes to
-(-1)^l(w) chi(w^-1(mu + rho) - rho), or to 0 when mu + rho lies on a wall.
+demWord.  A layer character (charQ) is a Demazure atom: the fold of
+pi-bar_i = pi_i - 1 along a reduced word.  The rho-twisted operators of
+charQviaTwist give the same characters by a second route, which the
+q-equivalence suite compares; the inclusion-exclusion over the boundary
+that defines them is a test oracle only.  The Euler characteristic (the
+longest operator) of an arbitrary character instead follows the Weyl
+character formula: e^mu goes to (-1)^l(w) chi(w^-1(mu + rho) - rho), or to
+0 when mu + rho lies on a wall.
 """
 from __future__ import annotations
 
@@ -150,60 +155,20 @@ def lowerSetMask(W: WeylGroup, s: LowerSet) -> int:
     return m
 
 
-def antichainFromMask(W: WeylGroup, mask: int) -> LowerSet:
-    below = 0
-    elems = []
-    m = mask
-    while m:
-        low = m & -m
-        u = low.bit_length() - 1
-        elems.append(u)
-        below |= W.bruhatBits[u] ^ low
-        m ^= low
-    return tuple(u for u in elems if not (below >> u) & 1)
-
-
-def boundary(W: WeylGroup, w: int) -> LowerSet:
-    """Everything strictly below w, as a lower set: generated by the covers."""
-    return tuple(sorted(W.covers(w)))
-
-
-def charH0LowerSet(W: WeylGroup, s: LowerSet, lam: Weight) -> Character:
-    """Sections of the lam-line-bundle over a union of Schubert varieties.
-
-    Inclusion-exclusion on the generating antichain: split off the ShortLex
-    largest generator m, then sections over the union = sections over the rest
-    + sections over m's piece - sections over the overlap.
-    """
-    s = lowerSet(W, s)
-    key = ("h0", s, lam)
-    r = W.memo.get(key)
-    if r is not None:
-        return r
-    if not s:
-        r = Character.zero()
-    elif len(s) == 1:
-        r = _demMono(W, s[0], lam)
-    else:
-        m = max(s, key=W.orderPos)
-        rest = tuple(u for u in s if u != m)
-        inter = antichainFromMask(W, lowerSetMask(W, rest) & W.bruhatBits[m])
-        r = (charH0LowerSet(W, rest, lam) + _demMono(W, m, lam)
-             - charH0LowerSet(W, inter, lam))
-    W.memo[key] = r
-    return r
-
-
 # -- the quotient-by-boundary characters ---------------------------------------
 
 def charQ(W: WeylGroup, lam: Weight) -> Character:
-    """Sections over the Schubert cell closure minus its boundary sections:
-    the character of the layer attached to lam."""
+    """The character of the layer attached to lam: sections over the Schubert
+    variety X_w minus the sections over its boundary, where (dom, w) =
+    toDominant(lam).  That is the Demazure atom pi-bar_w(e^dom), folding
+    pi-bar_i = pi_i - 1 along a reduced word of w, rightmost letter first."""
     key = ("Q", lam)
     r = W.memo.get(key)
     if r is None:
         dom, w = W.toDominant(lam)
-        r = demElt(W, w, Character.monomial(dom)) - charH0LowerSet(W, boundary(W, w), dom)
+        r = Character.monomial(dom)
+        for i in reversed(W.canonicalWord(w)):
+            r = demStep(W, i, r) - r
         W.memo[key] = r
     return r
 

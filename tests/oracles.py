@@ -25,7 +25,10 @@ integer matrices the package uses.  The Weyl group by action matrices
 element (charSectionsPlain) check the reflection-keyed enumeration and the
 lower-set walk that replaced them.  The transition-matrix entries as the
 difference of two full section sums (alphaEntryTwoSums, betaEntryTwoSums)
-check ktheory's sum over the orbit weights of one walk.
+check ktheory's sum over the orbit weights of one walk.  The layer
+characters by their definition, sections over a Schubert variety minus
+those over its boundary by inclusion-exclusion over the boundary antichain
+(charQBoundary), check demazure.charQ's fold of Demazure atoms.
 """
 from __future__ import annotations
 
@@ -41,6 +44,7 @@ from demkit.demazure import (
     charP,
     charQ,
     charSections,
+    demElt,
     lowerSet,
     lowerSetMask,
 )
@@ -195,6 +199,55 @@ def charSectionsPlain(W: WeylGroup, s: LowerSet, lam: Weight) -> Character:
     for mu in sorted(seen):
         total = total + charQ(W, mu)
     return total
+
+
+def antichainFromMask(W: WeylGroup, mask: int) -> LowerSet:
+    """The Bruhat-maximal elements of the lower set with bit mask `mask`."""
+    below = 0
+    elems = []
+    m = mask
+    while m:
+        low = m & -m
+        u = low.bit_length() - 1
+        elems.append(u)
+        below |= W.bruhatBits[u] ^ low
+        m ^= low
+    return tuple(u for u in elems if not (below >> u) & 1)
+
+
+def charH0InclusionExclusion(W: WeylGroup, s: LowerSet, lam: Weight) -> Character:
+    """Sections of the lam-line-bundle over a union of Schubert varieties.
+
+    Inclusion-exclusion on the generating antichain: split off the ShortLex
+    largest generator m, then sections over the union = sections over the rest
+    + sections over m's piece - sections over the overlap.
+    """
+    s = lowerSet(W, s)
+    key = ("oracle-h0", s, lam)
+    r = W.memo.get(key)
+    if r is not None:
+        return r
+    if not s:
+        r = Character.zero()
+    elif len(s) == 1:
+        r = demElt(W, s[0], Character.monomial(lam))
+    else:
+        m = max(s, key=W.orderPos)
+        rest = tuple(u for u in s if u != m)
+        inter = antichainFromMask(W, lowerSetMask(W, rest) & W.bruhatBits[m])
+        r = (charH0InclusionExclusion(W, rest, lam) + charH0InclusionExclusion(W, (m,), lam)
+             - charH0InclusionExclusion(W, inter, lam))
+    W.memo[key] = r
+    return r
+
+
+def charQBoundary(W: WeylGroup, lam: Weight) -> Character:
+    """The layer character by its definition: sections over X_w minus the
+    sections over its boundary, the union of X_u over the covers u of w,
+    where (dom, w) = toDominant(lam)."""
+    dom, w = W.toDominant(lam)
+    return (charH0InclusionExclusion(W, (w,), dom)
+            - charH0InclusionExclusion(W, W.covers(w), dom))
 
 
 def betaEntryTwoSums(W: WeylGroup, v: int, w: int) -> Character:

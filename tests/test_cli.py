@@ -363,6 +363,31 @@ def test_golden_outputs_under_python_O():
     assert json.loads(proc.stdout) == []
 
 
+Q_TYPES = ("A2", "A3", "B2", "B3", "C3", "G2")
+
+
+def test_q_equivalence_same_under_python_O(capsys):
+    # one -O process runs the suite on every type it accepts
+    src = os.path.dirname(os.path.dirname(os.path.abspath(demkit.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = """if 1:
+        import sys
+        import demkit.cli as cli
+        assert not __debug__
+        for t in sys.argv[1:]:
+            if cli.main(["suite", "q-equivalence", "--type", t, "--no-cache"]):
+                sys.exit(1)
+    """
+    proc = subprocess.run([sys.executable, "-O", "-c", script, *Q_TYPES],
+                          capture_output=True, text=True, env=env, timeout=300)
+    outs = [run(capsys, "suite", "q-equivalence", "--type", t, "--no-cache")
+            for t in Q_TYPES]
+    assert [(code, err) for code, _, err in outs] == [(0, "")] * len(Q_TYPES)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "".join(out for _, out, _ in outs)
+
+
 def test_cache_put_writes_one_shot_dumps(tmp_path):
     store = cache.DiskCache(str(tmp_path))
     value = {"kind": "char", "value": [{"c": -2, "w": [1, 0]}, {"c": 1, "w": [0, 0]}],
@@ -404,6 +429,40 @@ def test_cache_entry_of_wrong_shape_is_recomputed(tmp_path, capsys, argv, bad):
         entry.write_text(json.dumps(bad))
         code2, out, err = run(capsys, *fargv)
         assert (code2, out, err) == (code, cold, ""), fmt
+        assert json.loads(entry.read_text()) == good
+
+
+REPORT_BAD = [
+    {"checks": [1, 2]},
+    {"checks": {}},
+    {"checks": [{"name": "q", "status": "pass"}]},
+    {"checks": [{"name": "q", "status": "pass", "witness": "", "x": 0}]},
+    {"checks": [{"name": 1, "status": "pass", "witness": ""}]},
+    {"checks": [{"name": "q", "status": "ok", "witness": ""}]},
+    {"checks": [{"name": "q", "status": ["pass"], "witness": ""}]},
+    {"checks": [{"name": "q", "status": "pass", "witness": None}]},
+    {"failures": [1]},
+    {"failures": "q"},
+    {"context": []},
+    {"context": {}},
+    {"context": {"type": 2}},
+]
+
+
+@pytest.mark.parametrize("change", REPORT_BAD)
+def test_cached_report_with_bad_nested_field_is_recomputed(tmp_path, capsys, change):
+    argv = ("suite", "q-equivalence", "--type", "A2")
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = {tuple(c["argv"]): c for c in json.load(fh)}
+    for fmt in ("json", "csv", "pretty"):
+        case = golden[(*argv, "--format", fmt, "--no-cache")]
+        cdir = tmp_path / f"cache-{fmt}"
+        fargv = (*argv, "--format", fmt, "--cache-dir", str(cdir))
+        assert run(capsys, *fargv) == (case["code"], case["stdout"], "")
+        (entry,) = cdir.iterdir()
+        good = json.loads(entry.read_text())
+        entry.write_text(json.dumps({**good, **change}))
+        assert run(capsys, *fargv) == (case["code"], case["stdout"], ""), fmt
         assert json.loads(entry.read_text()) == good
 
 

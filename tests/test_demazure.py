@@ -7,8 +7,6 @@ import pytest
 
 from demkit.characters import Character, augment, isInvariant
 from demkit.demazure import (
-    antichainFromMask,
-    boundary,
     charNabla,
     charP,
     charQ,
@@ -22,8 +20,8 @@ from demkit.demazure import (
     lowerSet,
     lowerSetMask,
 )
-from demkit.rootsystem import fundamental, isDominant, rho, zero
-from demkit.weyl import weylGroup
+from demkit.rootsystem import fundamental, isDominant, rho, rootSystem, zero
+from demkit.weyl import WeylGroup, weylGroup
 
 import oracles
 
@@ -162,6 +160,41 @@ def test_charQ_equals_twisted_route(name):
         assert charQ(W, lam) == charQviaTwist(W, lam)
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3"])
+def test_charQ_matches_boundary_definition(name):
+    # the atom fold against inclusion-exclusion over the boundary antichain
+    W = weylGroup(name)
+    lams = {W.steinbergWeight(v) for v in W.elements()}
+    lams.update(itertools.product(range(-2, 2), repeat=W.sys.rank))
+    for lam in sorted(lams):
+        assert charQ(W, lam) == oracles.charQBoundary(W, lam), lam
+
+
+def test_charQ_matches_boundary_definition_D4_steinberg_weights():
+    W = weylGroup("D4")
+    for v in W.elements():
+        lam = W.steinbergWeight(v)
+        assert charQ(W, lam) == oracles.charQBoundary(W, lam), lam
+
+
+def test_charQ_F4_equals_twisted_route():
+    # inclusion-exclusion is out of reach on F4; the twist route is not
+    W = weylGroup("F4")
+    rng = random.Random("charQ:F4")
+    for v in [W.w0, *rng.sample(range(W.size), 24)]:
+        lam = W.steinbergWeight(v)
+        assert charQ(W, lam) == charQviaTwist(W, lam), v
+
+
+def test_charQ_leaves_only_its_own_memo_family():
+    # the fold memoises the layer only, no piece of the boundary
+    W = WeylGroup(rootSystem("F4"))
+    lam = next(lam for lam in map(W.steinbergWeight, W.elements())
+               if W.length[W.toDominant(lam)[1]] >= 20)
+    charQ(W, lam)
+    assert list(W.memo) == [("Q", lam)]
+
+
 def test_charQ_rank1_values():
     W = weylGroup("A1")
     assert charQ(W, (0,)) == Character.monomial((0,))
@@ -182,16 +215,18 @@ def test_lower_sets():
     for w in W.elements():
         s = lowerSet(W, [w])
         mask = lowerSetMask(W, s)
-        assert antichainFromMask(W, mask) == s == (w,)
+        assert oracles.antichainFromMask(W, mask) == s == (w,)
         for u in W.elements():
             assert oracles.inLowerSet(W, s, u) == W.bruhatLeq(u, w)
-        assert set(boundary(W, w)) == set(W.covers(w))
+        # the covers generate everything strictly below w
+        assert lowerSet(W, W.covers(w)) == tuple(sorted(W.covers(w)))
+        assert lowerSetMask(W, W.covers(w)) == mask ^ (1 << w)
     # union of two incomparable elements survives as a two-element antichain
     s1s2 = W.rmul(W.rmul(0, 0), 1)
     s2s1 = W.rmul(W.rmul(0, 1), 0)
     s = lowerSet(W, [s1s2, s2s1])
     assert set(s) == {s1s2, s2s1}
-    assert antichainFromMask(W, lowerSetMask(W, s)) == s
+    assert oracles.antichainFromMask(W, lowerSetMask(W, s)) == s
 
 
 def test_euler_char_is_invariant_and_projects():

@@ -358,7 +358,7 @@ def test_pairing_tables_leave_no_memo_family():
     orthogonalityCheck(W)
     parabolicChecks(W, (0,))
     families = {key[0] for key in W.memo}
-    assert families <= {"dem", "h0", "Q", "Qhat", "stx", "stxrow", "stxorder", "stxprod"}, families
+    assert families <= {"dem", "Q", "Qhat", "stx", "stxrow", "stxorder", "stxprod"}, families
 
 
 # -- failing checks report a witness ----------------------------------------------
