@@ -97,13 +97,17 @@ def _loadOrder(path: str, W: WeylGroup) -> list[int]:
             order.append(_parseWord(line, W, f"{path}:{lineno}"))
     if sorted(order) != list(W.elements()):
         raise UsageError(f"{path}: not a permutation of all {W.size} elements")
-    pos = {w: k for k, w in enumerate(order)}
-    for u in W.elements():
-        for w in W.elements():
-            if u != w and W.bruhatLeq(u, w) and pos[u] > pos[w]:
-                raise UsageError(
-                    f"{path}: order is not Bruhat-refining "
-                    f"({kt.wordStr(W, u)} must come before {kt.wordStr(W, w)})")
+    # lows: each u listed after a w above it; name the least u, then its least w
+    after = lows = 0
+    for w in reversed(order):
+        lows |= W.bruhatBits[w] & after
+        after |= 1 << w
+    if lows:
+        u = (lows & -lows).bit_length() - 1
+        w = min(w for w in order[:order.index(u)] if W.bruhatBits[w] >> u & 1)
+        raise UsageError(
+            f"{path}: order is not Bruhat-refining "
+            f"({kt.wordStr(W, u)} must come before {kt.wordStr(W, w)})")
     return order
 
 
@@ -459,10 +463,25 @@ REPORT_KEYS = frozenset(("suite", "context", "checks", "failures", "seed", "vers
 CHECK_KEYS = frozenset(("name", "status", "witness"))
 
 
+def _matrixOk(m) -> bool:
+    """Whether m is {"rows": [str], "cols": [str], "entries": [[cell]]}, a cell
+    per row and column, each a list of term rows {"c": int, "w": [int] * r}."""
+    if not (type(m) is dict and m.keys() == {"rows", "cols", "entries"}
+            and all(type(x) is list for x in m.values())
+            and not set(map(type, m["rows"] + m["cols"])) - {str}
+            and len(m["entries"]) == len(m["rows"])
+            and all(type(e) is list and len(e) == len(m["cols"])
+                    and all(type(cell) is list for cell in e) for e in m["entries"])):
+        return False
+    terms = [t for e in m["entries"] for cell in e for t in cell]
+    w = terms and type(terms[0]) is dict and terms[0].get("w")
+    return _termColumns(terms, "w", len(w) if type(w) is list else 0) is not None
+
+
 def _reportOk(report) -> bool:
     """Whether report has the top-level keys, check rows {"name": str,
-    "status": "pass" or "fail", "witness": str}, a list of str failures and
-    a context with a str type."""
+    "status": "pass" or "fail", "witness": str}, a list of str failures, a
+    context with a str type and a well-formed matrix if any (_matrixOk)."""
     if not (isinstance(report, dict) and REPORT_KEYS <= report.keys()):
         return False
     checks, failures, context = report["checks"], report["failures"], report["context"]
@@ -471,7 +490,8 @@ def _reportOk(report) -> bool:
             and all(type(f) is str for f in failures)
             and all(type(c) is dict and c.keys() == CHECK_KEYS
                     and type(c["name"]) is str and type(c["witness"]) is str
-                    and c["status"] in ("pass", "fail") for c in checks))
+                    and c["status"] in ("pass", "fail") for c in checks)
+            and ("matrix" not in report or _matrixOk(report["matrix"])))
 
 
 def _evalColumns(payload, rank: int):

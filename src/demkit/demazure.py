@@ -18,8 +18,9 @@ character formula: e^mu goes to (-1)^l(w) chi(w^-1(mu + rho) - rho), or to
 """
 from __future__ import annotations
 
+from functools import reduce
 from math import isqrt
-from operator import mul
+from operator import mul, or_
 
 from .characters import Character, addMul, alternantCoeffs, expandGClass
 from .rootsystem import Weight, isDominant, negW, norm2Scaled, rho
@@ -142,17 +143,12 @@ def charP(W: WeylGroup, lam: Weight) -> Character:
 def lowerSet(W: WeylGroup, elems) -> LowerSet:
     """Canonical antichain generating the same downward-closed set."""
     es = set(elems)
-    return tuple(sorted(
-        u for u in es
-        if not any(v != u and W.bruhatLeq(u, v) for v in es)
-    ))
+    strict = reduce(or_, [W.bruhatBits[v] ^ 1 << v for v in es], 0)   # strictly below some v
+    return tuple(sorted(u for u in es if not strict >> u & 1))
 
 
 def lowerSetMask(W: WeylGroup, s: LowerSet) -> int:
-    m = 0
-    for u in s:
-        m |= W.bruhatBits[u]
-    return m
+    return reduce(or_, [W.bruhatBits[u] for u in s], 0)
 
 
 # -- the quotient-by-boundary characters ---------------------------------------

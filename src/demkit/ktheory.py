@@ -119,22 +119,15 @@ def indPQCheck(W: WeylGroup, m: TransitionMatrix) -> list[tuple[str, bool, str]]
     """Unitriangularity: diagonal 1, zero wherever the column element does not
     lie below the row element."""
     one = Character.monomial(zero(W.sys))
-    checks = []
-    ok = True
-    witness = ""
-    for i, v in enumerate(m.rowOrder):
-        for j, w in enumerate(m.colOrder):
-            e = m.entries[i][j]
+    for v, row in zip(m.rowOrder, m.entries):
+        for w, e in zip(m.colOrder, row):
             if v == w and e != one:
-                ok, witness = False, f"diagonal at {wordStr(W, v)}: {compact(e)}"
-                break
+                return [("indpq-unitriangular", False,
+                         f"diagonal at {wordStr(W, v)}: {compact(e)}")]
             if not W.bruhatLeq(w, v) and e:
-                ok, witness = False, f"({wordStr(W, v)},{wordStr(W, w)}): {compact(e)}"
-                break
-        if not ok:
-            break
-    checks.append(("indpq-unitriangular", ok, witness))
-    return checks
+                return [("indpq-unitriangular", False,
+                         f"({wordStr(W, v)},{wordStr(W, w)}): {compact(e)}")]
+    return [("indpq-unitriangular", True, "")]
 
 
 # -- transition matrices against the Schubert bases ----------------------------

@@ -7,9 +7,14 @@ identified by the regular weight w^-1 rho (Stembridge, "Computational aspects
 of root systems, Coxeter groups, and Weyl characters", 2001), whose key
 under w s_i is s_i applied to it.  The canonical reduced word of an element
 is the ShortLex-least one, which is what a FIFO breadth-first search with
-ascending generator indices produces.
+ascending generator indices produces; ids follow that search.  Each lower
+Bruhat interval [e, w] is a bitmask, built by the lifting property
+(Bjorner-Brenti, Combinatorics of Coxeter Groups, Prop. 2.2.7): for a left
+descent s of w, [e, w] = [e, sw] u s[e, sw], and sw < w.
 """
 from __future__ import annotations
+
+from operator import itemgetter
 
 from .rootsystem import (
     RootSystem,
@@ -77,14 +82,6 @@ class WeylGroup:
         self.w0 = max(range(self.size), key=lambda w: self.length[w])
 
         self._buildBruhat()
-        self.coversOf = [
-            tuple(
-                u
-                for u in range(self.size)
-                if self.length[u] == self.length[w] - 1 and self.bruhatBits[w] >> u & 1
-            )
-            for w in range(self.size)
-        ]
         self._order = sorted(range(self.size), key=lambda w: (self.length[w], words[w]))
         self._pos = {w: k for k, w in enumerate(self._order)}
         self.memo: dict = {}   # shared scratch for the character layers
@@ -92,28 +89,22 @@ class WeylGroup:
     # -- construction helpers -------------------------------------------------
 
     def _buildBruhat(self) -> None:
-        # u <= w iff, for a left descent s of w: su <= sw when su < u, else u <= sw
-        size = self.size
-        bits = [0] * size
-        bits[0] = 1
-        byLength = sorted(range(size), key=lambda w: self.length[w])
-        for w in byLength:
-            if w == 0:
-                continue
-            s = next(
-                i for i in range(self.sys.rank)
-                if self.length[self.lmulTable[w][i]] < self.length[w]
-            )
-            sw = self.lmulTable[w][s]
-            lm = self.lmulTable
-            row = 0
-            base = bits[sw]
-            for u in range(size):
-                su = lm[u][s]
-                if base >> (su if self.length[su] < self.length[u] else u) & 1:
-                    row |= 1 << u
-            bits[w] = row
+        # By the lifting property (module docstring), w covers sw and each
+        # sc > c for c covered by sw.  s permutes a bitmask's binary string,
+        # whose position k holds the bit of element top - k.
+        size, rank, lm, length = self.size, self.sys.rank, self.lmulTable, self.length
+        top = size - 1
+        act = [itemgetter(*[top - lm[top - k][s] for k in range(size)]) for s in range(rank)]
+        fmt = f"0{size}b"
+        bits, covers = [1], [()]
+        for w in range(1, size):
+            s = next(i for i in range(rank) if length[lm[w][i]] < length[w])
+            sw = lm[w][s]
+            bits.append(bits[sw] | int("".join(act[s](format(bits[sw], fmt))), 2))
+            up = [lm[c][s] for c in covers[sw] if length[lm[c][s]] > length[c]]
+            covers.append(tuple(sorted([sw, *up])))
         self.bruhatBits = bits
+        self.coversOf = covers
 
     # -- memo ------------------------------------------------------------------
 

@@ -323,6 +323,42 @@ def subwordReachable(W: WeylGroup, w: int) -> set[int]:
     return out
 
 
+def bruhatBitsByDescent(W: WeylGroup) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Bruhat bitmasks and covers by the descent recursion, one element
+    pair at a time: for a left descent s of w, u <= w iff min(u, su) <= sw.
+    The covers of each w come from a scan of the whole group."""
+    size, lm, length = W.size, W.lmulTable, W.length
+    bits = [0] * size
+    bits[0] = 1
+    for w in sorted(range(size), key=lambda w: length[w]):
+        if w == 0:
+            continue
+        s = next(i for i in range(W.sys.rank) if length[lm[w][i]] < length[w])
+        base = bits[lm[w][s]]
+        row = 0
+        for u in range(size):
+            su = lm[u][s]
+            if base >> (su if length[su] < length[u] else u) & 1:
+                row |= 1 << u
+        bits[w] = row
+    covers = [
+        tuple(u for u in range(size) if length[u] == length[w] - 1 and bits[w] >> u & 1)
+        for w in range(size)
+    ]
+    return bits, covers
+
+
+def firstBruhatViolation(W: WeylGroup, order: list[int]) -> tuple[int, int] | None:
+    """The first pair u != w, u <= w with u listed after w, scanning u and
+    then w by ascending element id; None if order refines Bruhat order."""
+    pos = {w: k for k, w in enumerate(order)}
+    for u in W.elements():
+        for w in W.elements():
+            if u != w and W.bruhatLeq(u, w) and pos[u] > pos[w]:
+                return u, w
+    return None
+
+
 def bruhatLeqOracle(W: WeylGroup, u: int, w: int) -> bool:
     key = ("oracle-bruhat", w)
     if key not in W.memo:

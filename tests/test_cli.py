@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -11,8 +12,11 @@ import pytest
 import demkit
 import demkit.cache as cache
 import demkit.cli as cli
+import demkit.ktheory as kt
 from demkit.cli import main
 from demkit.weyl import weylGroup
+
+import oracles
 
 
 def run(capsys, *argv):
@@ -446,12 +450,28 @@ REPORT_BAD = [
     {"context": []},
     {"context": {}},
     {"context": {"type": 2}},
+    # a matrix change is made to an A2 indpq-triangular report
+    {"matrix": {"rows": [], "cols": [], "entries": [1, 2]}},
+    {"matrix": []},
+    {"matrix": {"rows": ["e"], "cols": ["e"]}},
+    {"matrix": {"rows": ["e"], "cols": [1], "entries": [[[]]]}},
+    {"matrix": {"rows": "e", "cols": ["e"], "entries": [[[]]]}},
+    {"matrix": {"rows": ["e"], "cols": ["e"], "entries": [[[]], [[]]]}},
+    {"matrix": {"rows": ["e"], "cols": ["e"], "entries": [[[], []]]}},
+    {"matrix": {"rows": ["e"], "cols": ["e"], "entries": [[{}]]}},
+    {"matrix": {"rows": ["e"], "cols": ["e"], "entries": [[[1]]]}},
+    {"matrix": {"rows": ["e"], "cols": ["e"], "entries": [[[{"c": "1", "w": [0, 0]}]]]}},
+    {"matrix": {"rows": ["e"], "cols": ["e"], "entries": [[[{"c": 1, "w": [0, None]}]]]}},
+    {"matrix": {"rows": ["e"], "cols": ["e"], "entries": [[[{"c": 1}]]]}},
+    {"matrix": {"rows": ["e"], "cols": ["e", "s1"],
+                "entries": [[[{"c": 1, "w": [0, 0]}], [{"c": 1, "w": [0]}]]]}},
 ]
 
 
 @pytest.mark.parametrize("change", REPORT_BAD)
 def test_cached_report_with_bad_nested_field_is_recomputed(tmp_path, capsys, change):
-    argv = ("suite", "q-equivalence", "--type", "A2")
+    suite = "indpq-triangular" if "matrix" in change else "q-equivalence"
+    argv = ("suite", suite, "--type", "A2")
     with open(GOLDEN, encoding="utf-8") as fh:
         golden = {tuple(c["argv"]): c for c in json.load(fh)}
     for fmt in ("json", "csv", "pretty"):
@@ -537,6 +557,43 @@ def test_order_file_not_refining(tmp_path, capsys):
                        "--order-file", p)
     assert code == 2 and "not Bruhat-refining" in err
     assert "must come before" in err
+
+
+def test_order_file_F4(tmp_path, capsys):
+    W = weylGroup("F4")
+    words = [kt.wordStr(W, w) for w in W.totalOrderBuild()]
+    argv = ("eval", "e([1,0,0,0])", "--type", "F4", "--no-cache", "--order-file")
+    code, out, err = run(capsys, *argv, writeOrder(tmp_path / "ok.txt", words))
+    assert (code, err) == (0, "") and json.loads(out)["value"][0]["w"] == [1, 0, 0, 0]
+    # s1 s2 s1 s3 s2 s1 s3 s4 listed after an element two layers above it
+    assert W.bruhatLeq(W.totalOrderBuild()[200], W.totalOrderBuild()[350])
+    words[200], words[350] = words[350], words[200]
+    p = writeOrder(tmp_path / "bad.txt", words)
+    assert run(capsys, *argv, p) == (2, "", (
+        f"demkit: {p}: order is not Bruhat-refining (s1 s2 s1 s3 s2 s1 s3 s4 "
+        "must come before s1 s2 s1 s3 s2 s1 s3 s2 s4)\n"))
+
+
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_order_file_names_first_violation_by_element_id(tmp_path, capsys, name):
+    W = weylGroup(name)
+    rng = random.Random(f"order:{name}")
+    for k in range(20):
+        order = W.totalOrderBuild()
+        for _ in range(k % 4 + 1):   # a few swaps, of near or far pairs
+            i = rng.randrange(W.size)
+            j = min(W.size - 1, i + rng.choice([1, 2, 5, W.size]))
+            order[i], order[j] = order[j], order[i]
+        p = writeOrder(tmp_path / f"o{k}.txt", [kt.wordStr(W, w) for w in order])
+        code, _, err = run(capsys, "eval", "e([0,0,0])", "--type", name, "--no-cache",
+                           "--order-file", p)
+        pair = oracles.firstBruhatViolation(W, order)
+        if pair is None:
+            assert (code, err) == (0, "")
+        else:
+            u, w = (kt.wordStr(W, x) for x in pair)
+            assert (code, err) == (2, f"demkit: {p}: order is not Bruhat-refining "
+                                      f"({u} must come before {w})\n")
 
 
 def test_order_file_not_permutation(tmp_path, capsys):

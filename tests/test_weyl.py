@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import demkit
 from demkit.rootsystem import isDominant, negW, rho, rootSystem, zero
 from demkit.weyl import WeylGroup, weylGroup
 
@@ -31,7 +36,7 @@ def test_length_equals_inversion_count(name):
         assert len(W.canonicalWord(w)) == W.length[w]
 
 
-@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3"])
 def test_bruhat_matches_subword_oracle(name):
     W = weylGroup(name)
     for w in W.elements():
@@ -40,12 +45,63 @@ def test_bruhat_matches_subword_oracle(name):
             assert W.bruhatLeq(u, w) == (u in low)
 
 
-def test_bruhat_spot_checks_B3():
-    W = weylGroup("B3")
-    rng = random.Random(5)
+def spotCheckBruhat(name, seed):
+    W = weylGroup(name)
+    rng = random.Random(seed)
     for _ in range(300):
         u, w = rng.randrange(W.size), rng.randrange(W.size)
         assert W.bruhatLeq(u, w) == oracles.bruhatLeqOracle(W, u, w)
+
+
+def test_bruhat_spot_checks_B3():
+    spotCheckBruhat("B3", 5)
+
+
+def test_bruhat_spot_checks_D4():
+    spotCheckBruhat("D4", 12)
+
+
+@pytest.mark.parametrize("name", sorted(ORDERS))
+def test_bruhat_table_matches_descent_oracle(name):
+    W = weylGroup(name)
+    bits, covers = oracles.bruhatBitsByDescent(W)
+    assert W.bruhatBits == bits
+    assert W.coversOf == covers
+    for w in W.elements():
+        assert W.bruhatBits[w] < 1 << W.size
+        assert W.bruhatBits[w] & 1 and W.bruhatBits[w] >> w & 1
+
+
+def test_group_keeps_no_build_scratch():
+    W = WeylGroup(rootSystem("B3"))
+    assert sorted(vars(W)) == sorted([
+        "sys", "cartanCols", "size", "words", "length", "rmulTable", "inv",
+        "lmulTable", "w0", "bruhatBits", "coversOf", "_order", "_pos", "memo",
+    ])
+
+
+def test_bruhat_table_same_under_python_O():
+    # one -O process with another hash seed builds every group afresh
+    src = os.path.dirname(os.path.dirname(os.path.abspath(demkit.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONHASHSEED"] = "7"
+    script = """if 1:
+        import hashlib, sys
+        from demkit.weyl import weylGroup
+        assert not __debug__
+        for name in sys.argv[1:]:
+            W = weylGroup(name)
+            print(name, hashlib.sha256(repr((W.bruhatBits, W.coversOf)).encode()).hexdigest())
+    """
+    proc = subprocess.run([sys.executable, "-O", "-c", script, *sorted(ORDERS)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    want = ""
+    for name in sorted(ORDERS):
+        W = weylGroup(name)
+        want += f"{name} {hashlib.sha256(repr((W.bruhatBits, W.coversOf)).encode()).hexdigest()}\n"
+    assert proc.stdout == want
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "B3"])
