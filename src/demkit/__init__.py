@@ -58,7 +58,6 @@ from .steinberg import (
     uniformChoices,
 )
 from .ktheory import (
-    TransitionMatrix,
     alphaEntry,
     betaEntry,
     eulerPair,
@@ -83,8 +82,7 @@ __all__ = [
     "PSTAR", "Q", "QHAT", "UNIT", "basisCharacter", "excellentLeq",
     "isSteinbergWeight", "steinbergDecompose", "steinbergDecomposeChar",
     "uniformChoices",
-    "TransitionMatrix", "alphaEntry", "betaEntry", "eulerPair", "gramCheck",
-    "indPQMatrix", "orthogonalityCheck", "parabolicChecks", "xClass",
-    "xHatClass",
+    "alphaEntry", "betaEntry", "eulerPair", "gramCheck", "indPQMatrix",
+    "orthogonalityCheck", "parabolicChecks", "xClass", "xHatClass",
     "EvalContext", "ParseError", "evalExpr", "parse", "printExpr",
 ]

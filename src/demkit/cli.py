@@ -88,12 +88,16 @@ def _parseWord(text: str, W: WeylGroup, where: str) -> int:
 def _loadOrder(path: str, W: WeylGroup) -> list[int]:
     """One element per line, written as a word; must list the whole group in
     an order that refines Bruhat order."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        reason = e.strerror if isinstance(e, OSError) else "not UTF-8 text"
+        raise UsageError(f"cannot read --order-file {clip(path)!r}: {reason}")
     order = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
             order.append(_parseWord(line, W, f"{path}:{lineno}"))
     if sorted(order) != list(W.elements()):
         raise UsageError(f"{path}: not a permutation of all {W.size} elements")
@@ -153,8 +157,8 @@ def _suiteQEquivalence(W: WeylGroup):
 
 
 def _suiteIndPQ(W: WeylGroup):
-    m = kt.indPQMatrix(W)
-    return kt.indPQCheck(W, m), {"matrix": kt.matrixToJSON(W, m)}
+    rows = kt.indPQMatrix(W)
+    return kt.indPQCheck(W, rows), {"matrix": kt.matrixToJSON(W, rows)}
 
 
 def _suiteTriang(W: WeylGroup, rng: random.Random):
@@ -402,8 +406,11 @@ def _renderSuite(report: dict, fmt: str) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise UsageError(f"cannot write --out {clip(out)!r}: {e.strerror}")
     else:
         _sys.stdout.write(text)
 
@@ -445,7 +452,10 @@ def main(argv=None) -> int:
         piP = _parseParabolic(args.parabolic, W.sys.rank)
         order = _loadOrder(args.order_file, W) if args.order_file else None
         root = None if args.no_cache else (args.cache_dir or os.environ.get("DEMKIT_CACHE"))
-        cache = DiskCache(root)
+        try:
+            cache = DiskCache(root)
+        except OSError as e:
+            raise UsageError(f"cannot create cache directory {clip(root)!r}: {e.strerror}")
 
         if args.command == "eval":
             return _runEval(args, W, piP, order, cache)

@@ -7,7 +7,9 @@ width chosen per call from an exact bound on every weight the word can
 reach, so a step subtracts multiples of the packed simple root and reads
 the coroot pairing from one field.  Orbit characters, section characters
 over unions of Schubert varieties and their twisted variants are built on
-demWord.  A layer character (charQ) is a Demazure atom: the fold of
+demWord.  A lower set in Bruhat order is a bitmask over element ids, the OR
+of the interval masks W.bruhatBits of its generators.  A layer character
+(charQ) is a Demazure atom: the fold of
 pi-bar_i = pi_i - 1 along a reduced word.  The rho-twisted operators of
 charQviaTwist give the same characters by a second route, which the
 q-equivalence suite compares; the inclusion-exclusion over the boundary
@@ -25,8 +27,6 @@ from operator import mul, or_
 from .characters import Character, addMul, alternantCoeffs, expandGClass
 from .rootsystem import Weight, isDominant, negW, norm2Scaled, rho
 from .weyl import WeylGroup
-
-LowerSet = tuple[int, ...]   # canonical antichain of Bruhat-maximal elements
 
 
 def demStep(W: WeylGroup, i: int, f: Character) -> Character:
@@ -104,15 +104,6 @@ def demElt(W: WeylGroup, w: int, f: Character) -> Character:
     return demWord(W, W.canonicalWord(w), f)
 
 
-def _demMono(W: WeylGroup, w: int, lam: Weight) -> Character:
-    key = ("dem", w, lam)
-    r = W.memo.get(key)
-    if r is None:
-        r = demElt(W, w, Character.monomial(lam))
-        W.memo[key] = r
-    return r
-
-
 def eulerChar(W: WeylGroup, f: Character) -> Character:
     """The full-group operator by the Weyl character formula (see module
     docstring): one toDominant per term, then one irreducible character per
@@ -129,7 +120,12 @@ def highestWeight(lam: Weight) -> Weight:
 
 def charNabla(W: WeylGroup, lam: Weight) -> Character:
     """Character of the irreducible with highest weight lam (dominant)."""
-    return _demMono(W, W.w0, highestWeight(lam))
+    key = ("dem", lam)
+    r = W.memo.get(key)
+    if r is None:
+        r = demElt(W, W.w0, Character.monomial(highestWeight(lam)))
+        W.memo[key] = r
+    return r
 
 
 def charP(W: WeylGroup, lam: Weight) -> Character:
@@ -138,17 +134,9 @@ def charP(W: WeylGroup, lam: Weight) -> Character:
     return demElt(W, w, Character.monomial(dom))
 
 
-# -- lower sets in Bruhat order ----------------------------------------------
-
-def lowerSet(W: WeylGroup, elems) -> LowerSet:
-    """Canonical antichain generating the same downward-closed set."""
-    es = set(elems)
-    strict = reduce(or_, [W.bruhatBits[v] ^ 1 << v for v in es], 0)   # strictly below some v
-    return tuple(sorted(u for u in es if not strict >> u & 1))
-
-
-def lowerSetMask(W: WeylGroup, s: LowerSet) -> int:
-    return reduce(or_, [W.bruhatBits[u] for u in s], 0)
+def lowerSetMask(W: WeylGroup, elems) -> int:
+    """The bitmask of the lower set in Bruhat order generated by elems."""
+    return reduce(or_, [W.bruhatBits[u] for u in elems], 0)
 
 
 # -- the quotient-by-boundary characters ---------------------------------------
@@ -185,15 +173,19 @@ def charQviaTwist(W: WeylGroup, lam: Weight) -> Character:
     return f
 
 
-def _sections(W: WeylGroup, mask: int, lam: Weight, below: int = 0) -> Character:
+def charSections(W: WeylGroup, mask: int, lam: Weight, below: int) -> Character:
     """Sum of layer characters over the distinct orbit weights u*lam for u in
     the lower set with bit mask `mask`, leaving out every weight also reached
-    from the lower set with mask `below` (a subset of it).
+    from the lower set with mask `below`, which must lie inside it (0 for the
+    sections over the union of the Schubert varieties the lower set names).
 
     The lower set is walked up from e by left multiplication: a reduced word
     s_i1 ... s_ik of u puts every suffix below u, so each u is reached, and
     (s_i u) lam = s_i (u lam) is one reflection of a weight already known.
     """
+    if below & ~mask:
+        u = (below & ~mask).bit_length() - 1
+        raise AssertionError(f"element {u} is left out but not in the lower set")
     lmul = W.lmulTable
     reflect = W.reflect
     moved = {0: lam} if mask else {}
@@ -211,22 +203,6 @@ def _sections(W: WeylGroup, mask: int, lam: Weight, below: int = 0) -> Character
     for mu in sorted(set(moved.values()) - left):
         addMul(acc, charQ(W, mu).terms, 1)
     return r
-
-
-def charSections(W: WeylGroup, s: LowerSet, lam: Weight) -> Character:
-    """Sum of layer characters over the distinct orbit weights u*lam for u in
-    the lower set generated by s."""
-    return _sections(W, lowerSetMask(W, s), lam)
-
-
-def charSectionsAbove(W: WeylGroup, top: int, zs: LowerSet, lam: Weight) -> Character:
-    """charSections(W, (top,), lam) - charSections(W, zs, lam) for a lower set
-    zs below top, from one walk: the layer characters of the orbit weights
-    reached from top and not from zs."""
-    below = lowerSetMask(W, zs)
-    if below & ~W.bruhatBits[top]:
-        raise AssertionError(f"lower set {zs} is not below element {top}")
-    return _sections(W, W.bruhatBits[top], lam, below)
 
 
 def charQhat(W: WeylGroup, lam: Weight, piP: tuple[int, ...]) -> Character:

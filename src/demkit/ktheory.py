@@ -19,8 +19,6 @@ characters onto a chosen half of a mixed basis.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .characters import (
     Character,
     GClassExpansion,
@@ -41,11 +39,11 @@ from .demazure import (
     charP,
     charQ,
     charQhat,
-    charSectionsAbove,
+    charSections,
     demElt,
     demStep,
     eulerChar,
-    lowerSet,
+    lowerSetMask,
 )
 from .rootsystem import fundamental, isDominant, negW, rho, subW, zero
 from .steinberg import PSTAR, Q, QHAT, steinbergDecompose
@@ -57,23 +55,18 @@ def eulerPair(W: WeylGroup, f: Character, g: Character) -> Character:
     return eulerChar(W, f * g)
 
 
-@dataclass
-class TransitionMatrix:
-    rowOrder: list[int]
-    colOrder: list[int]
-    entries: list[list[Character]]
-
-
 def wordStr(W: WeylGroup, w: int) -> str:
     word = W.canonicalWord(w)
     return "e" if not word else " ".join(f"s{i + 1}" for i in word)
 
 
-def matrixToJSON(W: WeylGroup, m: TransitionMatrix) -> dict:
+def matrixToJSON(W: WeylGroup, rows: list[list[Character]]) -> dict:
+    """A square matrix whose rows and columns are both indexed by id."""
+    names = [wordStr(W, w) for w in W.elements()]
     return {
-        "rows": [wordStr(W, w) for w in m.rowOrder],
-        "cols": [wordStr(W, w) for w in m.colOrder],
-        "entries": [[charToJSON(c) for c in row] for row in m.entries],
+        "rows": names,
+        "cols": names,
+        "entries": [[charToJSON(c) for c in row] for row in rows],
     }
 
 
@@ -106,21 +99,20 @@ def _qChars(W: WeylGroup, ws) -> dict[int, Character]:
     return {w: charQ(W, W.steinbergWeight(w)) for w in ws}
 
 
-def indPQMatrix(W: WeylGroup) -> TransitionMatrix:
-    """Pairing table of the two section-character families, rows and columns
-    in the fixed length-then-word order."""
-    order = W.totalOrderBuild()
-    table = pairingsWithP(W, order, _qChars(W, order))
-    entries = [[expandGClass(W, table[(v, w)]) for w in order] for v in order]
-    return TransitionMatrix(list(order), list(order), entries)
+def indPQMatrix(W: WeylGroup) -> list[list[Character]]:
+    """Pairing table of the two section-character families: the row of P_v
+    at index v, the column of Q_w at index w."""
+    ws = W.elements()
+    table = pairingsWithP(W, ws, _qChars(W, ws))
+    return [[expandGClass(W, table[(v, w)]) for w in ws] for v in ws]
 
 
-def indPQCheck(W: WeylGroup, m: TransitionMatrix) -> list[tuple[str, bool, str]]:
+def indPQCheck(W: WeylGroup, rows: list[list[Character]]) -> list[tuple[str, bool, str]]:
     """Unitriangularity: diagonal 1, zero wherever the column element does not
     lie below the row element."""
     one = Character.monomial(zero(W.sys))
-    for v, row in zip(m.rowOrder, m.entries):
-        for w, e in zip(m.colOrder, row):
+    for v, row in enumerate(rows):
+        for w, e in enumerate(row):
             if v == w and e != one:
                 return [("indpq-unitriangular", False,
                          f"diagonal at {wordStr(W, v)}: {compact(e)}")]
@@ -142,8 +134,8 @@ def betaEntry(W: WeylGroup, v: int, w: int) -> Character:
     vw0 = W.mul(W.inverse(v), W.w0)
     ww0 = W.mul(w, W.w0)
     top = W.demazureProduct(ww0, vw0)
-    zs = lowerSet(W, [W.demazureProduct(z, vw0) for z in W.covers(ww0)])
-    return charSectionsAbove(W, top, zs, lam)
+    below = lowerSetMask(W, [W.demazureProduct(z, vw0) for z in W.covers(ww0)])
+    return charSections(W, W.bruhatBits[top], lam, below)
 
 
 def alphaEntry(W: WeylGroup, v: int, w: int) -> Character:
@@ -156,8 +148,8 @@ def alphaEntry(W: WeylGroup, v: int, w: int) -> Character:
     u = W.mul(W.mul(W.w0, w), W.w0)
     vi = W.inverse(v)
     top = W.demazureProduct(u, vi)
-    zs = lowerSet(W, [W.demazureProduct(u, z) for z in W.covers(vi)])
-    return weylActionChar(W, W.w0, charSectionsAbove(W, top, zs, lam))
+    below = lowerSetMask(W, [W.demazureProduct(u, z) for z in W.covers(vi)])
+    return weylActionChar(W, W.w0, charSections(W, W.bruhatBits[top], lam, below))
 
 
 def triangularityChecks(
@@ -235,7 +227,7 @@ def _combine(W: WeylGroup, coeffs: dict[int, GClassExpansion], layer) -> Charact
 def xClass(W: WeylGroup, p: int, order: list[int] | None = None) -> Character:
     """Project the dualized section character at p onto the layer classes at
     or after p: the K-class of the exceptional object attached to p."""
-    order = W.totalOrderBuild() if order is None else order
+    order = W.elements() if order is None else order
     return _combine(W, _xCoefficients(W, p, order),
                     lambda v: charQ(W, W.steinbergWeight(v)))
 
@@ -252,7 +244,7 @@ def gramTable(
     The coefficients are few and mostly scalars, so the only products of
     characters are the entries of the small layer Gram table M.
     """
-    order = W.totalOrderBuild() if order is None else order
+    order = W.elements() if order is None else order
     coeffs = {p: _xCoefficients(W, p, order) for p in order}
     duals = {p: {a: gDual(W, c) for a, c in cp.items()} for p, cp in coeffs.items()}
     support = sorted({a for cp in coeffs.values() for a in cp})
@@ -280,14 +272,13 @@ def gramTable(
 
 def gramCheck(
     W: WeylGroup,
-    order: list[int] | None = None,
-    table: dict[tuple[int, int], GClassExpansion] | None = None,
+    order: list[int] | None,
+    table: dict[tuple[int, int], GClassExpansion],
 ) -> tuple[list[tuple[str, bool, str]], dict[tuple[int, int], GClassExpansion]]:
     """Diagonal-1 and upper-zero conditions on the class pairing table
-    (gramTable, built here unless given).  Entries strictly below the
-    diagonal are returned unconstrained."""
-    order = W.totalOrderBuild() if order is None else order
-    table = gramTable(W, order) if table is None else table
+    gramTable(W, order), None meaning the id order.  Entries strictly below
+    the diagonal are returned unconstrained."""
+    order = W.elements() if order is None else order
     pos = {w: k for k, w in enumerate(order)}
     one = {zero(W.sys): 1}
     below: dict[tuple[int, int], GClassExpansion] = {}
@@ -308,14 +299,13 @@ def gramCheck(
 
 def sameLengthPairReport(
     W: WeylGroup,
-    order: list[int] | None = None,
-    table: dict[tuple[int, int], GClassExpansion] | None = None,
+    order: list[int] | None,
+    table: dict[tuple[int, int], GClassExpansion],
 ) -> list[dict]:
-    """Euler pairings between distinct classes of equal length (from
-    gramTable, built here unless given), emitted for inspection only; nothing
-    is asserted about their values."""
-    order = W.totalOrderBuild() if order is None else order
-    table = gramTable(W, order) if table is None else table
+    """Euler pairings between distinct classes of equal length, from the
+    table gramTable(W, order), None meaning the id order; emitted for
+    inspection only, nothing is asserted about their values."""
+    order = W.elements() if order is None else order
     rows = []
     for v in order:
         for w in order:
@@ -340,7 +330,7 @@ def xHatClass(
     wp, minimal, w0p = W.parabolicData(piP)
     if p not in minimal:
         raise ValueError(f"element {wordStr(W, p)} is not a minimal coset representative")
-    order = W.totalOrderBuild() if order is None else order
+    order = W.elements() if order is None else order
     pos = {w: k for k, w in enumerate(order)}
     minset = set(minimal)
     choices = {

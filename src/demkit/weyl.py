@@ -7,10 +7,12 @@ identified by the regular weight w^-1 rho (Stembridge, "Computational aspects
 of root systems, Coxeter groups, and Weyl characters", 2001), whose key
 under w s_i is s_i applied to it.  The canonical reduced word of an element
 is the ShortLex-least one, which is what a FIFO breadth-first search with
-ascending generator indices produces; ids follow that search.  Each lower
-Bruhat interval [e, w] is a bitmask, built by the lifting property
-(Bjorner-Brenti, Combinatorics of Coxeter Groups, Prop. 2.2.7): for a left
-descent s of w, [e, w] = [e, sw] u s[e, sw], and sw < w.
+ascending generator indices produces; ids follow that search, so they are in
+(length, canonical word) order, which refines Bruhat order, and the longest
+element is the last id.  A lower set in Bruhat order is a bitmask over ids;
+each lower interval [e, w] is built by the lifting property (Bjorner-Brenti,
+Combinatorics of Coxeter Groups, Prop. 2.2.7): for a left descent s of w,
+[e, w] = [e, sw] u s[e, sw], and sw < w.
 """
 from __future__ import annotations
 
@@ -79,11 +81,9 @@ class WeylGroup:
         self.inv = inv
         # s_i w = (w^-1 s_i)^-1
         self.lmulTable = [[inv[j] for j in rmul[inv[w]]] for w in range(self.size)]
-        self.w0 = max(range(self.size), key=lambda w: self.length[w])
+        self.w0 = self.size - 1
 
         self._buildBruhat()
-        self._order = sorted(range(self.size), key=lambda w: (self.length[w], words[w]))
-        self._pos = {w: k for k, w in enumerate(self._order)}
         self.memo: dict = {}   # shared scratch for the character layers
 
     # -- construction helpers -------------------------------------------------
@@ -209,32 +209,16 @@ class WeylGroup:
         return self.act(self.inv[v], tuple(theta))
 
     def parabolicData(self, piP: tuple[int, ...]) -> tuple[list[int], list[int], int]:
-        """Subgroup elements, minimal coset representatives, longest subgroup element."""
-        piP = tuple(sorted(set(piP)))
-        sub = {0}
-        queue = [0]
-        while queue:
-            w = queue.pop()
-            for i in piP:
-                x = self.rmulTable[w][i]
-                if x not in sub:
-                    sub.add(x)
-                    queue.append(x)
-        wp = sorted(sub, key=lambda w: (self.length[w], self.words[w]))
+        """Subgroup elements and minimal coset representatives, both in id
+        order, and the longest subgroup element (the largest id).  w lies in
+        W_P exactly when its reduced words use only letters of P."""
+        piP = set(piP)
+        sub = [w for w in self.elements() if piP.issuperset(self.words[w])]
         minimal = [
             w for w in self.elements()
             if all(self.length[self.rmulTable[w][i]] > self.length[w] for i in piP)
         ]
-        minimal.sort(key=lambda w: (self.length[w], self.words[w]))
-        w0p = max(sub, key=lambda w: self.length[w])
-        return wp, minimal, w0p
-
-    def totalOrderBuild(self) -> list[int]:
-        """Element ids sorted by (length, canonical word); refines Bruhat order."""
-        return list(self._order)
-
-    def orderPos(self, w: int) -> int:
-        return self._pos[w]
+        return sub, minimal, sub[-1]
 
     def reducedWords(self, w: int) -> list[tuple[int, ...]]:
         """Every reduced word of w (exponential; meant for small groups/tests)."""

@@ -25,10 +25,13 @@ integer matrices the package uses.  The Weyl group by action matrices
 element (charSectionsPlain) check the reflection-keyed enumeration and the
 lower-set walk that replaced them.  The transition-matrix entries as the
 difference of two full section sums (alphaEntryTwoSums, betaEntryTwoSums)
-check ktheory's sum over the orbit weights of one walk.  The layer
-characters by their definition, sections over a Schubert variety minus
-those over its boundary by inclusion-exclusion over the boundary antichain
-(charQBoundary), check demazure.charQ's fold of Demazure atoms.
+check ktheory's sum over the orbit weights of one walk.  Lower sets are
+bitmasks in the package; the canonical antichain of Bruhat-maximal
+generators (lowerSet, antichainFromMask) is kept here for the oracles and
+tests that build one.  The layer characters by their definition, sections
+over a Schubert variety minus those over its boundary by inclusion-exclusion
+over the boundary antichain (charQBoundary), check demazure.charQ's fold of
+Demazure atoms.
 """
 from __future__ import annotations
 
@@ -39,13 +42,11 @@ from math import lcm
 
 from demkit.characters import Character, GClassExpansion, decomposeWeylBasis, dual
 from demkit.demazure import (
-    LowerSet,
     charNabla,
     charP,
     charQ,
     charSections,
     demElt,
-    lowerSet,
     lowerSetMask,
 )
 from demkit.ktheory import eulerPair, xClass
@@ -190,10 +191,21 @@ def matrixAct(mat, lam: Weight) -> Weight:
     return tuple(sum(a * x for a, x in zip(row, lam)) for row in mat)
 
 
-def charSectionsPlain(W: WeylGroup, s: LowerSet, lam: Weight) -> Character:
+LowerSet = tuple[int, ...]   # canonical antichain of Bruhat-maximal elements
+
+
+def lowerSet(W: WeylGroup, elems) -> LowerSet:
+    """Canonical antichain generating the same lower set as elems."""
+    es = set(elems)
+    strict = 0   # strictly below some element of es
+    for v in es:
+        strict |= W.bruhatBits[v] ^ 1 << v
+    return tuple(sorted(u for u in es if not strict >> u & 1))
+
+
+def charSectionsPlain(W: WeylGroup, mask: int, lam: Weight) -> Character:
     """Sum of layer characters over the distinct weights u lam, one W.act per
-    element u of the lower set's mask."""
-    mask = lowerSetMask(W, s)
+    element u of the lower set with bit mask `mask`."""
     seen = {W.act(u, lam) for u in W.elements() if mask >> u & 1}
     total = Character.zero()
     for mu in sorted(seen):
@@ -232,7 +244,7 @@ def charH0InclusionExclusion(W: WeylGroup, s: LowerSet, lam: Weight) -> Characte
     elif len(s) == 1:
         r = demElt(W, s[0], Character.monomial(lam))
     else:
-        m = max(s, key=W.orderPos)
+        m = max(s)   # ids are in (length, canonical word) order
         rest = tuple(u for u in s if u != m)
         inter = antichainFromMask(W, lowerSetMask(W, rest) & W.bruhatBits[m])
         r = (charH0InclusionExclusion(W, rest, lam) + charH0InclusionExclusion(W, (m,), lam)
@@ -255,8 +267,9 @@ def betaEntryTwoSums(W: WeylGroup, v: int, w: int) -> Character:
     lam = negW(W.act(W.w0, W.act(v, W.steinbergWeight(v))))
     vw0 = W.mul(W.inverse(v), W.w0)
     ww0 = W.mul(w, W.w0)
-    zs = lowerSet(W, [W.demazureProduct(z, vw0) for z in W.covers(ww0)])
-    return charSections(W, (W.demazureProduct(ww0, vw0),), lam) - charSections(W, zs, lam)
+    top = W.bruhatBits[W.demazureProduct(ww0, vw0)]
+    below = lowerSetMask(W, [W.demazureProduct(z, vw0) for z in W.covers(ww0)])
+    return charSections(W, top, lam, 0) - charSections(W, below, lam, 0)
 
 
 def alphaEntryTwoSums(W: WeylGroup, v: int, w: int) -> Character:
@@ -264,8 +277,9 @@ def alphaEntryTwoSums(W: WeylGroup, v: int, w: int) -> Character:
     lam = W.act(v, W.steinbergWeight(v))
     u = W.mul(W.mul(W.w0, w), W.w0)
     vi = W.inverse(v)
-    zs = lowerSet(W, [W.demazureProduct(u, z) for z in W.covers(vi)])
-    diff = charSections(W, (W.demazureProduct(u, vi),), lam) - charSections(W, zs, lam)
+    top = W.bruhatBits[W.demazureProduct(u, vi)]
+    below = lowerSetMask(W, [W.demazureProduct(u, z) for z in W.covers(vi)])
+    diff = charSections(W, top, lam, 0) - charSections(W, below, lam, 0)
     return Character({W.act(W.w0, mu): c for mu, c in diff.terms.items()})
 
 
@@ -471,8 +485,8 @@ def inLowerSet(W: WeylGroup, s: LowerSet, u: int) -> bool:
     return any(W.bruhatLeq(u, m) for m in s)
 
 
-def minimalCosetReps(W: WeylGroup, piP: tuple[int, ...]) -> set[int]:
-    """Shortest element of each coset u W_P, found by brute force."""
+def parabolicSubgroup(W: WeylGroup, piP: tuple[int, ...]) -> set[int]:
+    """W_P as the closure of {e} under left multiplication by its generators."""
     sub = {0}
     frontier = {0}
     while frontier:
@@ -484,6 +498,12 @@ def minimalCosetReps(W: WeylGroup, piP: tuple[int, ...]) -> set[int]:
                     sub.add(v)
                     nxt.add(v)
         frontier = nxt
+    return sub
+
+
+def minimalCosetReps(W: WeylGroup, piP: tuple[int, ...]) -> set[int]:
+    """Shortest element of each coset u W_P, found by brute force."""
+    sub = parabolicSubgroup(W, piP)
     seen = set()
     reps = set()
     for u in sorted(W.elements(), key=lambda x: W.length[x]):
@@ -595,7 +615,7 @@ def gramTableProduct(
 ) -> dict[tuple[int, int], GClassExpansion]:
     """chi(dual(x_v) x_w) for every ordered pair of exceptional classes, as
     ktheory.gramTable, by building each class and forming each product."""
-    order = W.totalOrderBuild() if order is None else order
+    order = W.elements() if order is None else order
     classes = {p: xClass(W, p, order) for p in order}
     return {(v, w): decomposeWeylBasis(W, eulerPair(W, dual(classes[v]), classes[w]))
             for v in order for w in order}

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import random
@@ -14,6 +17,7 @@ import demkit.cache as cache
 import demkit.cli as cli
 import demkit.ktheory as kt
 from demkit.cli import main
+from demkit.exprlang import clip
 from demkit.weyl import weylGroup
 
 import oracles
@@ -248,6 +252,54 @@ def test_golden_outputs(capsys):
         assert (code, out, err) == (case["code"], case["stdout"], ""), case["argv"]
 
 
+SUITE_DIGESTS = os.path.join(os.path.dirname(__file__), "golden", "suites.json")
+
+
+def suiteCases():
+    """Every (suite, type) pair the CLI accepts, --parabolic 1 for parabolic,
+    in json, then csv, then pretty."""
+    for name, types in ACCEPTED_TYPES.items():
+        extra = ["--parabolic", "1"] if name == "parabolic" else []
+        for t in types.split():
+            for fmt in ("json", "csv", "pretty"):
+                yield ["suite", name, "--type", t, *extra, "--format", fmt]
+
+
+def cacheEntries(cdir):
+    return {(e.name, e.inode()) for e in os.scandir(cdir)}
+
+
+def suiteDigestRuns(cdir):
+    """[{argv, code, sha256 of stdout}] of every suite case run through
+    cli.main with one cache directory.  A pair's json run must be cold (it
+    adds one cache entry) and its csv and pretty runs hot (they leave every
+    entry as it is), so the digests pin hot output to cold output.  The
+    checks raise, so they hold under python -O too."""
+    out = []
+    for argv in suiteCases():
+        before = cacheEntries(cdir)
+        so, se = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(so), contextlib.redirect_stderr(se):
+            code = cli.main([*argv, "--cache-dir", cdir])
+        after = cacheEntries(cdir)
+        fresh = (len(after - before), len(before - after))
+        if se.getvalue() or fresh != ((1, 0) if argv[-1] == "json" else (0, 0)):
+            raise AssertionError(f"{argv}: stderr {se.getvalue()!r}, cache {fresh}")
+        digest = hashlib.sha256(so.getvalue().encode()).hexdigest()
+        out.append({"argv": argv, "code": code, "sha256": digest})
+    return out
+
+
+def test_suite_digests(tmp_path):
+    """Exit status and the sha256 of stdout of every suite on every type it
+    accepts, in every format.  Re-record a case only when its output is
+    meant to change."""
+    with open(SUITE_DIGESTS, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    assert [c["argv"] for c in golden] == list(suiteCases())
+    assert suiteDigestRuns(str(tmp_path)) == golden
+
+
 @pytest.mark.parametrize("argv,order", [
     (["eval", "e([\u00b2])", "--type", "A1"], None),
     (["eval", "e([" + "1" * 5000 + "])", "--type", "A1"], None),
@@ -343,13 +395,14 @@ def test_cache_byte_identity(tmp_path, capsys):
             assert cold == hot == bare, (argv, fmt)
 
 
-def test_golden_outputs_under_python_O():
-    # one -O process runs every golden case through cli.main in turn
+def test_golden_outputs_under_python_O(tmp_path):
+    # one -O process runs every golden case through cli.main in turn, then
+    # every suite digest case
     src = os.path.dirname(os.path.dirname(os.path.abspath(demkit.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = """if 1:
-        import contextlib, io, json, sys
+        import contextlib, io, json, os, sys
         import demkit.cli as cli
         assert not __debug__
         bad = []
@@ -359,10 +412,16 @@ def test_golden_outputs_under_python_O():
                 code = cli.main(case["argv"])
             if (code, out.getvalue(), err.getvalue()) != (case["code"], case["stdout"], ""):
                 bad.append(case["argv"])
+        sys.path.insert(0, os.path.dirname(os.path.dirname(sys.argv[1])))
+        import test_cli
+        golden = json.load(open(sys.argv[2], encoding="utf-8"))
+        runs = test_cli.suiteDigestRuns(sys.argv[3])
+        bad += [c["argv"] for c, r in zip(golden, runs) if c != r]
         print(json.dumps(bad))
     """
-    proc = subprocess.run([sys.executable, "-O", "-c", script, GOLDEN], capture_output=True,
-                          text=True, env=env, timeout=300)
+    proc = subprocess.run([sys.executable, "-O", "-c", script, GOLDEN, SUITE_DIGESTS,
+                           str(tmp_path)], capture_output=True, text=True, env=env,
+                          timeout=300)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout) == []
 
@@ -561,12 +620,12 @@ def test_order_file_not_refining(tmp_path, capsys):
 
 def test_order_file_F4(tmp_path, capsys):
     W = weylGroup("F4")
-    words = [kt.wordStr(W, w) for w in W.totalOrderBuild()]
+    words = [kt.wordStr(W, w) for w in W.elements()]
     argv = ("eval", "e([1,0,0,0])", "--type", "F4", "--no-cache", "--order-file")
     code, out, err = run(capsys, *argv, writeOrder(tmp_path / "ok.txt", words))
     assert (code, err) == (0, "") and json.loads(out)["value"][0]["w"] == [1, 0, 0, 0]
     # s1 s2 s1 s3 s2 s1 s3 s4 listed after an element two layers above it
-    assert W.bruhatLeq(W.totalOrderBuild()[200], W.totalOrderBuild()[350])
+    assert W.bruhatLeq(200, 350)
     words[200], words[350] = words[350], words[200]
     p = writeOrder(tmp_path / "bad.txt", words)
     assert run(capsys, *argv, p) == (2, "", (
@@ -579,7 +638,7 @@ def test_order_file_names_first_violation_by_element_id(tmp_path, capsys, name):
     W = weylGroup(name)
     rng = random.Random(f"order:{name}")
     for k in range(20):
-        order = W.totalOrderBuild()
+        order = list(W.elements())
         for _ in range(k % 4 + 1):   # a few swaps, of near or far pairs
             i = rng.randrange(W.size)
             j = min(W.size - 1, i + rng.choice([1, 2, 5, W.size]))
@@ -606,6 +665,45 @@ def test_order_file_not_permutation(tmp_path, capsys):
     code, _, err = run(capsys, "suite", "xclass-gram", "--type", "A2",
                        "--order-file", p)
     assert code == 2 and "out of range" in err
+
+
+# site: (option or variable, path under tmp_path, what failed, reason)
+BAD_FILE_SITES = {
+    "order-missing": ("--order-file", "missing.txt", "cannot read --order-file",
+                      "No such file or directory"),
+    "order-directory": ("--order-file", ".", "cannot read --order-file", "Is a directory"),
+    "order-not-utf8": ("--order-file", "latin1.txt", "cannot read --order-file",
+                       "not UTF-8 text"),
+    "out-missing-dir": ("--out", "missing/r.json", "cannot write --out",
+                        "No such file or directory"),
+    "cache-dir": ("--cache-dir", "file/cache", "cannot create cache directory",
+                  "Not a directory"),
+    "cache-env": ("DEMKIT_CACHE", "file/cache", "cannot create cache directory",
+                  "Not a directory"),
+}
+
+
+@pytest.mark.parametrize("site", list(BAD_FILE_SITES))
+def test_bad_file_argument_exit_2(tmp_path, capsys, monkeypatch, site):
+    option, name, what, reason = BAD_FILE_SITES[site]
+    (tmp_path / "file").write_text("")
+    (tmp_path / "latin1.txt").write_bytes("e\ns1\ns2\ns1 s2 # \xe9t\xe9\n".encode("latin-1"))
+    path = str(tmp_path / name)
+    argv = ["eval", "e([0,0])", "--type", "A2"]
+    monkeypatch.delenv("DEMKIT_CACHE", raising=False)
+    if option == "DEMKIT_CACHE":
+        monkeypatch.setenv(option, path)
+    else:
+        argv += [option, path]
+    assert run(capsys, *argv) == (2, "", f"demkit: {what} {clip(path)!r}: {reason}\n")
+
+
+def test_bad_file_argument_path_is_clipped(tmp_path, capsys):
+    path = str(tmp_path / ("d" * 3000) / "r.json")
+    code, out, err = run(capsys, "eval", "e([0,0])", "--type", "A2", "--no-cache",
+                         "--out", path)
+    assert (code, out) == (2, "") and err.startswith("demkit: cannot write --out ")
+    assert len(err) < 250 and "characters)" in err, err[:300]
 
 
 def test_all_suites_run_on_a_supported_type(capsys):

@@ -3,7 +3,8 @@ linter needed): every imported name is used, every global name a module
 refers to exists, the package imports only the standard library and
 itself, and only rootsystem, which builds its scaled integer matrices
 through exact rationals, imports fractions.  The module doctests run here
-too."""
+too, and every function the benchmark's tracer (bench/tracer.py) wraps must
+still resolve."""
 from __future__ import annotations
 
 import ast
@@ -108,3 +109,33 @@ def test_every_global_name_resolves(module):
                     and not hasattr(mod, name) and not hasattr(builtins, name)):
                 missing.add(name)
     assert not missing, f"{module}: unresolved global names {sorted(missing)}"
+
+
+TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
+
+
+def tracerTargets() -> tuple:
+    """bench/tracer.py's TARGETS, read as a literal from its source."""
+    with open(TRACER, encoding="utf-8") as fh:
+        body = ast.parse(fh.read(), filename=TRACER).body
+    for node in body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracer.py defines no TARGETS")
+
+
+def test_traced_names_resolve():
+    """Every (module, owner, attribute) the benchmark's tracer wraps is still
+    a callable of the package, so a cleanup cannot delete a name that the
+    traced benchmark and its self-check need."""
+    targets = tracerTargets()
+    assert targets
+    missing = []
+    for module, owner, attr, _ in targets:
+        obj = importlib.import_module(module)
+        if owner is not None:
+            obj = getattr(obj, owner, None)
+        if not callable(getattr(obj, attr, None)):
+            missing.append((module, owner, attr))
+    assert missing == [], f"traced names that no longer resolve: {missing}"

@@ -76,7 +76,7 @@ def test_group_keeps_no_build_scratch():
     W = WeylGroup(rootSystem("B3"))
     assert sorted(vars(W)) == sorted([
         "sys", "cartanCols", "size", "words", "length", "rmulTable", "inv",
-        "lmulTable", "w0", "bruhatBits", "coversOf", "_order", "_pos", "memo",
+        "lmulTable", "w0", "bruhatBits", "coversOf", "memo",
     ])
 
 
@@ -186,17 +186,16 @@ def test_steinberg_weights(name):
     assert seen[negW(rho(W.sys))] == W.w0
 
 
-@pytest.mark.parametrize("name", ["A2", "B2", "G2", "B3", "F4"])
+@pytest.mark.parametrize("name", sorted(ORDERS))
 def test_total_order_refines_bruhat(name):
+    # ids are the default total order: (length, canonical word), with w0 last
     W = weylGroup(name)
-    order = W.totalOrderBuild()
-    assert sorted(order) == list(W.elements())
-    pos = {w: k for k, w in enumerate(order)}
-    assert all(W.orderPos(w) == pos[w] for w in W.elements())
-    for u in W.elements():
-        for w in W.elements():
-            if u != w and W.bruhatLeq(u, w):
-                assert pos[u] < pos[w]
+    ids = list(W.elements())
+    assert ids == sorted(ids, key=lambda w: (W.length[w], W.canonicalWord(w)))
+    assert W.w0 == W.size - 1 and W.length[W.w0] == max(W.length)
+    # u < w in Bruhat order puts u at a smaller id: no bit of [e, w] lies above w
+    for w in ids:
+        assert W.bruhatBits[w] >> w == 1
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
@@ -236,6 +235,18 @@ def test_parabolic_data(name):
             assert len(wp) * len(minimal) == W.size
             assert max(W.length[p] for p in wp) == W.length[w0p]
             assert 0 in minimal and 0 in wp
+
+
+@pytest.mark.parametrize("name", sorted(ORDERS))
+def test_parabolic_subgroup_matches_closure(name):
+    # W_P read off the canonical words against the closure of {e} under P
+    W = weylGroup(name)
+    rank = W.sys.rank
+    for r in range(rank + 1):
+        for piP in itertools.combinations(range(rank), r):
+            wp, _, w0p = W.parabolicData(piP)
+            assert wp == sorted(oracles.parabolicSubgroup(W, piP))
+            assert w0p == wp[-1] and W.length[w0p] == max(W.length[p] for p in wp)
 
 
 def test_descents():
