@@ -85,6 +85,11 @@ def _parseWord(text: str, W: WeylGroup, where: str) -> int:
     return w
 
 
+# A path that heads an error as its location is kept whole up to the length
+# of one file name (NAME_MAX), longer than a quoted token's CLIP_CHARS.
+PATH_CHARS = 255
+
+
 def _loadOrder(path: str, W: WeylGroup) -> list[int]:
     """One element per line, written as a word; must list the whole group in
     an order that refines Bruhat order."""
@@ -94,13 +99,14 @@ def _loadOrder(path: str, W: WeylGroup) -> list[int]:
     except (OSError, UnicodeDecodeError) as e:
         reason = e.strerror if isinstance(e, OSError) else "not UTF-8 text"
         raise UsageError(f"cannot read --order-file {clip(path)!r}: {reason}")
+    where = clip(path, PATH_CHARS)   # the location that heads the errors below
     order = []
     for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            order.append(_parseWord(line, W, f"{path}:{lineno}"))
+            order.append(_parseWord(line, W, f"{where}:{lineno}"))
     if sorted(order) != list(W.elements()):
-        raise UsageError(f"{path}: not a permutation of all {W.size} elements")
+        raise UsageError(f"{where}: not a permutation of all {W.size} elements")
     # lows: each u listed after a w above it; name the least u, then its least w
     after = lows = 0
     for w in reversed(order):
@@ -110,7 +116,7 @@ def _loadOrder(path: str, W: WeylGroup) -> list[int]:
         u = (lows & -lows).bit_length() - 1
         w = min(w for w in order[:order.index(u)] if W.bruhatBits[w] >> u & 1)
         raise UsageError(
-            f"{path}: order is not Bruhat-refining "
+            f"{where}: order is not Bruhat-refining "
             f"({kt.wordStr(W, u)} must come before {kt.wordStr(W, w)})")
     return order
 
@@ -197,23 +203,21 @@ def _suiteDualConjecture(W: WeylGroup):
 
 
 def _suiteWordIndependence(W: WeylGroup, rng: random.Random):
+    """pi_a(f) == pi_b(f) for pairs (a, b) of reduced words of one element w:
+    on rank 2 the first reduced word of each w against every other, on B3
+    100 drawn pairs.  Each character's words go to one demWords call.  The
+    witness names the last failing pair in (element, character, word) order
+    on rank 2 and in draw order on B3."""
     chars = randomCharacters(W, rng, 20)
-    ok, witness = True, ""
-    pairs = 0
+    pairs = []   # (block, w, a, b); the witness is ordered by (block, character, pair)
     if W.sys.name in RANK2:
         for w in W.elements():
-            words = W.reducedWords(w)
-            if len(words) < 2:
-                continue
-            for f in chars:
-                base = dz.demWord(W, words[0], f)
-                for word in words[1:]:
-                    pairs += 1
-                    if dz.demWord(W, word, f) != base:
-                        ok, witness = False, f"{kt.wordStr(W, w)} word {word}"
+            first, *rest = W.reducedWords(w)
+            pairs += [(w, w, first, b) for b in rest]
+        comparisons = len(pairs) * len(chars)
     else:
         eligible = [w for w in W.elements() if W.length[w] >= 2]
-        for _ in range(100):
+        for n in range(100):
             w = rng.choice(eligible)
             a = W.randomReducedWord(w, rng)
             b = W.randomReducedWord(w, rng)
@@ -221,11 +225,20 @@ def _suiteWordIndependence(W: WeylGroup, rng: random.Random):
                 if b != a:
                     break
                 b = W.randomReducedWord(w, rng)
-            pairs += 1
-            for f in chars:
-                if dz.demWord(W, a, f) != dz.demWord(W, b, f):
-                    ok, witness = False, f"{kt.wordStr(W, w)}: {a} vs {b}"
-    return [("word-independence", ok, witness)], {"comparisons": pairs}
+            pairs.append((n, w, a, b))
+        comparisons = len(pairs)
+    words = [x for _, _, a, b in pairs for x in (a, b)]
+    fails = []
+    for k, f in enumerate(chars):
+        got = dz.demWords(W, words, f)
+        fails += [(block, k, n) for n, (block, _, a, b) in enumerate(pairs)
+                  if got[a] != got[b]]
+    witness = ""
+    if fails:
+        _, w, a, b = pairs[max(fails)[2]]
+        witness = (f"{kt.wordStr(W, w)} word {b}" if W.sys.name in RANK2
+                   else f"{kt.wordStr(W, w)}: {a} vs {b}")
+    return [("word-independence", not fails, witness)], {"comparisons": comparisons}
 
 
 def _types(*names: str):

@@ -1,13 +1,14 @@
 """Demazure operators and the characters built from them.
 
 The push-pull operator for a simple reflection acts on monomials by a
-three-case geometric-series formula.  demWord applies a word of such steps
-to weights packed into single integers: coordinate j sits in a field of a
-width chosen per call from an exact bound on every weight the word can
-reach, so a step subtracts multiples of the packed simple root and reads
-the coroot pairing from one field.  Orbit characters, section characters
-over unions of Schubert varieties and their twisted variants are built on
-demWord.  A lower set in Bruhat order is a bitmask over element ids, the OR
+three-case geometric-series formula.  demWords applies many words of such
+steps to one character, packing its weights once into single integers:
+coordinate j sits in a field of a width chosen per call from an exact bound
+on every weight any word can reach, so a step subtracts multiples of the
+packed simple root and reads the coroot pairing from one field.  Words that
+end alike share the steps of that suffix.  demWord is its one-word case.
+Orbit characters, section characters over unions of Schubert varieties and
+their twisted variants are built on demWord.  A lower set in Bruhat order is a bitmask over element ids, the OR
 of the interval masks W.bruhatBits of its generators.  A layer character
 (charQ) is a Demazure atom: the fold of
 pi-bar_i = pi_i - 1 along a reduced word.  The rho-twisted operators of
@@ -49,54 +50,83 @@ def _coordBound(W: WeylGroup, f: Character) -> int:
     return isqrt(2 * top // sys.gramScale) + 1
 
 
-def demWord(W: WeylGroup, word: tuple[int, ...], f: Character) -> Character:
-    """Compose steps for a word i1..ik, rightmost letter applied first.
+def demWords(W: WeylGroup, words, f: Character) -> dict[tuple[int, ...], Character]:
+    """pi_word(f) for each word of `words`, keyed by word; each value is a
+    fresh Character.  A word i1..ik applies its rightmost letter first.
 
-    Weights are packed once: coordinate j is stored as x_j + bound in the
-    field at bit j * width, so lam - k alpha_i is key - k * D_i with D_i the
-    packed simple root, and field i holds <lam, alpha_i^vee> + bound.
+    f is packed once: coordinate j is stored as x_j + bound in the field at
+    bit j * width, so lam - k alpha_i is key - k * D_i with D_i the packed
+    simple root, and field i holds <lam, alpha_i^vee> + bound.  One bound
+    serves every word (see _coordBound).  Words that end alike share those
+    steps: the distinct words, reversed and sorted, are walked as a trie
+    whose nodes are the words and the suffixes where two of them part (the
+    common prefixes of sorted neighbours), each node applying only its own
+    letters to its parent's packed dict.
     """
-    if not word:
-        return f
     bound = _coordBound(W, f)
     width = (2 * bound).bit_length()   # a field holds 0 .. 2 * bound
     mask = (1 << width) - 1
     shifts = [j * width for j in range(W.sys.rank)]
     place = [1 << s for s in shifts]
     base = bound * sum(place)
-    cur = {base + sum(map(mul, lam, place)): c for lam, c in f.terms.items()}
     cols = W.cartanCols
     low = bound - 1   # the field value of pairing -1, which contributes nothing
-    for i in reversed(word):
-        step = sum(map(mul, cols[i], place))
-        sh = shifts[i]
-        out: dict[int, int] = {}
-        get = out.get
-        for key, c in cur.items():
-            d = (key >> sh) & mask
-            if d >= bound:     # pairing n >= 0: e^lam + ... + e^(lam - n alpha_i)
-                out[key] = get(key, 0) + c
-                while d > bound:
-                    key -= step
-                    out[key] = get(key, 0) + c
-                    d -= 1
-            elif d < low:      # n <= -2: -e^(lam + alpha_i) - ... - e^(lam + (-n - 1) alpha_i)
-                c = -c
-                while d < low:
-                    key += step
-                    out[key] = get(key, 0) + c
-                    d += 1
-        cur = {k: c for k, c in out.items() if c}
-    # unpack field by field; the top field is read unmasked, so a carry out
-    # of it is not lost
-    coords = [[((k >> s) & mask) - bound for k in cur] for s in shifts[:-1]]
-    coords.append([(k >> shifts[-1]) - bound for k in cur])
-    for j, xs in enumerate(coords):
-        if max(xs, default=0) > bound or min(xs, default=0) < -bound:
-            raise AssertionError(f"coordinate {j} outside the packing bound {bound}")
-    r = Character.__new__(Character)
-    r.terms = dict(zip(zip(*coords), cur.values()))
-    return r
+    rs = sorted({tuple(reversed(word)) for word in words})
+    forks = set()
+    for a, b in zip(rs, rs[1:]):
+        n = 0
+        while n < len(a) and a[n] == b[n]:
+            n += 1
+        forks.add(a[:n])
+    # path: the forks met so far on the way to the current word, each with
+    # its packed dict; the root (no letter applied) never leaves it
+    path = [((), {base + sum(map(mul, lam, place)): c for lam, c in f.terms.items()})]
+    out = {}
+    for r in rs:
+        while r[:len(path[-1][0])] != path[-1][0]:
+            path.pop()
+        done, cur = path[-1]
+        for t in range(len(done), len(r)):
+            i = r[t]
+            step = sum(map(mul, cols[i], place))
+            sh = shifts[i]
+            acc: dict[int, int] = {}
+            get = acc.get
+            for key, c in cur.items():
+                d = (key >> sh) & mask
+                if d >= bound:     # pairing n >= 0: e^lam + ... + e^(lam - n alpha_i)
+                    acc[key] = get(key, 0) + c
+                    while d > bound:
+                        key -= step
+                        acc[key] = get(key, 0) + c
+                        d -= 1
+                elif d < low:      # n <= -2: -e^(lam + alpha_i) - ... - e^(lam + (-n - 1) alpha_i)
+                    c = -c
+                    while d < low:
+                        key += step
+                        acc[key] = get(key, 0) + c
+                        d += 1
+            cur = {k: c for k, c in acc.items() if c}
+            if r[:t + 1] in forks:
+                path.append((r[:t + 1], cur))
+        # unpack field by field; the top field is read unmasked, so a carry
+        # out of it is not lost
+        coords = [[((k >> s) & mask) - bound for k in cur] for s in shifts[:-1]]
+        coords.append([(k >> shifts[-1]) - bound for k in cur])
+        for j, xs in enumerate(coords):
+            if max(xs, default=0) > bound or min(xs, default=0) < -bound:
+                raise AssertionError(f"coordinate {j} outside the packing bound {bound}")
+        g = Character.__new__(Character)
+        g.terms = dict(zip(zip(*coords), cur.values()))
+        out[r[::-1]] = g
+    return out
+
+
+def demWord(W: WeylGroup, word: tuple[int, ...], f: Character) -> Character:
+    """Compose steps for a word i1..ik, rightmost letter applied first; a
+    fresh Character even for the empty word."""
+    [g] = demWords(W, (word,), f).values()
+    return g
 
 
 def demElt(W: WeylGroup, w: int, f: Character) -> Character:

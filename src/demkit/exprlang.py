@@ -84,13 +84,13 @@ def asciiInt(text: str) -> int | None:
 CLIP_CHARS = 40
 
 
-def clip(token: str) -> str:
-    """A token for a usage error: the whole of it up to CLIP_CHARS
-    characters, else its first CLIP_CHARS and a marker with its length, so a
-    huge rejected input does not flood the message."""
-    if len(token) <= CLIP_CHARS:
+def clip(token: str, limit: int = CLIP_CHARS) -> str:
+    """A token for a usage error: the whole of it up to `limit` characters,
+    else its first `limit` and a marker with its length, so a huge rejected
+    input does not flood the message."""
+    if len(token) <= limit:
         return token
-    return f"{token[:CLIP_CHARS]}... ({len(token)} characters)"
+    return f"{token[:limit]}... ({len(token)} characters)"
 
 
 class ParseError(ValueError):

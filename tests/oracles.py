@@ -31,7 +31,9 @@ generators (lowerSet, antichainFromMask) is kept here for the oracles and
 tests that build one.  The layer characters by their definition, sections
 over a Schubert variety minus those over its boundary by inclusion-exclusion
 over the boundary antichain (charQBoundary), check demazure.charQ's fold of
-Demazure atoms.
+Demazure atoms.  The word-independence suite by one demWord per (word,
+character) pair (wordIndependencePairwise) checks the suite's one
+demWords call per character and the witness it names.
 """
 from __future__ import annotations
 
@@ -41,15 +43,17 @@ from fractions import Fraction as Q
 from math import lcm
 
 from demkit.characters import Character, GClassExpansion, decomposeWeylBasis, dual
+from demkit.cli import RANK2, randomCharacters
 from demkit.demazure import (
     charNabla,
     charP,
     charQ,
     charSections,
     demElt,
+    demWord,
     lowerSetMask,
 )
-from demkit.ktheory import eulerPair, xClass
+from demkit.ktheory import eulerPair, wordStr, xClass
 from demkit.rootsystem import (
     RootSystem,
     Weight,
@@ -619,3 +623,39 @@ def gramTableProduct(
     classes = {p: xClass(W, p, order) for p in order}
     return {(v, w): decomposeWeylBasis(W, eulerPair(W, dual(classes[v]), classes[w]))
             for v in order for w in order}
+
+
+def wordIndependencePairwise(W: WeylGroup, rng) -> tuple[list, dict]:
+    """(checks, extras) of the word-independence suite by one demWord per
+    (word, character) pair, in the loop order that defines its witness: the
+    last failing pair, rank 2 by (element, character, word) and B3 by
+    (draw, character)."""
+    chars = randomCharacters(W, rng, 20)
+    ok, witness = True, ""
+    pairs = 0
+    if W.sys.name in RANK2:
+        for w in W.elements():
+            words = W.reducedWords(w)
+            if len(words) < 2:
+                continue
+            for f in chars:
+                base = demWord(W, words[0], f)
+                for word in words[1:]:
+                    pairs += 1
+                    if demWord(W, word, f) != base:
+                        ok, witness = False, f"{wordStr(W, w)} word {word}"
+    else:
+        eligible = [w for w in W.elements() if W.length[w] >= 2]
+        for _ in range(100):
+            w = rng.choice(eligible)
+            a = W.randomReducedWord(w, rng)
+            b = W.randomReducedWord(w, rng)
+            for _ in range(10):
+                if b != a:
+                    break
+                b = W.randomReducedWord(w, rng)
+            pairs += 1
+            for f in chars:
+                if demWord(W, a, f) != demWord(W, b, f):
+                    ok, witness = False, f"{wordStr(W, w)}: {a} vs {b}"
+    return [("word-independence", ok, witness)], {"comparisons": pairs}

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -16,6 +17,7 @@ import demkit
 import demkit.cache as cache
 import demkit.cli as cli
 import demkit.ktheory as kt
+from demkit.characters import Character
 from demkit.cli import main
 from demkit.exprlang import clip
 from demkit.weyl import weylGroup
@@ -730,3 +732,89 @@ def test_all_suites_run_on_a_supported_type(capsys):
 def test_seed_recorded(capsys):
     code, out, _ = run(capsys, "suite", "word-independence", "--type", "A2")
     assert json.loads(out)["seed"] == cli.SEED == 20260819
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "B3"])
+def test_word_independence_matches_pairwise_oracle(name):
+    W = weylGroup(name)
+    got = cli._suiteWordIndependence(W, random.Random(cli.SEED))
+    assert got == oracles.wordIndependencePairwise(W, random.Random(cli.SEED))
+    assert got[0][0][1]
+
+
+def failingDraws(W, monkeypatch, seed):
+    """Make word-independence fail in a pattern that depends on the
+    character: its 20 characters become monomials e^lam with lam in
+    [-1, 1]^r, which a step often kills or fixes, and random words of up to
+    three letters stand in for reduced words: on rank 2 each list of
+    reducedWords gains two (its recursion sees them too), on B3 every third
+    draw is one.  Call again to restart the same draws: that first undoes
+    every patch of `monkeypatch`."""
+    monkeypatch.undo()
+    rng = random.Random(seed)
+    rank = W.sys.rank
+    chars = [Character.monomial(tuple(rng.randint(-1, 1) for _ in range(rank)))
+             for _ in range(20)]
+    reducedWords, randomReducedWord = type(W).reducedWords, type(W).randomReducedWord
+    draws = itertools.count()
+
+    def junk():
+        return tuple(rng.randrange(rank) for _ in range(rng.randint(0, 3)))
+
+    def rank2(self, w):
+        return reducedWords(self, w) + [junk(), junk()]
+
+    def drawn(self, w, r):
+        word = randomReducedWord(self, w, r)
+        return junk() if next(draws) % 3 == 2 else word
+
+    for module in (cli, oracles):
+        monkeypatch.setattr(module, "randomCharacters", lambda W, r, count: chars)
+    monkeypatch.setattr(type(W), "reducedWords", rank2)
+    monkeypatch.setattr(type(W), "randomReducedWord", drawn)
+
+
+@pytest.mark.parametrize("name", ["A2", "G2", "B3"])
+@pytest.mark.parametrize("seed", range(3))
+def test_word_independence_names_the_oracle_witness(monkeypatch, name, seed):
+    # the witness is the last failing pair in the pairwise loop's order
+    W = weylGroup(name)
+    failingDraws(W, monkeypatch, seed)
+    got = cli._suiteWordIndependence(W, random.Random(cli.SEED))
+    failingDraws(W, monkeypatch, seed)
+    want = oracles.wordIndependencePairwise(W, random.Random(cli.SEED))
+    assert got == want
+    [(_, ok, witness)] = got[0]
+    assert not ok and witness
+
+
+def test_word_independence_packs_each_character_once(monkeypatch, capsys):
+    # one demWords call per character on B3, not one packing per pair
+    calls = []
+    demWords = cli.dz.demWords
+    monkeypatch.setattr(cli.dz, "demWords",
+                        lambda W, words, f: calls.append(len(words)) or demWords(W, words, f))
+    code, out, _ = run(capsys, "suite", "word-independence", "--type", "B3", "--no-cache")
+    assert code == 0 and json.loads(out)["comparisons"] == 100
+    assert calls == [200] * 20
+
+
+def test_order_file_errors_clip_a_long_path(tmp_path, capsys):
+    d = tmp_path
+    while len(str(d)) < 3000:
+        d = d / ("d" * 200)
+    d.mkdir(parents=True)
+    files = {
+        "not a permutation": ["e", "s1", "s2"],
+        ":2: bad word letter 'x1'": ["e", "x1"],
+        ":2: letter s9 out of range": ["e", "s9"],
+        "not Bruhat-refining": ["s1 s2 s1", "s1", "s2", "s1 s2", "s2 s1", "e"],
+    }
+    for k, (what, lines) in enumerate(files.items()):
+        p = writeOrder(d / f"o{k}.txt", lines)
+        assert len(p) > 3000
+        code, out, err = run(capsys, "suite", "xclass-gram", "--type", "A2",
+                             "--order-file", p)
+        assert (code, out) == (2, "") and what in err, err[:400]
+        assert err.startswith(f"demkit: {p[:cli.PATH_CHARS]}... ({len(p)} characters)")
+        assert len(err) < cli.PATH_CHARS + 120, err

@@ -16,6 +16,7 @@ from demkit.demazure import (
     demElt,
     demStep,
     demWord,
+    demWords,
     eulerChar,
     lowerSetMask,
 )
@@ -354,3 +355,46 @@ def test_euler_char_matches_termwise_oracle(name):
         assert got.terms == oracles.eulerCharTermwise(W, f).terms, f
         nonzero += bool(got)
     assert nonzero
+
+
+def overlappingWordSets(W, rng: random.Random):
+    """(words, f) for demWords, from each packingSamples pair (word, f): for
+    the 12 random words, every sample word over word's letters (so strings
+    stay short), word again, the empty word, every suffix of word (each a
+    suffix of the next) and non-reduced words (a letter repeated, word and
+    its reverse); for the one-letter words whose string has ~10^3 terms,
+    that word twice and the empty word."""
+    samples = list(packingSamples(W, rng))
+    for word, f in samples[:12]:
+        near = [w for w, _ in samples if set(w) <= set(word)]
+        yield [*near, word, (), *(word[k:] for k in range(len(word))),
+               word + word[-1:], word[:1] + word, word[::-1]], f
+    for word, f in samples[12:]:
+        yield [word, (), word], f
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_demwords_matches_plain_oracle(name):
+    W = weylGroup(name)
+    rng = random.Random(31)
+    for words, f in overlappingWordSets(W, rng):
+        before = dict(f.terms)
+        got = demWords(W, words, f)
+        assert set(got) == set(words)
+        for word, g in got.items():
+            assert g.terms == oracles.demWordPlain(W, word, f).terms, (word, f)
+            assert 0 not in g.terms.values()
+        # every value is a fresh Character: mutating one touches no other
+        # and not f
+        assert len({id(g.terms) for g in got.values()} | {id(f.terms)}) == len(got) + 1
+        first, *rest = got.values()
+        want = [dict(g.terms) for g in rest]
+        first.terms.clear()
+        assert f.terms == before and [g.terms for g in rest] == want
+
+
+def test_demword_empty_word_is_a_fresh_copy():
+    W = weylGroup("B2")
+    f = Character({(1, -1): 2, (0, 3): -1})
+    g = demWord(W, (), f)
+    assert g == f and g is not f and g.terms is not f.terms
