@@ -8,25 +8,43 @@ on every weight any word can reach, so a step subtracts multiples of the
 packed simple root and reads the coroot pairing from one field.  Words that
 end alike share the steps of that suffix.  demWord is its one-word case.
 Orbit characters, section characters over unions of Schubert varieties and
-their twisted variants are built on demWord.  A lower set in Bruhat order is a bitmask over element ids, the OR
-of the interval masks W.bruhatBits of its generators.  A layer character
-(charQ) is a Demazure atom: the fold of
-pi-bar_i = pi_i - 1 along a reduced word.  The rho-twisted operators of
-charQviaTwist give the same characters by a second route, which the
-q-equivalence suite compares; the inclusion-exclusion over the boundary
-that defines them is a test oracle only.  The Euler characteristic (the
-longest operator) of an arbitrary character instead follows the Weyl
-character formula: e^mu goes to (-1)^l(w) chi(w^-1(mu + rho) - rho), or to
-0 when mu + rho lies on a wall.
+their twisted variants are built on demWord.
+
+The irreducible character chi(lam) = pi_w0(e^lam) (charNabla) is built from
+its dominant weights instead.  Those below lam are reached from it along
+chains of dominant weights that differ by positive roots (Stembridge, "The
+partial order of dominant weights", 1998); their multiplicities follow in
+decreasing height from Freudenthal's formula, in exact integers (Humphreys,
+Introduction to Lie Algebras and Representation Theory, 22.3); and each is
+spread over its W-orbit by reflecting packed keys in the field layout of
+demWords.  The longest operator demElt(W, W.w0, e^lam) is its test oracle.
+
+A lower set in Bruhat order is a bitmask over element ids, the OR of the
+interval masks W.bruhatBits of its generators.  A layer character (charQ)
+is a Demazure atom: the fold of pi-bar_i = pi_i - 1 along a reduced word.
+The rho-twisted operators of charQviaTwist give the same characters by a
+second route, which the q-equivalence suite compares; the
+inclusion-exclusion over the boundary that defines them is a test oracle
+only.  The Euler characteristic (the longest operator) of an arbitrary
+character instead follows the Weyl character formula: e^mu goes to
+(-1)^l(w) chi(w^-1(mu + rho) - rho), or to 0 when mu + rho lies on a wall.
 """
 from __future__ import annotations
 
 from functools import reduce
 from math import isqrt
-from operator import mul, or_
+from operator import add, mul, or_, sub
 
 from .characters import Character, addMul, alternantCoeffs, expandGClass
-from .rootsystem import Weight, isDominant, negW, norm2Scaled, rho
+from .rootsystem import (
+    Weight,
+    heightScaled,
+    innerProductScaled,
+    isDominant,
+    negW,
+    norm2Scaled,
+    rho,
+)
 from .weyl import WeylGroup
 
 
@@ -40,35 +58,56 @@ def _coordBound(W: WeylGroup, f: Character) -> int:
 
     A step sends e^lam to weights on the segment from lam to s_i lam, so
     every weight reached lies in the convex hull of the W-orbit of supp f,
-    and its norm is at most the largest norm N in supp f.  Cauchy-Schwarz
-    with |alpha_j|^2 >= 2 gives |<mu, alpha_j^vee>| = 2|(mu, alpha_j)| /
-    |alpha_j|^2 <= 2|mu| / |alpha_j| <= sqrt(2 N), computed in integers
-    from the scaled norms; the + 1 is headroom.
+    as do the weights of the irreducible of highest weight lam when f is
+    e^lam.  Each has norm at most the largest norm N in supp f.
+    Cauchy-Schwarz with |alpha_j|^2 >= 2 gives |<mu, alpha_j^vee>| =
+    2|(mu, alpha_j)| / |alpha_j|^2 <= 2|mu| / |alpha_j| <= sqrt(2 N),
+    computed in integers from the scaled norms; the + 1 is headroom.
     """
     sys = W.sys
     top = max((norm2Scaled(sys, lam) for lam in f.terms), default=0)
     return isqrt(2 * top // sys.gramScale) + 1
 
 
+def _layout(W: WeylGroup, bound: int) -> tuple[int, list[int], list[int], int]:
+    """The packing of weights whose coordinates lie in [-bound, bound]:
+    coordinate j is stored as x_j + bound in the field at bit j * width.
+    Returns the field mask, the field shifts, the place values and the
+    packed zero weight."""
+    width = (2 * bound).bit_length()   # a field holds 0 .. 2 * bound
+    shifts = [j * width for j in range(W.sys.rank)]
+    place = [1 << s for s in shifts]
+    return (1 << width) - 1, shifts, place, bound * sum(place)
+
+
+def _unpack(packed: dict[int, int], bound: int, mask: int, shifts: list[int]) -> Character:
+    """The character of a packed terms dict, unpacked field by field.  The
+    top field is read unmasked, so a carry out of it is not lost, and a
+    coordinate outside the bound is refused."""
+    coords = [[((k >> s) & mask) - bound for k in packed] for s in shifts[:-1]]
+    coords.append([(k >> shifts[-1]) - bound for k in packed])
+    for j, xs in enumerate(coords):
+        if max(xs, default=0) > bound or min(xs, default=0) < -bound:
+            raise AssertionError(f"coordinate {j} outside the packing bound {bound}")
+    g = Character.__new__(Character)
+    g.terms = dict(zip(zip(*coords), packed.values()))
+    return g
+
+
 def demWords(W: WeylGroup, words, f: Character) -> dict[tuple[int, ...], Character]:
     """pi_word(f) for each word of `words`, keyed by word; each value is a
     fresh Character.  A word i1..ik applies its rightmost letter first.
 
-    f is packed once: coordinate j is stored as x_j + bound in the field at
-    bit j * width, so lam - k alpha_i is key - k * D_i with D_i the packed
-    simple root, and field i holds <lam, alpha_i^vee> + bound.  One bound
-    serves every word (see _coordBound).  Words that end alike share those
-    steps: the distinct words, reversed and sorted, are walked as a trie
-    whose nodes are the words and the suffixes where two of them part (the
-    common prefixes of sorted neighbours), each node applying only its own
-    letters to its parent's packed dict.
+    f is packed once (_layout), so lam - k alpha_i is key - k * D_i with D_i
+    the packed simple root, and field i holds <lam, alpha_i^vee> + bound.
+    One bound serves every word (see _coordBound).  Words that end alike
+    share those steps: the distinct words, reversed and sorted, are walked
+    as a trie whose nodes are the words and the suffixes where two of them
+    part (the common prefixes of sorted neighbours), each node applying
+    only its own letters to its parent's packed dict.
     """
     bound = _coordBound(W, f)
-    width = (2 * bound).bit_length()   # a field holds 0 .. 2 * bound
-    mask = (1 << width) - 1
-    shifts = [j * width for j in range(W.sys.rank)]
-    place = [1 << s for s in shifts]
-    base = bound * sum(place)
+    mask, shifts, place, base = _layout(W, bound)
     cols = W.cartanCols
     low = bound - 1   # the field value of pairing -1, which contributes nothing
     rs = sorted({tuple(reversed(word)) for word in words})
@@ -109,16 +148,7 @@ def demWords(W: WeylGroup, words, f: Character) -> dict[tuple[int, ...], Charact
             cur = {k: c for k, c in acc.items() if c}
             if r[:t + 1] in forks:
                 path.append((r[:t + 1], cur))
-        # unpack field by field; the top field is read unmasked, so a carry
-        # out of it is not lost
-        coords = [[((k >> s) & mask) - bound for k in cur] for s in shifts[:-1]]
-        coords.append([(k >> shifts[-1]) - bound for k in cur])
-        for j, xs in enumerate(coords):
-            if max(xs, default=0) > bound or min(xs, default=0) < -bound:
-                raise AssertionError(f"coordinate {j} outside the packing bound {bound}")
-        g = Character.__new__(Character)
-        g.terms = dict(zip(zip(*coords), cur.values()))
-        out[r[::-1]] = g
+        out[r[::-1]] = _unpack(cur, bound, mask, shifts)
     return out
 
 
@@ -149,13 +179,73 @@ def highestWeight(lam: Weight) -> Weight:
 
 
 def charNabla(W: WeylGroup, lam: Weight) -> Character:
-    """Character of the irreducible with highest weight lam (dominant)."""
+    """Character of the irreducible with highest weight lam (dominant), by
+    Freudenthal's formula on its dominant weights (see module docstring)."""
     key = ("dem", lam)
     r = W.memo.get(key)
     if r is None:
-        r = demElt(W, W.w0, Character.monomial(highestWeight(lam)))
-        W.memo[key] = r
+        r = W.memo[key] = _freudenthal(W, highestWeight(lam))
     return r
+
+
+def _freudenthal(W: WeylGroup, lam: Weight) -> Character:
+    """The dominant mu <= lam, each multiplicity m(mu) from those above it,
+    and each mu spread over its orbit in one packed dict, unpacked at the end.
+
+    Freudenthal: (|lam + rho|^2 - |mu + rho|^2) m(mu) = 2 sum over beta > 0
+    and k >= 1 of m(mu + k beta) (mu + k beta, beta), in gramScale units on
+    both sides.  A string mu + k beta is unbroken and ends at its first
+    non-weight, so the packed dict, holding every weight whose dominant
+    representative lies above mu, answers each step.  That step may leave
+    the box of _coordBound by one root, so every field is widened by the
+    largest root coordinate: a key just outside the box aliases no weight.
+    """
+    sys = W.sys
+    roots = W.positiveRoots
+    doms, todo = {lam}, [lam]
+    while todo:
+        nu = todo.pop()
+        for beta in roots:
+            mu = tuple(map(sub, nu, beta))
+            if min(mu) >= 0 and mu not in doms:
+                doms.add(mu)
+                todo.append(mu)
+    headroom = max(abs(x) for beta in roots for x in beta)
+    bound = _coordBound(W, Character.monomial(lam)) + headroom
+    mask, shifts, place, base = _layout(W, bound)
+    steps = [sum(map(mul, col, place)) for col in W.cartanCols]
+    strings = [(sum(map(mul, b, place)), b, norm2Scaled(sys, b)) for b in roots]
+    rh = rho(sys)
+    top = norm2Scaled(sys, tuple(map(add, lam, rh)))
+    mult: dict[int, int] = {}
+    for mu in sorted(doms, key=lambda mu: (heightScaled(sys, mu), mu), reverse=True):
+        key = base + sum(map(mul, mu, place))
+        if mu == lam:
+            m = 1
+        else:
+            acc = 0
+            for pb, beta, bb in strings:
+                nb, ip = key, innerProductScaled(sys, mu, beta)
+                while (c := mult.get(nb := nb + pb)) is not None:
+                    ip += bb      # (mu + k beta, beta) at the k-th step
+                    acc += c * ip
+            m, rem = divmod(2 * acc, top - norm2Scaled(sys, tuple(map(add, mu, rh))))
+            if rem:
+                raise AssertionError(f"Freudenthal's formula leaves a remainder at {mu}")
+        # the orbit, layer by layer: reflecting by each positive pairing
+        # reaches every weight of it from the dominant one
+        mult[key] = m
+        layer = [key]
+        while layer:
+            nxt = []
+            for x in layer:
+                for sh, step in zip(shifts, steps):
+                    d = ((x >> sh) & mask) - bound
+                    if d > 0 and (y := x - d * step) not in mult:
+                        mult[y] = m
+                        nxt.append(y)
+            layer = nxt
+    return _unpack(mult, bound, mask, shifts)
 
 
 def charP(W: WeylGroup, lam: Weight) -> Character:

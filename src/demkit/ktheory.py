@@ -40,8 +40,8 @@ from .demazure import (
     charQ,
     charQhat,
     charSections,
-    demElt,
     demStep,
+    demWords,
     eulerChar,
     lowerSetMask,
 )
@@ -78,18 +78,18 @@ def pairingsWithP(W: WeylGroup, vs, gs: dict) -> dict[tuple, GClassExpansion]:
     adjointness chi(pi_u(f) g) = chi(f pi_{u^-1}(g)) (Demazure 1974; Kumar,
     Kac-Moody Groups, their Flag Varieties and Representation Theory, ch. 8)
     makes the entry the alternant of pi_{u^-1}(g) shifted by dom: no product
-    is formed.  Rows are grouped by u^-1, so each pi_{u^-1}(g) is computed
-    once and dropped after its group.
+    is formed.  Rows are grouped by u^-1, and the reversed canonical words
+    of the u, reduced words of the u^-1, go to one demWords call per g: they
+    are suffix-closed, so each element is stepped once per g.
     """
-    groups: dict[int, list[tuple[int, tuple]]] = {}
+    groups: dict[tuple[int, ...], list[tuple[int, tuple]]] = {}
     for v in vs:
         dom, u = W.toDominant(negW(W.steinbergWeight(v)))
-        groups.setdefault(W.inverse(u), []).append((v, dom))
+        groups.setdefault(W.canonicalWord(u)[::-1], []).append((v, dom))
     out = {}
-    for ui, heads in groups.items():
-        for k, g in gs.items():
-            h = demElt(W, ui, g)
-            for v, dom in heads:
+    for k, g in gs.items():
+        for word, h in demWords(W, groups, g).items():
+            for v, dom in groups[word]:
                 out[(v, k)] = alternantCoeffs(W, h, dom)
     return out
 

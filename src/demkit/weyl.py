@@ -43,6 +43,15 @@ class WeylGroup:
         self.cartanCols: tuple[tuple[int, ...], ...] = tuple(
             tuple(sys.cartan[k][i] for k in range(n)) for i in range(n)
         )
+        # the positive roots from the simple ones: a positive root beta that is
+        # not simple has <beta, alpha_i^vee> > 0 for some i, and s_i beta is
+        # then a positive root of lower height that pairs negatively with alpha_i
+        roots = list(self.cartanCols)
+        for beta in roots:
+            for i in range(n):
+                if beta[i] < 0 and (r := self.reflect(beta, i)) not in roots:
+                    roots.append(r)
+        self.positiveRoots: tuple[Weight, ...] = tuple(roots)
 
         # keys[w] = w^-1 rho, and (w s_i)^-1 rho = s_i (w^-1 rho)
         keys: list[Weight] = [rho(sys)]

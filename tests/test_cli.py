@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -426,6 +427,19 @@ def test_golden_outputs_under_python_O(tmp_path):
                           timeout=300)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout) == []
+
+
+def test_acceptance_gate_under_python_O():
+    # the gate's own asserts are rewritten by pytest and so still check;
+    # every invariant in the package under them is an explicit raise
+    src = os.path.dirname(os.path.dirname(os.path.abspath(demkit.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    gate = os.path.join(os.path.dirname(os.path.abspath(__file__)), "test_acceptance.py")
+    proc = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           gate], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert re.search(r"\b13 passed\b", proc.stdout), proc.stdout
 
 
 Q_TYPES = ("A2", "A3", "B2", "B3", "C3", "G2")

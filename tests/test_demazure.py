@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import demkit.demazure as dz
 from demkit.characters import Character, augment, isInvariant
 from demkit.demazure import (
     charNabla,
@@ -100,6 +101,56 @@ def test_char_nabla_needs_dominant():
     W = weylGroup("A2")
     with pytest.raises(ValueError):
         charNabla(W, (-1, 0))
+
+
+# the dominant box, coordinates 0 .. n, on which each type's irreducibles
+# meet the longest operator
+NABLA_BOXES = {"A1": 8, "A2": 5, "B2": 5, "C2": 5, "G2": 4, "A3": 3, "B3": 3,
+               "C3": 3, "A4": 2, "B4": 2, "C4": 2, "D4": 2, "F4": 1}
+
+# a highest weight per type whose packing bound is 2^k - 1, so that the
+# widest coordinate fills its field
+FULL_FIELDS = {"A1": (12,), "A2": (1, 10), "B2": (2, 5), "C2": (5, 2),
+               "G2": (4, 1), "A3": (0, 1, 3), "B3": (0, 1, 1), "C3": (1, 1, 0),
+               "A4": (0, 1, 2, 0), "B4": (0, 0, 1, 1), "C4": (0, 1, 1, 0),
+               "D4": (0, 1, 0, 2), "F4": (0, 1, 0, 0)}
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_char_nabla_matches_longest_operator(name):
+    # Freudenthal on dominant weights against pi_w0(e^lam) and Weyl's
+    # dimension formula; a fresh group, so nothing is read from a memo
+    W = WeylGroup(rootSystem(name))
+    for lam in itertools.product(range(NABLA_BOXES[name] + 1), repeat=W.sys.rank):
+        chi = charNabla(W, lam)
+        assert chi == demElt(W, W.w0, Character.monomial(lam)), lam
+        assert augment(chi) == oracles.weylDim(W.sys, lam), lam
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_char_nabla_with_full_packing_fields(name, monkeypatch):
+    W = WeylGroup(rootSystem(name))
+    lam = FULL_FIELDS[name]
+    bounds = []
+    layout = dz._layout
+    monkeypatch.setattr(dz, "_layout", lambda W, bound: bounds.append(bound) or layout(W, bound))
+    chi = charNabla(W, lam)
+    [bound] = bounds
+    assert bound >= 7 and bound & (bound + 1) == 0
+    assert chi == demElt(W, W.w0, Character.monomial(lam))
+    assert augment(chi) == oracles.weylDim(W.sys, lam)
+
+
+def test_char_nabla_string_steps_past_the_box_alias_nothing(monkeypatch):
+    # with the box cut down to the largest coordinate the orbit reaches, a
+    # string step one root past it borrows across fields; on B2 (3, 0) that
+    # reads a real weight's multiplicity unless the fields are widened
+    W = WeylGroup(rootSystem("B2"))
+    lam = (3, 0)
+    want = demElt(W, W.w0, Character.monomial(lam))
+    reach = max(abs(x) for w in W.elements() for x in W.act(w, lam))
+    monkeypatch.setattr(dz, "_coordBound", lambda W, f: reach)
+    assert charNabla(W, lam) == want
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "B3"])

@@ -6,7 +6,7 @@ import pytest
 
 import demkit.ktheory as kt
 from demkit.characters import Character, charFromJSON, decomposeWeylBasis, dual, pretty
-from demkit.demazure import charNabla, charP, charQ, charSections, demElt, lowerSetMask
+from demkit.demazure import charNabla, charP, charQ, charSections, demWords, lowerSetMask
 from demkit.ktheory import (
     alphaEntry,
     betaEntry,
@@ -318,8 +318,14 @@ def test_pq_sample_matches_product_route_rank_4(name):
 
 
 def test_pq_cross_check_catches_pi_u_for_pi_u_inverse(monkeypatch):
+    # the mistake: words of u, not of u^-1, keyed as pairingsWithP asked
     W = weylGroup("A3")
-    monkeypatch.setattr(kt, "demElt", lambda W, w, f: demElt(W, W.inverse(w), f))
+
+    def wordsOfU(W, words, f):
+        got = demWords(W, [word[::-1] for word in words], f)
+        return {word: got[word[::-1]] for word in words}
+
+    monkeypatch.setattr(kt, "demWords", wordsOfU)
     fast, slow = pqTables(W)
     assert fast != slow
 

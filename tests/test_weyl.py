@@ -28,6 +28,14 @@ def test_group_order(name):
     assert weylGroup(name).size == ORDERS[name]
 
 
+@pytest.mark.parametrize("name", sorted(ORDERS))
+def test_positive_roots_match_oracle(name):
+    # one positive root per reflection hyperplane, as many as l(w0)
+    W = weylGroup(name)
+    assert sorted(W.positiveRoots) == sorted(oracles.positiveRoots(W.sys))
+    assert len(W.positiveRoots) == W.length[W.w0]
+
+
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3", "B3", "C3", "D4"])
 def test_length_equals_inversion_count(name):
     W = weylGroup(name)
@@ -75,7 +83,7 @@ def test_bruhat_table_matches_descent_oracle(name):
 def test_group_keeps_no_build_scratch():
     W = WeylGroup(rootSystem("B3"))
     assert sorted(vars(W)) == sorted([
-        "sys", "cartanCols", "size", "words", "length", "rmulTable", "inv",
+        "sys", "cartanCols", "positiveRoots", "size", "words", "length", "rmulTable", "inv",
         "lmulTable", "w0", "bruhatBits", "coversOf", "memo",
     ])
 
