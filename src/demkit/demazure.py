@@ -1,14 +1,14 @@
 """Demazure operators and the characters built from them.
 
-The push-pull operator for a simple reflection acts on monomials by a
-three-case geometric-series formula.  demWords applies many words of such
-steps to one character, packing its weights once into single integers:
-coordinate j sits in a field of a width chosen per call from an exact bound
-on every weight any word can reach, so a step subtracts multiples of the
-packed simple root and reads the coroot pairing from one field.  Words that
-end alike share the steps of that suffix.  demWord is its one-word case.
-Orbit characters, section characters over unions of Schubert varieties and
-their twisted variants are built on demWord.
+The push-pull operator pi_i for a simple reflection acts on monomials by a
+three-case geometric-series formula; its atom pi_i - 1 differs only in the
+head term.  demWords applies many words of them to one character, packing
+its weights once into single integers: coordinate j sits in a field of a
+width chosen per call from an exact bound on every weight any word reaches,
+so a step subtracts multiples of the packed simple root and reads the
+coroot pairing from one field.  Words that end alike share those steps.
+demWord is its one-word case.  Orbit characters, section characters over
+unions of Schubert varieties and their twisted variants are built on it.
 
 The irreducible character chi(lam) = pi_w0(e^lam) (charNabla) is built from
 its dominant weights instead.  Those below lam are reached from it along
@@ -21,9 +21,9 @@ demWords.  The longest operator demElt(W, W.w0, e^lam) is its test oracle.
 
 A lower set in Bruhat order is a bitmask over element ids, the OR of the
 interval masks W.bruhatBits of its generators.  A layer character (charQ)
-is a Demazure atom: the fold of pi-bar_i = pi_i - 1 along a reduced word.
-The rho-twisted operators of charQviaTwist give the same characters by a
-second route, which the q-equivalence suite compares; the
+is a Demazure atom pi-bar_w(e^dom): one demWord along a reduced word of w
+in atom letters.  The rho-twisted operators of charQviaTwist give the same
+characters by a second route, which the q-equivalence suite compares; the
 inclusion-exclusion over the boundary that defines them is a test oracle
 only.  The Euler characteristic (the longest operator) of an arbitrary
 character instead follows the Weyl character formula: e^mu goes to
@@ -56,10 +56,10 @@ def demStep(W: WeylGroup, i: int, f: Character) -> Character:
 def _coordBound(W: WeylGroup, f: Character) -> int:
     """A bound on |<mu, alpha_j^vee>| over every weight mu a word reaches from f.
 
-    A step sends e^lam to weights on the segment from lam to s_i lam, so
-    every weight reached lies in the convex hull of the W-orbit of supp f,
-    as do the weights of the irreducible of highest weight lam when f is
-    e^lam.  Each has norm at most the largest norm N in supp f.
+    A step, pi_i or pi_i - 1, sends e^lam to weights on the segment from lam
+    to s_i lam: every weight reached lies in the convex hull of the W-orbit
+    of supp f (so do the weights of the irreducible of highest weight lam
+    when f is e^lam), and has norm at most the largest norm N in supp f.
     Cauchy-Schwarz with |alpha_j|^2 >= 2 gives |<mu, alpha_j^vee>| =
     2|(mu, alpha_j)| / |alpha_j|^2 <= 2|mu| / |alpha_j| <= sqrt(2 N),
     computed in integers from the scaled norms; the + 1 is headroom.
@@ -96,7 +96,8 @@ def _unpack(packed: dict[int, int], bound: int, mask: int, shifts: list[int]) ->
 
 def demWords(W: WeylGroup, words, f: Character) -> dict[tuple[int, ...], Character]:
     """pi_word(f) for each word of `words`, keyed by word; each value is a
-    fresh Character.  A word i1..ik applies its rightmost letter first.
+    fresh Character.  A word i1..ik applies its rightmost letter first.  A
+    letter i applies pi_i, a letter ~i (that is, -i - 1) the atom pi_i - 1.
 
     f is packed once (_layout), so lam - k alpha_i is key - k * D_i with D_i
     the packed simple root, and field i holds <lam, alpha_i^vee> + bound.
@@ -109,7 +110,7 @@ def demWords(W: WeylGroup, words, f: Character) -> dict[tuple[int, ...], Charact
     bound = _coordBound(W, f)
     mask, shifts, place, base = _layout(W, bound)
     cols = W.cartanCols
-    low = bound - 1   # the field value of pairing -1, which contributes nothing
+    low = bound - 1   # the field value of pairing -1, whose string is empty
     rs = sorted({tuple(reversed(word)) for word in words})
     forks = set()
     for a, b in zip(rs, rs[1:]):
@@ -126,25 +127,26 @@ def demWords(W: WeylGroup, words, f: Character) -> dict[tuple[int, ...], Charact
             path.pop()
         done, cur = path[-1]
         for t in range(len(done), len(r)):
-            i = r[t]
+            atom = r[t] < 0     # a letter ~i applies pi_i - 1
+            i = ~r[t] if atom else r[t]
             step = sum(map(mul, cols[i], place))
             sh = shifts[i]
             acc: dict[int, int] = {}
             get = acc.get
             for key, c in cur.items():
                 d = (key >> sh) & mask
-                if d >= bound:     # pairing n >= 0: e^lam + ... + e^(lam - n alpha_i)
-                    acc[key] = get(key, 0) + c
-                    while d > bound:
-                        key -= step
-                        acc[key] = get(key, 0) + c
-                        d -= 1
-                elif d < low:      # n <= -2: -e^(lam + alpha_i) - ... - e^(lam + (-n - 1) alpha_i)
+                if d < bound:      # pairing n <= -1: the string is subtracted
                     c = -c
-                    while d < low:
-                        key += step
-                        acc[key] = get(key, 0) + c
-                        d += 1
+                if (d >= bound) != atom:   # head: e^lam for pi at n >= 0, -e^lam for pi - 1 at n < 0
+                    acc[key] = get(key, 0) + c
+                while d > bound:   # n >= 1: e^(lam - alpha_i) + ... + e^(lam - n alpha_i)
+                    key -= step
+                    acc[key] = get(key, 0) + c
+                    d -= 1
+                while d < low:     # n <= -2: -e^(lam + alpha_i) - ... - e^(lam + (-n - 1) alpha_i)
+                    key += step
+                    acc[key] = get(key, 0) + c
+                    d += 1
             cur = {k: c for k, c in acc.items() if c}
             if r[:t + 1] in forks:
                 path.append((r[:t + 1], cur))
@@ -264,16 +266,14 @@ def lowerSetMask(W: WeylGroup, elems) -> int:
 def charQ(W: WeylGroup, lam: Weight) -> Character:
     """The character of the layer attached to lam: sections over the Schubert
     variety X_w minus the sections over its boundary, where (dom, w) =
-    toDominant(lam).  That is the Demazure atom pi-bar_w(e^dom), folding
-    pi-bar_i = pi_i - 1 along a reduced word of w, rightmost letter first."""
+    toDominant(lam).  That is the Demazure atom pi-bar_w(e^dom): one demWord
+    along the canonical word of w, each letter i spelled ~i (pi_i - 1)."""
     key = ("Q", lam)
     r = W.memo.get(key)
     if r is None:
         dom, w = W.toDominant(lam)
-        r = Character.monomial(dom)
-        for i in reversed(W.canonicalWord(w)):
-            r = demStep(W, i, r) - r
-        W.memo[key] = r
+        r = W.memo[key] = demWord(W, tuple(~i for i in W.canonicalWord(w)),
+                                  Character.monomial(dom))
     return r
 
 

@@ -340,7 +340,7 @@ def _weight(ctx: EvalContext, node) -> tuple[int, ...]:
 
 def _word(ctx: EvalContext, node) -> tuple[int, ...]:
     for i in node[1]:
-        if i >= ctx.W.sys.rank:
+        if not 0 <= i < ctx.W.sys.rank:
             raise ValueError(
                 f"word letter {clip(f's{i + 1}')} out of range for {ctx.W.sys.name}")
     return node[1]

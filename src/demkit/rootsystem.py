@@ -39,7 +39,7 @@ def _path(n: int) -> list[list[int]]:
 
 
 def _cartan_and_d(name: str) -> tuple[list[list[int]], tuple[int, ...]]:
-    fam, rank = name[0], int(name[1:])
+    fam, rank = name[:1], {"1": 1, "2": 2, "3": 3, "4": 4}.get(name[1:], 0)
     if fam == "A" and 1 <= rank <= 4:
         return _path(rank), (1,) * rank
     if fam == "B" and 2 <= rank <= 4:

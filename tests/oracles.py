@@ -30,8 +30,9 @@ bitmasks in the package; the canonical antichain of Bruhat-maximal
 generators (lowerSet, antichainFromMask) is kept here for the oracles and
 tests that build one.  The layer characters by their definition, sections
 over a Schubert variety minus those over its boundary by inclusion-exclusion
-over the boundary antichain (charQBoundary), check demazure.charQ's fold of
-Demazure atoms.  The word-independence suite by one demWord per (word,
+over the boundary antichain (charQBoundary), check demazure.charQ's one
+demWord in atom letters; demWordPlain folds the atom letters one step at a
+time.  The word-independence suite by one demWord per (word,
 character) pair (wordIndependencePairwise) checks the suite's one
 demWords call per character and the witness it names.
 """
@@ -469,8 +470,10 @@ def demStepPlain(W: WeylGroup, i: int, f: Character) -> Character:
 
 
 def demWordPlain(W: WeylGroup, word: tuple[int, ...], f: Character) -> Character:
+    """demStepPlain folded along word, rightmost letter first; a letter ~i
+    applies the Demazure atom demStepPlain(f) - f."""
     for i in reversed(word):
-        f = demStepPlain(W, i, f)
+        f = demStepPlain(W, i, f) if i >= 0 else demStepPlain(W, ~i, f) - f
     return f
 
 

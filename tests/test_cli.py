@@ -24,6 +24,7 @@ from demkit.exprlang import clip
 from demkit.weyl import weylGroup
 
 import oracles
+from test_rootsystem import BAD_TYPE_NAMES
 
 
 def run(capsys, *argv):
@@ -79,7 +80,10 @@ def test_eval_domain_error_exit_2(capsys):
 
 
 def test_unknown_type_exit_2(capsys):
-    code, _, err = run(capsys, "eval", "e([0])", "--type", "E8")
+    for name in BAD_TYPE_NAMES:
+        code, out, err = run(capsys, "eval", "e([0])", "--type", name)
+        assert (code, out) == (2, "") and "unknown root system" in err, name
+    code, _, err = run(capsys, "suite", "word-independence", "--type", "B 3")
     assert code == 2 and "unknown root system" in err
 
 

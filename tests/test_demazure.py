@@ -239,8 +239,29 @@ def test_charQ_F4_equals_twisted_route():
         assert charQ(W, lam) == charQviaTwist(W, lam), v
 
 
+def test_charQ_is_one_demwords_call(monkeypatch):
+    """On a fresh F4 group, the layer character at the length-24 element
+    (lam = -rho, so w = w0) is one demWords call of one atom word, not a
+    fold of 24 one-letter steps."""
+    W = WeylGroup(rootSystem("F4"))
+    calls = []
+    real = dz.demWords
+
+    def counting(W_, words, f):
+        calls.append(list(words))
+        return real(W_, words, f)
+
+    monkeypatch.setattr(dz, "demWords", counting)
+    lam = tuple(-x for x in rho(W.sys))
+    assert W.toDominant(lam) == (rho(W.sys), W.w0) and W.length[W.w0] == 24
+    got = charQ(W, lam)
+    assert calls == [[tuple(~i for i in W.canonicalWord(W.w0))]]
+    assert got == oracles.demWordPlain(W, calls[0][0], Character.monomial(rho(W.sys)))
+    assert charQ(W, lam) is got and len(calls) == 1
+
+
 def test_charQ_leaves_only_its_own_memo_family():
-    # the fold memoises the layer only, no piece of the boundary
+    # charQ memoises the layer only, no piece of the boundary
     W = WeylGroup(rootSystem("F4"))
     lam = next(lam for lam in map(W.steinbergWeight, W.elements())
                if W.length[W.toDominant(lam)[1]] >= 20)
@@ -414,14 +435,20 @@ def overlappingWordSets(W, rng: random.Random):
     stay short), word again, the empty word, every suffix of word (each a
     suffix of the next) and non-reduced words (a letter repeated, word and
     its reverse); for the one-letter words whose string has ~10^3 terms,
-    that word twice and the empty word."""
+    that word twice and the empty word.  Each set also holds every word
+    spelled in atom letters (~i) and in mixed letters (~i at even
+    positions), derived without drawing from rng."""
+    def spellings(words):
+        return [*words, *(tuple(~i for i in w) for w in words),
+                *(tuple(~i if k % 2 == 0 else i for k, i in enumerate(w)) for w in words)]
+
     samples = list(packingSamples(W, rng))
     for word, f in samples[:12]:
         near = [w for w, _ in samples if set(w) <= set(word)]
-        yield [*near, word, (), *(word[k:] for k in range(len(word))),
-               word + word[-1:], word[:1] + word, word[::-1]], f
+        yield spellings([*near, word, (), *(word[k:] for k in range(len(word))),
+                         word + word[-1:], word[:1] + word, word[::-1]]), f
     for word, f in samples[12:]:
-        yield [word, (), word], f
+        yield spellings([word, (), word]), f
 
 
 @pytest.mark.parametrize("name", ALL_TYPES)

@@ -161,6 +161,19 @@ def test_eval_domain_errors():
         evalExpr(parse("chi([-1,0])"), ctx)
 
 
+def test_eval_refuses_negative_word_letters():
+    """A parsed word never holds a negative letter, but an expression tree
+    built by hand can; negative indexing must not turn -1 into the last
+    simple reflection (nor into the atom letter ~0 of demWords)."""
+    W = weylGroup("A2")
+    ctx = EvalContext(W)
+    f = ("e", ("weight", (1, 1)))
+    for node in (("D", ("word", (-1,)), f), ("D", ("word", (0, -3)), f),
+                 ("steinberg", ("word", (-1,))), ("xclass", ("word", (-2,)))):
+        with pytest.raises(ValueError, match="out of range for A2"):
+            evalExpr(node, ctx)
+
+
 def test_eval_qhat_uses_context():
     W = weylGroup("B2")
     from demkit.demazure import charQhat

@@ -1,10 +1,11 @@
 """Static checks on the package sources, read with ast and symtable (no
 linter needed): every imported name is used, every global name a module
 refers to exists, the package imports only the standard library and
-itself, and only rootsystem, which builds its scaled integer matrices
-through exact rationals, imports fractions.  The module doctests run here
-too, and every function the benchmark's tracer (bench/tracer.py) wraps must
-still resolve."""
+itself, only rootsystem, which builds its scaled integer matrices through
+exact rationals, imports fractions, and no module has an assert statement
+(python -O strips them).  The module doctests run here too, and every
+function the benchmark's tracer (bench/tracer.py) wraps must still
+resolve."""
 from __future__ import annotations
 
 import ast
@@ -123,6 +124,14 @@ def tracerTargets() -> tuple:
                 isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
             return ast.literal_eval(node.value)
     raise AssertionError("bench/tracer.py defines no TARGETS")
+
+
+def test_no_assert_statements():
+    """Invariants must hold under python -O, which strips assert statements,
+    so the package raises its errors explicitly and has none."""
+    found = [(module, node.lineno) for module in MODULES
+             for node in ast.walk(tree(module)) if isinstance(node, ast.Assert)]
+    assert found == [], f"assert statements (module, line): {found}"
 
 
 def test_traced_names_resolve():
