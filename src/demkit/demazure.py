@@ -20,7 +20,10 @@ spread over its W-orbit by reflecting packed keys in the field layout of
 demWords.  The longest operator demElt(W, W.w0, e^lam) is its test oracle.
 
 A lower set in Bruhat order is a bitmask over element ids, the OR of the
-interval masks W.bruhatBits of its generators.  A layer character (charQ)
+interval masks W.bruhatBits of its generators.  The sections over one
+(charSections) sum layer characters over orbit weights chosen by masks: each
+distinct u lam carries the bitmask of the u reaching it, built once per lam,
+so no lower set is walked.  A layer character (charQ)
 is a Demazure atom pi-bar_w(e^dom): one demWord along a reduced word of w
 in atom letters.  The rho-twisted operators of charQviaTwist give the same
 characters by a second route, which the q-equivalence suite compares; the
@@ -299,29 +302,25 @@ def charSections(W: WeylGroup, mask: int, lam: Weight, below: int) -> Character:
     from the lower set with mask `below`, which must lie inside it (0 for the
     sections over the union of the Schubert varieties the lower set names).
 
-    The lower set is walked up from e by left multiplication: a reduced word
-    s_i1 ... s_ik of u puts every suffix below u, so each u is reached, and
-    (s_i u) lam = s_i (u lam) is one reflection of a weight already known.
+    No lower set is walked: the memo family ("orbit", lam) lists each
+    distinct u*lam, in sorted order, with the bitmask of the u reaching it
+    (W.orbit), and a weight is summed when its mask meets `mask` and misses
+    `below`.
     """
     if below & ~mask:
         u = (below & ~mask).bit_length() - 1
         raise AssertionError(f"element {u} is left out but not in the lower set")
-    lmul = W.lmulTable
-    reflect = W.reflect
-    moved = {0: lam} if mask else {}
-    stack = list(moved)
-    while stack:
-        u = stack.pop()
-        mu = moved[u]
-        for i, v in enumerate(lmul[u]):
-            if mask >> v & 1 and v not in moved:
-                moved[v] = reflect(mu, i)
-                stack.append(v)
-    left = {mu for u, mu in moved.items() if below >> u & 1}
+    pairs = W.memo.get(("orbit", lam))
+    if pairs is None:
+        masks: dict[Weight, int] = {}
+        for u, mu in enumerate(W.orbit(lam)):
+            masks[mu] = masks.get(mu, 0) | 1 << u
+        pairs = W.memo[("orbit", lam)] = sorted(masks.items())
     r = Character.__new__(Character)
     r.terms = acc = {}
-    for mu in sorted(set(moved.values()) - left):
-        addMul(acc, charQ(W, mu).terms, 1)
+    for mu, m in pairs:
+        if m & mask and not m & below:
+            addMul(acc, charQ(W, mu).terms, 1)
     return r
 
 

@@ -13,6 +13,14 @@ element is the last id.  A lower set in Bruhat order is a bitmask over ids;
 each lower interval [e, w] is built by the lifting property (Bjorner-Brenti,
 Combinatorics of Coxeter Groups, Prop. 2.2.7): for a left descent s of w,
 [e, w] = [e, sw] u s[e, sw], and sw < w.
+
+The orbit of a weight is listed by id with one reflection per element:
+dropping the first letter i of u's canonical word leaves the canonical word
+of s_i u, an earlier id, and u lam = s_i (s_i u) lam.  Two memo families
+read orbits: ("orbit", lam) holds the distinct u lam of one weight, each
+with the bitmask of the u reaching it (demazure.charSections), and the
+one-item ("stw",) the Steinberg weights e_v = v^-1 theta_v of every id,
+summed from the orbits of the fundamental weights on first use.
 """
 from __future__ import annotations
 
@@ -22,6 +30,7 @@ from .rootsystem import (
     RootSystem,
     Weight,
     WEYL_SIZE_CAP,
+    fundamental,
     rho,
     rootSystem,
 )
@@ -211,11 +220,27 @@ class WeylGroup:
                 i += 1
         return tuple(cur), w
 
+    def orbit(self, lam: Weight) -> list[Weight]:
+        """u lam for every id u, one reflection each: u = s_i u' with i the
+        first letter of u's canonical word, and u' = s_i u has a smaller id."""
+        out = [lam]
+        lm, words, reflect = self.lmulTable, self.words, self.reflect
+        for u in range(1, self.size):
+            i = words[u][0]
+            out.append(reflect(out[lm[u][i]], i))
+        return out
+
     def steinbergWeight(self, v: int) -> Weight:
-        theta = [0] * self.sys.rank
-        for i in self.leftDescents(v):
-            theta[i] = 1
-        return self.act(self.inv[v], tuple(theta))
+        """e_v = v^-1 theta_v, theta_v the sum of the omega_i over the left
+        descents i of v, read from the ("stw",) table (module docstring)."""
+        table = self.memo.get(("stw",))
+        if table is None:
+            n, inv = self.sys.rank, self.inv
+            orbits = [self.orbit(fundamental(self.sys, i)) for i in range(n)]
+            table = self.memo[("stw",)] = [
+                tuple(map(sum, zip((0,) * n, *[orbits[i][inv[u]] for i in self.leftDescents(u)])))
+                for u in range(self.size)]
+        return table[v]
 
     def parabolicData(self, piP: tuple[int, ...]) -> tuple[list[int], list[int], int]:
         """Subgroup elements and minimal coset representatives, both in id

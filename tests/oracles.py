@@ -23,9 +23,12 @@ alone, inverting the Cartan matrix over Fractions, so it checks the scaled
 integer matrices the package uses.  The Weyl group by action matrices
 (matrixWeylTables) and the section characters by one action per lower-set
 element (charSectionsPlain) check the reflection-keyed enumeration and the
-lower-set walk that replaced them.  The transition-matrix entries as the
-difference of two full section sums (alphaEntryTwoSums, betaEntryTwoSums)
-check ktheory's sum over the orbit weights of one walk.  Lower sets are
+orbit masks of charSections; the lower-set walk those masks replaced
+(charSectionsWalk) checks them with a left-out set too, and the Steinberg
+weights by folding v^-1's word (steinbergWeightByAct) check the table
+summed from fundamental-weight orbits.  The transition-matrix entries as
+the difference of two full section sums (alphaEntryTwoSums,
+betaEntryTwoSums) check ktheory's one sum with a left-out set.  Lower sets are
 bitmasks in the package; the canonical antichain of Bruhat-maximal
 generators (lowerSet, antichainFromMask) is kept here for the oracles and
 tests that build one.  The layer characters by their definition, sections
@@ -216,6 +219,33 @@ def charSectionsPlain(W: WeylGroup, mask: int, lam: Weight) -> Character:
     for mu in sorted(seen):
         total = total + charQ(W, mu)
     return total
+
+
+def charSectionsWalk(W: WeylGroup, mask: int, lam: Weight, below: int) -> Character:
+    """demazure.charSections by walking the lower set up from e by left
+    multiplication: a reduced word s_i1 ... s_ik of u puts every suffix below
+    u, so each u is reached, and (s_i u) lam = s_i (u lam) is one reflection
+    of a weight already known."""
+    moved = {0: lam} if mask else {}
+    stack = list(moved)
+    while stack:
+        u = stack.pop()
+        for i, v in enumerate(W.lmulTable[u]):
+            if mask >> v & 1 and v not in moved:
+                moved[v] = W.reflect(moved[u], i)
+                stack.append(v)
+    left = {mu for u, mu in moved.items() if below >> u & 1}
+    total = Character.zero()
+    for mu in sorted(set(moved.values()) - left):
+        total = total + charQ(W, mu)
+    return total
+
+
+def steinbergWeightByAct(W: WeylGroup, v: int) -> Weight:
+    """e_v = v^-1 theta_v by folding the canonical word of v^-1 over theta_v,
+    the sum of the fundamental weights of the left descents of v."""
+    theta = tuple(int(i in W.leftDescents(v)) for i in range(W.sys.rank))
+    return W.act(W.inverse(v), theta)
 
 
 def antichainFromMask(W: WeylGroup, mask: int) -> LowerSet:

@@ -42,6 +42,21 @@ def test_eval_json(capsys):
         {(1, 0): 1, (-1, 1): 1, (0, -1): 1}
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
+                                  "C2", "C3", "C4", "D4", "G2", "F4"])
+def test_eval_steinberg_matches_fold_oracle(capsys, name):
+    W = weylGroup(name)
+    word = (0, 1) if W.sys.rank > 1 else (0,)
+    src = "steinberg(" + " ".join(f"s{i + 1}" for i in word) + ")"
+    code, out, err = run(capsys, "eval", src, "--type", name, "--no-cache")
+    assert code == 0 and err == ""
+    v = 0
+    for i in word:
+        v = W.rmul(v, i)
+    want = oracles.steinbergWeightByAct(W, v)
+    assert [(tuple(d["w"]), d["c"]) for d in json.loads(out)["value"]] == [(want, 1)]
+
+
 def test_eval_pretty_and_csv(capsys):
     code, out, _ = run(capsys, "eval", "e([0,0]) + e([0,0])",
                        "--type", "A2", "--format", "pretty")

@@ -359,7 +359,20 @@ def test_pairing_tables_leave_no_memo_family():
     orthogonalityCheck(W)
     parabolicChecks(W, (0,))
     families = {key[0] for key in W.memo}
-    assert families <= {"dem", "Q", "Qhat", "stx", "stxrow", "stxorder", "stxprod"}, families
+    assert families <= {"dem", "Q", "Qhat", "stx", "stxrow", "stxorder", "stxprod",
+                        "orbit", "stw"}, families
+
+
+def test_triangularity_memo_stays_bounded():
+    # the orbit masks are kept per dominant 0/1 weight, the Steinberg weights
+    # in one table; a second run reads them and adds nothing
+    W = WeylGroup(rootSystem("B3"))
+    triangularityChecks(W, W.elements(), W.elements())
+    sizes = W.memoSizes()
+    assert sizes["orbit"] <= 2 ** W.sys.rank and sizes["stw"] == W.size, sizes
+    keys = set(W.memo)
+    triangularityChecks(W, W.elements(), W.elements())
+    assert set(W.memo) == keys and W.memoSizes() == sizes
 
 
 # -- failing checks report a witness ----------------------------------------------

@@ -177,6 +177,27 @@ def test_to_dominant_matches_plain_reference(name):
         assert W.toDominant(lam) == oracles.toDominantPlain(W, lam)
 
 
+@pytest.mark.parametrize("name", sorted(ORDERS))
+def test_fresh_group_has_empty_memo(name):
+    # every table of the character layers is built on first use, not at set-up
+    assert WeylGroup(rootSystem(name)).memo == {}
+
+
+@pytest.mark.parametrize("name", sorted(ORDERS))
+def test_orbit_matches_act(name):
+    W = weylGroup(name)
+    lam = tuple(range(-1, W.sys.rank - 1))
+    assert W.orbit(lam) == [W.act(u, lam) for u in W.elements()]
+
+
+@pytest.mark.parametrize("name", sorted(ORDERS))
+def test_steinberg_weight_table_matches_fold_oracle(name):
+    W = WeylGroup(rootSystem(name))
+    got = [W.steinbergWeight(v) for v in W.elements()]
+    assert W.memoSizes() == {"stw": W.size}
+    assert got == [oracles.steinbergWeightByAct(W, v) for v in W.elements()]
+
+
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3", "B3", "C3"])
 def test_steinberg_weights(name):
     W = weylGroup(name)
