@@ -9,8 +9,10 @@ recognizes those weights and expands arbitrary characters over mixed
 families of head-1 basis characters.  R(T) is free over R(G) on that basis,
 so every coefficient is an element of R(G), and it is carried from end to
 end as irreducible multiplicities (a GClassExpansion): invariance holds by
-construction, and a coefficient becomes a Character only where
-steinbergDecomposeChar expands it for its caller.
+construction, and a coefficient becomes a Character only where a caller
+needs one: steinbergDecomposeChar expands it, and so do the exceptional
+classes (ktheory.xClass, ktheory.xHatClass) that multiply it into a layer
+character.
 
 The expansion has three parts, none of which depends on the choice map:
 

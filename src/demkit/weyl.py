@@ -9,10 +9,12 @@ under w s_i is s_i applied to it.  The canonical reduced word of an element
 is the ShortLex-least one, which is what a FIFO breadth-first search with
 ascending generator indices produces; ids follow that search, so they are in
 (length, canonical word) order, which refines Bruhat order, and the longest
-element is the last id.  A lower set in Bruhat order is a bitmask over ids;
-each lower interval [e, w] is built by the lifting property (Bjorner-Brenti,
-Combinatorics of Coxeter Groups, Prop. 2.2.7): for a left descent s of w,
-[e, w] = [e, sw] u s[e, sw], and sw < w.
+element is the last id.  A lower set in Bruhat order is a bitmask over ids.
+The search finds w = u s_i with i a right descent of w, and the lifting
+property (Bjorner-Brenti, Combinatorics of Coxeter Groups, Prop. 2.2.7) then
+gives the elements w covers: u and each c s_i > c for c covered by u.  Each
+is shorter than w, so already found, and [e, w] is w together with their
+lower intervals.
 
 The orbit of a weight is listed by id with one reflection per element:
 dropping the first letter i of u's canonical word leaves the canonical word
@@ -23,8 +25,6 @@ one-item ("stw",) the Steinberg weights e_v = v^-1 theta_v of every id,
 summed from the orbits of the fundamental weights on first use.
 """
 from __future__ import annotations
-
-from operator import itemgetter
 
 from .rootsystem import (
     RootSystem,
@@ -65,6 +65,7 @@ class WeylGroup:
         # keys[w] = w^-1 rho, and (w s_i)^-1 rho = s_i (w^-1 rho)
         keys: list[Weight] = [rho(sys)]
         words: list[tuple[int, ...]] = [()]
+        length, covers, bits = [0], [()], [1]
         index: dict[Weight, int] = {keys[0]: 0}
         rmul: list[list[int]] = []
         head = 0
@@ -81,13 +82,24 @@ class WeylGroup:
                     index[prod] = j
                     keys.append(prod)
                     words.append(words[head] + (i,))
+                    length.append(length[head] + 1)
+                    # every c here is shorter than head, so its row of rmul is built
+                    cov = [head, *[d for c in covers[head]
+                                   if length[d := rmul[c][i]] > length[c]]]
+                    covers.append(tuple(sorted(cov)))
+                    b = 1 << j
+                    for c in cov:
+                        b |= bits[c]
+                    bits.append(b)
                 row.append(j)
             rmul.append(row)
             head += 1
 
         self.size = len(keys)
         self.words = words
-        self.length = [len(w) for w in words]
+        self.length = length
+        self.bruhatBits = bits
+        self.coversOf = covers
         self.rmulTable = rmul
         # inverse by reversing the canonical word
         inv = []
@@ -101,28 +113,7 @@ class WeylGroup:
         self.lmulTable = [[inv[j] for j in rmul[inv[w]]] for w in range(self.size)]
         self.w0 = self.size - 1
 
-        self._buildBruhat()
         self.memo: dict = {}   # shared scratch for the character layers
-
-    # -- construction helpers -------------------------------------------------
-
-    def _buildBruhat(self) -> None:
-        # By the lifting property (module docstring), w covers sw and each
-        # sc > c for c covered by sw.  s permutes a bitmask's binary string,
-        # whose position k holds the bit of element top - k.
-        size, rank, lm, length = self.size, self.sys.rank, self.lmulTable, self.length
-        top = size - 1
-        act = [itemgetter(*[top - lm[top - k][s] for k in range(size)]) for s in range(rank)]
-        fmt = f"0{size}b"
-        bits, covers = [1], [()]
-        for w in range(1, size):
-            s = next(i for i in range(rank) if length[lm[w][i]] < length[w])
-            sw = lm[w][s]
-            bits.append(bits[sw] | int("".join(act[s](format(bits[sw], fmt))), 2))
-            up = [lm[c][s] for c in covers[sw] if length[lm[c][s]] > length[c]]
-            covers.append(tuple(sorted([sw, *up])))
-        self.bruhatBits = bits
-        self.coversOf = covers
 
     # -- memo ------------------------------------------------------------------
 

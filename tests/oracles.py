@@ -15,7 +15,9 @@ weight tuples that demWord's packed keys replace) along the longest word.
 
 The pairing tables by the product route (eulerPair of the two full
 characters, then decomposed) check the adjointness and projection-formula
-routes of ktheory.pairingsWithP and ktheory.gramTable.
+routes of ktheory.pairingsWithP and ktheory.gramTable; the dual-conjecture
+pairing by the product route (dualConjecturePairingProduct) checks the
+adjointness route of ktheory.dualConjectureCheck.
 
 The rational weight API (inner products, norms, heights and simple-root
 coordinates) is computed here from the Cartan matrix and the symmetrizer
@@ -645,6 +647,17 @@ def pairingsWithPProduct(W: WeylGroup, vs, gs: dict) -> dict[tuple, GClassExpans
     ps = {v: charP(W, tuple(-x for x in W.steinbergWeight(v))) for v in vs}
     return {(v, k): decomposeWeylBasis(W, eulerPair(W, ps[v], g))
             for v in vs for k, g in gs.items()}
+
+
+def dualConjecturePairingProduct(W: WeylGroup, v: int) -> Character:
+    """chi(P_v Q(e_{w0 v}) e^-rho), the pairing ktheory.dualConjectureCheck
+    reports, by forming the product of the three characters."""
+    w0v = W.mul(W.w0, v)
+    return eulerPair(
+        W,
+        charP(W, negW(W.steinbergWeight(v))),
+        charQ(W, W.steinbergWeight(w0v)) * Character.monomial(negW(rho(W.sys))),
+    )
 
 
 def gramTableProduct(

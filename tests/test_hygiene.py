@@ -1,9 +1,9 @@
 """Static checks on the package sources, read with ast and symtable (no
 linter needed): every imported name is used, every global name a module
-refers to exists, the package imports only the standard library and
-itself, only rootsystem, which builds its scaled integer matrices through
-exact rationals, imports fractions, and no module has an assert statement
-(python -O strips them).  The module doctests run here too, and every
+refers to exists, every private function or class is referred to, the
+package imports only the standard library and itself, only rootsystem,
+which builds its scaled integer matrices through exact rationals, imports
+fractions, and no module has an assert statement (python -O strips them).  The module doctests run here too, and every
 function the benchmark's tracer (bench/tracer.py) wraps must still
 resolve."""
 from __future__ import annotations
@@ -124,6 +124,27 @@ def tracerTargets() -> tuple:
                 isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
             return ast.literal_eval(node.value)
     raise AssertionError("bench/tracer.py defines no TARGETS")
+
+
+def test_every_private_definition_is_referenced():
+    """A function or class whose name starts with one underscore is read
+    somewhere in the package, as a name, an attribute or an imported name;
+    otherwise it is a dead helper."""
+    defined, read = [], set()
+    for module in MODULES:
+        for node in ast.walk(tree(module)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.append((module, node.lineno, node.name))
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    assert defined
+    dead = [d for d in defined if d[2] not in read]
+    assert dead == [], f"private definitions never referred to (module, line, name): {dead}"
 
 
 def test_no_assert_statements():

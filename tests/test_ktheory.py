@@ -5,7 +5,14 @@ import random
 import pytest
 
 import demkit.ktheory as kt
-from demkit.characters import Character, charFromJSON, decomposeWeylBasis, dual, pretty
+from demkit.characters import (
+    Character,
+    charFromJSON,
+    charToJSON,
+    decomposeWeylBasis,
+    dual,
+    pretty,
+)
 from demkit.demazure import charNabla, charP, charQ, charSections, demWords, lowerSetMask
 from demkit.ktheory import (
     alphaEntry,
@@ -32,7 +39,13 @@ from demkit.ktheory import (
 from demkit.rootsystem import negW, rho, rootSystem, zero
 from demkit.steinberg import Q, steinbergDecomposeChar, uniformChoices
 from demkit.weyl import WeylGroup, weylGroup
-from oracles import alphaEntryTwoSums, betaEntryTwoSums, gramTableProduct, pairingsWithPProduct
+from oracles import (
+    alphaEntryTwoSums,
+    betaEntryTwoSums,
+    dualConjecturePairingProduct,
+    gramTableProduct,
+    pairingsWithPProduct,
+)
 
 
 def allPass(checks):
@@ -238,6 +251,24 @@ def test_xhat_requires_minimal_rep():
         xHatClass(W, s1, piP)
 
 
+def test_xhat_refuses_stray_coefficient(monkeypatch):
+    # a coefficient at a non-minimal element must cancel; one that does not is refused
+    W = weylGroup("B2")
+    piP = (0,)
+    s1 = W.rmul(0, 0)
+    assert s1 not in W.parabolicData(piP)[1]
+    decompose = kt.steinbergDecompose
+
+    def withStray(*args):
+        out = decompose(*args)
+        out[s1] = {zero(W.sys): 1}
+        return out
+
+    monkeypatch.setattr(kt, "steinbergDecompose", withStray)
+    with pytest.raises(AssertionError, match="outside the minimal representatives"):
+        xHatClass(W, 0, piP)
+
+
 def test_parabolic_degenerate_cases():
     W = weylGroup("B2")
     # empty parabolic: everything reduces to the Borel case
@@ -248,13 +279,17 @@ def test_parabolic_degenerate_cases():
     assert xHatClass(W, 0, (0, 1)) == Character.monomial(zero(W.sys))
 
 
-@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3", "A4", "D4"])
 def test_dual_conjecture_rows(name):
+    # the pairing by adjointness against the product route
     W = weylGroup(name)
     for v in W.elements():
         row = dualConjectureCheck(W, v)
         assert row["identity"] == "pass"
-        assert isinstance(row["conjectureHolds"], bool)
+        strong = dualConjecturePairingProduct(W, v)
+        sign = (-1) ** W.length[W.mul(W.w0, v)]
+        assert row["conjectureHolds"] is (strong == Character.monomial(zero(W.sys), sign))
+        assert row["pairingValue"] == charToJSON(strong), (name, v)
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])

@@ -44,7 +44,7 @@ def test_length_equals_inversion_count(name):
         assert len(W.canonicalWord(w)) == W.length[w]
 
 
-@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3"])
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3"])
 def test_bruhat_matches_subword_oracle(name):
     W = weylGroup(name)
     for w in W.elements():
