@@ -1,6 +1,8 @@
 """Persistent result cache keyed by content hashes.
 
-Entries are plain JSON, re-derivable from scratch.  The key carries a hash
+Entries are JSON values, re-derivable from scratch; the CLI stores each
+result as its JSON output text in a sealed envelope (cli._sealedText), so a
+hit decodes one string and nothing else.  The key carries a hash
 of the package's sources, so any change to the code silently starts a fresh
 namespace instead of serving stale values.  Writes go through a temp file
 and an atomic rename.
@@ -57,9 +59,9 @@ class DiskCache:
         if not self.enabled:
             return None
         try:
-            with open(self._path(key)) as fh:
+            with open(self._path(key), encoding="utf-8") as fh:
                 return json.load(fh)
-        except (OSError, ValueError):
+        except (OSError, ValueError, RecursionError):   # nested too deep to decode
             return None
 
     def put(self, key: str, value) -> None:
@@ -67,7 +69,7 @@ class DiskCache:
             return
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as fh:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 # one-shot dumps runs the C encoder; json.dump never does
                 fh.write(json.dumps(value, sort_keys=True))
             os.replace(tmp, self._path(key))

@@ -291,7 +291,3 @@ def pretty(f: Character) -> str:
 def compact(f: Character) -> str:
     """CSV cell form, lex-sorted: "2e[0,0]+e[1,-1]"."""
     return _formatTerms(f.sortedItems(), "e", tight=True)
-
-
-def gexpToJSON(coeffs: GClassExpansion) -> list[dict]:
-    return [{"weight": list(w), "c": c} for w, c in sorted(coeffs.items())]

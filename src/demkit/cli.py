@@ -15,14 +15,19 @@ indent of 2, but it writes a list of term rows with one %-template per row
 instead of running the stdlib's pure-Python indenting encoder.
 
 Results are re-derivable, so caching is safe: pass --cache-dir (or set the
-DEMKIT_CACHE environment variable) to reuse previous runs.  Output bytes are
-identical with the cache hot, cold, or disabled.
+DEMKIT_CACHE environment variable) to reuse previous runs.  An entry holds a
+command's --format json text, sealed by a hash of key and text.  A hot JSON
+run writes that text as it is; csv and pretty render from its decoded value.
+An entry whose seal does not hold is a miss, recomputed and overwritten.
+Output bytes are identical with the cache hot, cold, or disabled.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import itertools
+import json
 import os
 import random
 import sys as _sys
@@ -33,14 +38,7 @@ from . import __version__
 from . import demazure as dz
 from . import ktheory as kt
 from .cache import DiskCache
-from .characters import (
-    Character,
-    _formatTerms,
-    charFromJSON,
-    charToJSON,
-    compact,
-    gexpToJSON,
-)
+from .characters import Character, _formatTerms, charFromJSON, compact
 from .exprlang import EvalContext, ParseError, asciiInt, clip, evalExpr, parse, printExpr
 from .weyl import WeylGroup, weylGroup
 
@@ -377,8 +375,9 @@ def _jsonText(obj) -> str:
 
 
 def _renderEval(kind: str, cs: list, ws: list, fmt: str) -> str:
-    """An eval payload of this kind with term rows given by their columns
-    (_evalColumns); as JSON, the text _jsonText writes for the payload."""
+    """An eval payload of this kind with term rows given by their columns of
+    coefficients and weights; as JSON, the text _jsonText writes for the
+    payload."""
     key, symbol = ("weight", "chi") if kind == "gexp" else ("w", "e")
     if fmt == "json":
         value = _termRows("\n  ", key, cs, ws) if cs else "[]"
@@ -420,7 +419,7 @@ def _renderSuite(report: dict, fmt: str) -> str:
 def _emit(text: str, out: str | None) -> None:
     if out:
         try:
-            with open(out, "w") as fh:
+            with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as e:
             raise UsageError(f"cannot write --out {clip(out)!r}: {e.strerror}")
@@ -444,7 +443,8 @@ def _addCommon(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="PATH", default=None)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="demkit",
         description="exact character computations and verification suites")
@@ -455,7 +455,11 @@ def main(argv=None) -> int:
     ps = sub.add_parser("suite", help="run a verification suite")
     ps.add_argument("name", choices=SUITES)
     _addCommon(ps)
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         try:
@@ -478,54 +482,26 @@ def main(argv=None) -> int:
         return 2
 
 
-# A cache entry of any other shape than the one a command writes is a miss:
-# it is recomputed and overwritten.  A suite report is checked down to every
-# field the renderers read (_reportOk); an eval payload down to every term
-# row (_evalColumns).
-REPORT_KEYS = frozenset(("suite", "context", "checks", "failures", "seed", "version"))
-CHECK_KEYS = frozenset(("name", "status", "witness"))
+def _seal(key: str, text: str) -> str:
+    return hashlib.sha256((key + text).encode()).hexdigest()
 
 
-def _matrixOk(m) -> bool:
-    """Whether m is {"rows": [str], "cols": [str], "entries": [[cell]]}, a cell
-    per row and column, each a list of term rows {"c": int, "w": [int] * r}."""
-    if not (type(m) is dict and m.keys() == {"rows", "cols", "entries"}
-            and all(type(x) is list for x in m.values())
-            and not set(map(type, m["rows"] + m["cols"])) - {str}
-            and len(m["entries"]) == len(m["rows"])
-            and all(type(e) is list and len(e) == len(m["cols"])
-                    and all(type(cell) is list for cell in e) for e in m["entries"])):
-        return False
-    terms = [t for e in m["entries"] for cell in e for t in cell]
-    w = terms and type(terms[0]) is dict and terms[0].get("w")
-    return _termColumns(terms, "w", len(w) if type(w) is list else 0) is not None
+def _sealedText(cache: DiskCache, key: str) -> str | None:
+    """The JSON text cached under key, or None on a miss.  An entry is
+    {"sha256": _seal(key, text), "text": text}, text being a command's
+    --format json output, which is ASCII; an edited or truncated text, an
+    entry copied to another key's file or any other shape breaks the seal
+    and is a miss, recomputed and overwritten."""
+    entry = cache.get(key)
+    if (type(entry) is dict and entry.keys() == {"sha256", "text"}
+            and type(entry["text"]) is str and entry["text"].isascii()
+            and entry["sha256"] == _seal(key, entry["text"])):
+        return entry["text"]
+    return None
 
 
-def _reportOk(report) -> bool:
-    """Whether report has the top-level keys, check rows {"name": str,
-    "status": "pass" or "fail", "witness": str}, a list of str failures, a
-    context with a str type and a well-formed matrix if any (_matrixOk)."""
-    if not (isinstance(report, dict) and REPORT_KEYS <= report.keys()):
-        return False
-    checks, failures, context = report["checks"], report["failures"], report["context"]
-    return (type(checks) is list and type(failures) is list and type(context) is dict
-            and type(context.get("type")) is str
-            and all(type(f) is str for f in failures)
-            and all(type(c) is dict and c.keys() == CHECK_KEYS
-                    and type(c["name"]) is str and type(c["witness"]) is str
-                    and c["status"] in ("pass", "fail") for c in checks)
-            and ("matrix" not in report or _matrixOk(report["matrix"])))
-
-
-def _evalColumns(payload, rank: int):
-    """The (coefficients, weights) columns of payload's rows if payload is
-    {"kind": "char" or "gexp", "value": rows}, every row an int "c" and a
-    list of rank ints under "w" (char) or "weight" (gexp); else None."""
-    if not (isinstance(payload, dict) and payload.keys() == {"kind", "value"}
-            and payload["kind"] in ("char", "gexp") and type(payload["value"]) is list):
-        return None
-    key = "w" if payload["kind"] == "char" else "weight"
-    return _termColumns(payload["value"], key, rank)
+def _putSealed(cache: DiskCache, key: str, text: str) -> None:
+    cache.put(key, {"sha256": _seal(key, text), "text": text})
 
 
 def _runEval(args, W, piP, order, cache: DiskCache) -> int:
@@ -537,31 +513,37 @@ def _runEval(args, W, piP, order, cache: DiskCache) -> int:
     params = {"expr": printExpr(node), "parabolic": list(piP),
               "order": _orderSig(W, order)}
     key = cache.key(W.sys.name, W.sys.rank, "eval", params)
-    payload = cache.get(key)
-    cols = _evalColumns(payload, W.sys.rank)
-    if cols is None:
+    text = _sealedText(cache, key)
+    if text is None:
         try:
             value = evalExpr(node, EvalContext(W, piP, order))
         except ValueError as e:
             print(f"demkit: {e}", file=_sys.stderr)
             return 2
         if isinstance(value, Character):
-            payload = {"kind": "char", "value": charToJSON(value)}
+            kind, items = "char", value.sortedItems()
         else:
-            payload = {"kind": "gexp", "value": gexpToJSON(value)}
-        cache.put(key, payload)
-        rows = payload["value"]
-        field = "w" if payload["kind"] == "char" else "weight"
-        cols = list(map(itemgetter("c"), rows)), list(map(itemgetter(field), rows))
-    _emit(_renderEval(payload["kind"], *cols, args.format), args.out)
+            kind, items = "gexp", sorted(value.items())
+        cs, ws = list(map(itemgetter(1), items)), list(map(itemgetter(0), items))
+        if cache.enabled:
+            text = _renderEval(kind, cs, ws, "json")
+            _putSealed(cache, key, text)
+    elif args.format != "json":
+        payload = json.loads(text)
+        kind, rows = payload["kind"], payload["value"]
+        field = "w" if kind == "char" else "weight"
+        cs, ws = list(map(itemgetter("c"), rows)), list(map(itemgetter(field), rows))
+    if text is None or args.format != "json":
+        text = _renderEval(kind, cs, ws, args.format)
+    _emit(text, args.out)
     return 0
 
 
 def _runSuite(args, W, piP, order, cache: DiskCache) -> int:
     params = {"parabolic": list(piP), "order": _orderSig(W, order), "seed": SEED}
     key = cache.key(W.sys.name, W.sys.rank, f"suite:{args.name}", params)
-    report = cache.get(key)
-    if not _reportOk(report):
+    text = _sealedText(cache, key)
+    if text is None:
         checks, extras = runSuite(args.name, W, piP, order)
         rows = [{"name": n, "status": "pass" if ok else "fail", "witness": wit}
                 for n, ok, wit in checks]
@@ -578,8 +560,14 @@ def _runSuite(args, W, piP, order, cache: DiskCache) -> int:
             "version": __version__,
         }
         report.update(extras)
-        cache.put(key, report)
-    _emit(_renderSuite(report, args.format), args.out)
+        if cache.enabled:
+            text = _renderSuite(report, "json")
+            _putSealed(cache, key, text)
+    else:
+        report = json.loads(text)
+    if text is None or args.format != "json":
+        text = _renderSuite(report, args.format)
+    _emit(text, args.out)
     return 0 if not report["failures"] else 1
 
 

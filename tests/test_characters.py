@@ -16,7 +16,6 @@ from demkit.characters import (
     expandGClass,
     gAddMul,
     gDual,
-    gexpToJSON,
     isInvariant,
     pretty,
     weylActionChar,
@@ -284,8 +283,3 @@ def test_pretty_and_compact_forms():
     g = Character({(1,): -1, (-1,): 3})
     assert pretty(g) == "3·e[-1] - e[1]"
     assert compact(g) == "3e[-1]-e[1]"
-
-
-def test_gexp_json_sorted():
-    data = gexpToJSON({(1, 1): 2, (0, 0): 1})
-    assert data == [{"weight": [0, 0], "c": 1}, {"weight": [1, 1], "c": 2}]

@@ -394,6 +394,22 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(dest.read_text())["suite"] == "steinberg-lists"
 
 
+def test_out_file_is_utf8_under_c_locale(tmp_path, capsys):
+    # pretty output holds "·"; --out writes UTF-8 whatever the locale says
+    argv = ["eval", "e([1,0])+e([1,0])", "--type", "B2", "--format", "pretty",
+            "--no-cache"]
+    dest = tmp_path / "out.txt"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(demkit.__file__)))
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "demkit.cli", *argv, "--out", str(dest)],
+                          capture_output=True, env=env, timeout=300)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and "\u00b7" in out
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert dest.read_bytes() == out.encode("utf-8")
+
+
 BIG_EVALS = [
     ("eval", "chi([1,1,1])", "--type", "B3"),
     ("eval", "decomposeG(chi([1,1,1])*chi([1,1,1]))", "--type", "B3"),
@@ -578,6 +594,80 @@ def test_cached_report_with_bad_nested_field_is_recomputed(tmp_path, capsys, cha
         entry.write_text(json.dumps({**good, **change}))
         assert run(capsys, *fargv) == (case["code"], case["stdout"], ""), fmt
         assert json.loads(entry.read_text()) == good
+
+
+# (command, another command of the same kind whose entry has another key)
+SEALED = {
+    "eval": (("eval", "chi([1,0])", "--type", "A2"), ("eval", "chi([0,1])", "--type", "A2")),
+    "suite": (("suite", "steinberg-lists", "--type", "A2"),
+              ("suite", "tensor-decomp", "--type", "A2")),
+}
+
+
+def digitChanged(text):
+    i = re.search(r"[0-9]", text).start()
+    return text[:i] + str((int(text[i]) + 1) % 10) + text[i + 1:]
+
+
+# good entry, another key's good entry -> a broken entry
+BROKEN_SEALS = {
+    "digit-changed": lambda good, other: {**good, "text": digitChanged(good["text"])},
+    "other-keys-entry": lambda good, other: other,
+    "extra-key": lambda good, other: {**good, "x": 0},
+    "text-not-str": lambda good, other: {**good, "text": json.loads(good["text"])},
+    "sha256-missing": lambda good, other: {"text": good["text"]},
+    "text-lone-surrogate": lambda good, other: {**good, "text": "\ud800"},
+}
+
+
+@pytest.mark.parametrize("broken", sorted(BROKEN_SEALS))
+@pytest.mark.parametrize("command", sorted(SEALED))
+def test_cache_entry_with_broken_seal_is_recomputed(tmp_path, capsys, monkeypatch,
+                                                     command, broken):
+    argv, otherArgv = SEALED[command]
+    cdir = tmp_path / "cache"
+    assert run(capsys, *otherArgv, "--cache-dir", str(cdir))[0] == 0
+    (otherEntry,) = cdir.iterdir()
+    assert run(capsys, *argv, "--cache-dir", str(cdir))[0] == 0
+    (entry,) = set(cdir.iterdir()) - {otherEntry}
+    goodText = entry.read_text()
+    good = json.loads(goodText)
+    assert good.keys() == {"sha256", "text"}
+    bad = BROKEN_SEALS[broken](good, json.loads(otherEntry.read_text()))
+    calls = []
+    for name in ("evalExpr", "runSuite"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, real=real: calls.append(a) or real(*a))
+    for fmt in ("json", "csv", "pretty"):
+        want = run(capsys, *argv, "--format", fmt, "--no-cache")
+        entry.write_text(json.dumps(bad))
+        del calls[:]
+        assert run(capsys, *argv, "--format", fmt, "--cache-dir", str(cdir)) == want, fmt
+        assert len(calls) == 1 and entry.read_text() == goodText, fmt
+
+
+def test_cache_entry_nested_too_deep_is_recomputed(tmp_path, capsys):
+    argv = ("eval", "e([1,0])", "--type", "A2", "--cache-dir", str(tmp_path))
+    cold = run(capsys, *argv)
+    (entry,) = tmp_path.iterdir()
+    good = entry.read_text()
+    entry.write_text("[" * 100000 + "]" * 100000)
+    assert run(capsys, *argv) == cold
+    assert entry.read_text() == good
+
+
+@pytest.mark.parametrize("command", sorted(SEALED))
+def test_hot_json_run_writes_the_stored_text(tmp_path, capsys, monkeypatch, command):
+    # a hot --format json run neither recomputes nor re-renders its result
+    argv = (*SEALED[command][0], "--cache-dir", str(tmp_path / "cache"))
+    cold = run(capsys, *argv)
+
+    def recomputed(*a):
+        raise AssertionError("hot JSON run recomputed or re-rendered its result")
+
+    for name in ("evalExpr", "runSuite", "_renderEval", "_renderSuite"):
+        monkeypatch.setattr(cli, name, recomputed)
+    assert run(capsys, *argv) == cold
 
 
 def test_cache_eval_normalizes_expr(tmp_path, capsys):

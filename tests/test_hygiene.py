@@ -3,8 +3,9 @@ linter needed): every imported name is used, every global name a module
 refers to exists, every private function or class is referred to, the
 package imports only the standard library and itself, only rootsystem,
 which builds its scaled integer matrices through exact rationals, imports
-fractions, and no module has an assert statement (python -O strips them).  The module doctests run here too, and every
-function the benchmark's tracer (bench/tracer.py) wraps must still
+fractions, no module has an assert statement (python -O strips them), and
+every text-mode open names its encoding.  The module doctests run here too,
+and every function the benchmark's tracer (bench/tracer.py) wraps must still
 resolve."""
 from __future__ import annotations
 
@@ -153,6 +154,32 @@ def test_no_assert_statements():
     found = [(module, node.lineno) for module in MODULES
              for node in ast.walk(tree(module)) if isinstance(node, ast.Assert)]
     assert found == [], f"assert statements (module, line): {found}"
+
+
+def isOpenCall(node: ast.Call) -> bool:
+    """Whether node calls the builtin open or os.fdopen."""
+    f = node.func
+    return ((isinstance(f, ast.Name) and f.id == "open")
+            or (isinstance(f, ast.Attribute) and f.attr == "fdopen"
+                and isinstance(f.value, ast.Name) and f.value.id == "os"))
+
+
+def test_text_mode_opens_name_an_encoding():
+    """Every open(...) and os.fdopen(...) whose mode is not a literal with a
+    "b" in it passes encoding=, so the bytes of a file do not depend on the
+    locale.  A mode that is not a literal counts as text."""
+    found = []
+    for module in MODULES:
+        for node in ast.walk(tree(module)):
+            if not (isinstance(node, ast.Call) and isOpenCall(node)):
+                continue
+            keywords = {k.arg: k.value for k in node.keywords}
+            mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+            binary = (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                      and "b" in mode.value)
+            if not binary and "encoding" not in keywords and len(node.args) < 4:
+                found.append((module, node.lineno))
+    assert found == [], f"text-mode opens without encoding= (module, line): {found}"
 
 
 def test_traced_names_resolve():
