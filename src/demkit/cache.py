@@ -1,14 +1,17 @@
 """Persistent result cache keyed by content hashes.
 
-Entries are JSON values, re-derivable from scratch; the CLI stores each
-result as its JSON output text in a sealed envelope (cli._sealedText), so a
-hit decodes one string and nothing else.  The key carries a hash
-of the package's sources, so any change to the code silently starts a fresh
-namespace instead of serving stale values.  Writes go through a temp file
-and an atomic rename.
+An entry is a command's --format json text, sealed: a line of the 64
+lowercase hex digits of sha256(key + text), then the text as raw ASCII bytes.
+A hit checks the newline, the ASCII and the hash and returns the text with
+nothing decoded; any other file is a miss, recomputed and overwritten.  Files
+keep the name <key>.json, though they hold no JSON: the benchmark's tracer
+sizes that path.  The key carries a hash of the package's sources, so any
+change to the code silently starts a fresh namespace instead of serving stale
+values.  Writes go through a temp file and an atomic rename.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -34,10 +37,16 @@ def sourceTag() -> str:
     return hashSources(os.path.dirname(os.path.abspath(__file__)))
 
 
+def _sealLine(key: str, body: bytes) -> bytes:
+    h = hashlib.sha256(key.encode())
+    h.update(body)   # not key + body: that would copy a large text once more
+    return h.hexdigest().encode() + b"\n"
+
+
 class DiskCache:
     def __init__(self, root: str | None):
         self.root = root
-        if root:
+        if root is not None:
             os.makedirs(root, exist_ok=True)
 
     @property
@@ -55,26 +64,33 @@ class DiskCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.root, key + ".json")
 
-    def get(self, key: str):
+    def get(self, key: str) -> str | None:
+        """The text stored under key, or None on a miss."""
         if not self.enabled:
             return None
         try:
-            with open(self._path(key), encoding="utf-8") as fh:
-                return json.load(fh)
-        except (OSError, ValueError, RecursionError):   # nested too deep to decode
+            # unbuffered: the text is read in one piece, with no second copy
+            with open(self._path(key), "rb", buffering=0) as fh:
+                seal, body = fh.read(65), fh.read()
+        except OSError:
             return None
+        if body.isascii() and seal == _sealLine(key, body):
+            return body.decode("ascii")
+        return None
 
-    def put(self, key: str, value) -> None:
+    def put(self, key: str, text: str) -> None:
+        """Store ASCII text under key; a write that fails leaves no temp file."""
         if not self.enabled:
             return
+        body = text.encode("ascii")
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                # one-shot dumps runs the C encoder; json.dump never does
-                fh.write(json.dumps(value, sort_keys=True))
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(_sealLine(key, body))
+                fh.write(body)
             os.replace(tmp, self._path(key))
-        except OSError:
-            try:
+        except BaseException as e:
+            with contextlib.suppress(OSError):
                 os.unlink(tmp)
-            except OSError:
-                pass
+            if not isinstance(e, OSError):
+                raise

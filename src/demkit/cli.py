@@ -15,17 +15,16 @@ indent of 2, but it writes a list of term rows with one %-template per row
 instead of running the stdlib's pure-Python indenting encoder.
 
 Results are re-derivable, so caching is safe: pass --cache-dir (or set the
-DEMKIT_CACHE environment variable) to reuse previous runs.  An entry holds a
-command's --format json text, sealed by a hash of key and text.  A hot JSON
-run writes that text as it is; csv and pretty render from its decoded value.
-An entry whose seal does not hold is a miss, recomputed and overwritten.
-Output bytes are identical with the cache hot, cold, or disabled.
+DEMKIT_CACHE environment variable, unless it is empty) to reuse previous
+runs.  An entry holds a command's --format json text, sealed by a hash of key
+and text (see cache).  A hot JSON run writes that text as it is and decodes
+nothing; csv and pretty render from its decoded value.  Output bytes are
+identical with the cache hot, cold, or disabled.
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import itertools
 import json
 import os
@@ -468,7 +467,9 @@ def main(argv=None) -> int:
             raise UsageError(f"unknown root system {clip(args.type)!r}")
         piP = _parseParabolic(args.parabolic, W.sys.rank)
         order = _loadOrder(args.order_file, W) if args.order_file else None
-        root = None if args.no_cache else (args.cache_dir or os.environ.get("DEMKIT_CACHE"))
+        # an empty DEMKIT_CACHE is unset; DiskCache refuses --cache-dir ""
+        env = os.environ.get("DEMKIT_CACHE") or None
+        root = None if args.no_cache else env if args.cache_dir is None else args.cache_dir
         try:
             cache = DiskCache(root)
         except OSError as e:
@@ -482,28 +483,6 @@ def main(argv=None) -> int:
         return 2
 
 
-def _seal(key: str, text: str) -> str:
-    return hashlib.sha256((key + text).encode()).hexdigest()
-
-
-def _sealedText(cache: DiskCache, key: str) -> str | None:
-    """The JSON text cached under key, or None on a miss.  An entry is
-    {"sha256": _seal(key, text), "text": text}, text being a command's
-    --format json output, which is ASCII; an edited or truncated text, an
-    entry copied to another key's file or any other shape breaks the seal
-    and is a miss, recomputed and overwritten."""
-    entry = cache.get(key)
-    if (type(entry) is dict and entry.keys() == {"sha256", "text"}
-            and type(entry["text"]) is str and entry["text"].isascii()
-            and entry["sha256"] == _seal(key, entry["text"])):
-        return entry["text"]
-    return None
-
-
-def _putSealed(cache: DiskCache, key: str, text: str) -> None:
-    cache.put(key, {"sha256": _seal(key, text), "text": text})
-
-
 def _runEval(args, W, piP, order, cache: DiskCache) -> int:
     try:
         node = parse(args.expr)
@@ -513,7 +492,7 @@ def _runEval(args, W, piP, order, cache: DiskCache) -> int:
     params = {"expr": printExpr(node), "parabolic": list(piP),
               "order": _orderSig(W, order)}
     key = cache.key(W.sys.name, W.sys.rank, "eval", params)
-    text = _sealedText(cache, key)
+    text = cache.get(key)
     if text is None:
         try:
             value = evalExpr(node, EvalContext(W, piP, order))
@@ -527,7 +506,7 @@ def _runEval(args, W, piP, order, cache: DiskCache) -> int:
         cs, ws = list(map(itemgetter(1), items)), list(map(itemgetter(0), items))
         if cache.enabled:
             text = _renderEval(kind, cs, ws, "json")
-            _putSealed(cache, key, text)
+            cache.put(key, text)
     elif args.format != "json":
         payload = json.loads(text)
         kind, rows = payload["kind"], payload["value"]
@@ -542,7 +521,7 @@ def _runEval(args, W, piP, order, cache: DiskCache) -> int:
 def _runSuite(args, W, piP, order, cache: DiskCache) -> int:
     params = {"parabolic": list(piP), "order": _orderSig(W, order), "seed": SEED}
     key = cache.key(W.sys.name, W.sys.rank, f"suite:{args.name}", params)
-    text = _sealedText(cache, key)
+    text = cache.get(key)
     if text is None:
         checks, extras = runSuite(args.name, W, piP, order)
         rows = [{"name": n, "status": "pass" if ok else "fail", "witness": wit}
@@ -560,15 +539,19 @@ def _runSuite(args, W, piP, order, cache: DiskCache) -> int:
             "version": __version__,
         }
         report.update(extras)
+        failed = bool(report["failures"])
         if cache.enabled:
             text = _renderSuite(report, "json")
-            _putSealed(cache, key, text)
+            cache.put(key, text)
     else:
-        report = json.loads(text)
+        # only a top-level key starts a line of the JSON text at an indent of 2
+        failed = '\n  "failures": []' not in text
+        if args.format != "json":
+            report = json.loads(text)
     if text is None or args.format != "json":
         text = _renderSuite(report, args.format)
     _emit(text, args.out)
-    return 0 if not report["failures"] else 1
+    return int(failed)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ import demkit.cli as cli
 import demkit.ktheory as kt
 from demkit.characters import Character
 from demkit.cli import main
-from demkit.exprlang import clip
+from demkit.exprlang import clip, parse, printExpr
 from demkit.weyl import weylGroup
 
 import oracles
@@ -502,13 +502,62 @@ def test_q_equivalence_same_under_python_O(capsys):
     assert proc.stdout == "".join(out for _, out, _ in outs)
 
 
-def test_cache_put_writes_one_shot_dumps(tmp_path):
+def test_cache_put_writes_the_sealed_text(tmp_path):
     store = cache.DiskCache(str(tmp_path))
-    value = {"kind": "char", "value": [{"c": -2, "w": [1, 0]}, {"c": 1, "w": [0, 0]}],
-             "·": ["²", None, True]}
-    store.put("k", value)
-    assert (tmp_path / "k.json").read_text() == json.dumps(value, sort_keys=True)
-    assert store.get("k") == value
+    text = '{\n  "kind": "char",\n  "s": "\\u00b2 \\"q\\"",\n  "value": []\n}\n'
+    store.put("k", text)
+    seal = hashlib.sha256(("k" + text).encode()).hexdigest()
+    assert (tmp_path / "k.json").read_bytes() == (seal + "\n" + text).encode()
+    assert store.get("k") == text
+
+
+realFdopen = os.fdopen
+
+
+class FailingWriter:
+    """The temp file's writer: its first write lands, its second raises."""
+
+    def __init__(self, fd, mode):
+        self.fh, self.writes = realFdopen(fd, mode), 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise RuntimeError("write failed")
+        self.fh.write(data)
+
+
+def failingReplace(src, dst):
+    raise OSError("replace failed")
+
+
+@pytest.mark.parametrize("site", ["replace", "write", "encode"])
+def test_cache_put_leaves_no_temp_file(tmp_path, monkeypatch, site):
+    # an OSError skips the entry; any other exception propagates; neither
+    # leaves a temp file behind
+    store, text = cache.DiskCache(str(tmp_path)), '{\n  "a": 1\n}\n'
+    if site == "replace":
+        monkeypatch.setattr(cache.os, "replace", failingReplace)
+        store.put("k", text)
+    elif site == "write":
+        monkeypatch.setattr(cache.os, "fdopen", FailingWriter)
+        with pytest.raises(RuntimeError):
+            store.put("k", text)
+    else:
+        with pytest.raises(UnicodeEncodeError):
+            store.put("k", "\u00b2")
+    assert list(tmp_path.iterdir()) == []
+
+
+def sealedOver(good: bytes, text: str) -> bytes:
+    """A good entry's seal line over another text."""
+    return good[:65] + text.encode()
 
 
 NESTED_BAD = [
@@ -539,11 +588,11 @@ def test_cache_entry_of_wrong_shape_is_recomputed(tmp_path, capsys, argv, bad):
         fargv = (*argv, "--format", fmt, "--cache-dir", str(cdir))
         code, cold, _ = run(capsys, *fargv)
         (entry,) = cdir.iterdir()
-        good = json.loads(entry.read_text())
-        entry.write_text(json.dumps(bad))
+        good = entry.read_bytes()
+        entry.write_bytes(sealedOver(good, stdlibText(bad) + "\n"))
         code2, out, err = run(capsys, *fargv)
         assert (code2, out, err) == (code, cold, ""), fmt
-        assert json.loads(entry.read_text()) == good
+        assert entry.read_bytes() == good
 
 
 REPORT_BAD = [
@@ -590,10 +639,11 @@ def test_cached_report_with_bad_nested_field_is_recomputed(tmp_path, capsys, cha
         fargv = (*argv, "--format", fmt, "--cache-dir", str(cdir))
         assert run(capsys, *fargv) == (case["code"], case["stdout"], "")
         (entry,) = cdir.iterdir()
-        good = json.loads(entry.read_text())
-        entry.write_text(json.dumps({**good, **change}))
+        good = entry.read_bytes()
+        report = json.loads(good[65:])
+        entry.write_bytes(sealedOver(good, stdlibText({**report, **change}) + "\n"))
         assert run(capsys, *fargv) == (case["code"], case["stdout"], ""), fmt
-        assert json.loads(entry.read_text()) == good
+        assert entry.read_bytes() == good
 
 
 # (command, another command of the same kind whose entry has another key)
@@ -609,14 +659,40 @@ def digitChanged(text):
     return text[:i] + str((int(text[i]) + 1) % 10) + text[i + 1:]
 
 
-# good entry, another key's good entry -> a broken entry
+def resealed(key: str, body: bytes, seal=lambda hexdigest: hexdigest + "\n") -> bytes:
+    """body under a seal line that matches it, spelt by seal."""
+    return seal(hashlib.sha256(key.encode() + body).hexdigest()).encode() + body
+
+
+def inFirstString(body: bytes, insert: bytes) -> bytes:
+    i = body.index(b'"') + 1
+    return body[:i] + insert + body[i:]
+
+
+# (key, good entry, another key's good entry) -> a broken entry
 BROKEN_SEALS = {
-    "digit-changed": lambda good, other: {**good, "text": digitChanged(good["text"])},
-    "other-keys-entry": lambda good, other: other,
-    "extra-key": lambda good, other: {**good, "x": 0},
-    "text-not-str": lambda good, other: {**good, "text": json.loads(good["text"])},
-    "sha256-missing": lambda good, other: {"text": good["text"]},
-    "text-lone-surrogate": lambda good, other: {**good, "text": "\ud800"},
+    "digit-changed": lambda key, good, other: sealedOver(good, digitChanged(good[65:].decode())),
+    "other-keys-entry": lambda key, good, other: other,
+    "extra-key": lambda key, good, other: sealedOver(
+        good, stdlibText({**json.loads(good[65:]), "x": 0}) + "\n"),
+    # the seal is over the text, not its value: the same value spelt compactly
+    "text-not-str": lambda key, good, other: sealedOver(
+        good, json.dumps(json.loads(good[65:]), sort_keys=True)),
+    "sha256-missing": lambda key, good, other: good[65:],
+    "seal-only": lambda key, good, other: good[:65],
+    "text-lone-surrogate": lambda key, good, other: resealed(
+        key, inFirstString(good[65:], "\ud800".encode("utf-8", "surrogatepass"))),
+    "non-ascii-resealed": lambda key, good, other: resealed(
+        key, inFirstString(good[65:], "\u00b2".encode())),
+    "envelope-with-valid-seal": lambda key, good, other: json.dumps(
+        {"sha256": hashlib.sha256(key.encode() + good[65:]).hexdigest(),
+         "text": good[65:].decode()}).encode(),
+    "truncated": lambda key, good, other: good[:len(good) // 2],
+    "empty": lambda key, good, other: b"",
+    "uppercase-seal": lambda key, good, other: resealed(
+        key, good[65:], lambda h: h.upper() + "\n"),
+    "crlf-after-seal": lambda key, good, other: resealed(
+        key, good[65:], lambda h: h + "\r\n"),
 }
 
 
@@ -630,20 +706,20 @@ def test_cache_entry_with_broken_seal_is_recomputed(tmp_path, capsys, monkeypatc
     (otherEntry,) = cdir.iterdir()
     assert run(capsys, *argv, "--cache-dir", str(cdir))[0] == 0
     (entry,) = set(cdir.iterdir()) - {otherEntry}
-    goodText = entry.read_text()
-    good = json.loads(goodText)
-    assert good.keys() == {"sha256", "text"}
-    bad = BROKEN_SEALS[broken](good, json.loads(otherEntry.read_text()))
+    good = entry.read_bytes()
+    assert good == resealed(entry.stem, good[65:])
+    bad = BROKEN_SEALS[broken](entry.stem, good, otherEntry.read_bytes())
+    assert bad != good
     calls = []
     for name in ("evalExpr", "runSuite"):
         real = getattr(cli, name)
         monkeypatch.setattr(cli, name, lambda *a, real=real: calls.append(a) or real(*a))
     for fmt in ("json", "csv", "pretty"):
         want = run(capsys, *argv, "--format", fmt, "--no-cache")
-        entry.write_text(json.dumps(bad))
+        entry.write_bytes(bad)
         del calls[:]
         assert run(capsys, *argv, "--format", fmt, "--cache-dir", str(cdir)) == want, fmt
-        assert len(calls) == 1 and entry.read_text() == goodText, fmt
+        assert len(calls) == 1 and entry.read_bytes() == good, fmt
 
 
 def test_cache_entry_nested_too_deep_is_recomputed(tmp_path, capsys):
@@ -658,16 +734,58 @@ def test_cache_entry_nested_too_deep_is_recomputed(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", sorted(SEALED))
 def test_hot_json_run_writes_the_stored_text(tmp_path, capsys, monkeypatch, command):
-    # a hot --format json run neither recomputes nor re-renders its result
+    # a hot --format json run neither recomputes, re-renders nor decodes its result
     argv = (*SEALED[command][0], "--cache-dir", str(tmp_path / "cache"))
     cold = run(capsys, *argv)
 
-    def recomputed(*a):
-        raise AssertionError("hot JSON run recomputed or re-rendered its result")
+    def recomputed(*a, **kw):
+        raise AssertionError("hot JSON run recomputed, re-rendered or decoded its result")
 
     for name in ("evalExpr", "runSuite", "_renderEval", "_renderSuite"):
         monkeypatch.setattr(cli, name, recomputed)
+    for name in ("load", "loads"):
+        monkeypatch.setattr(json, name, recomputed)
     assert run(capsys, *argv) == cold
+
+
+def test_hot_suite_run_keeps_the_exit_status(tmp_path, capsys, monkeypatch):
+    # a witness string and a nested key spell what a passing report holds
+    fake = [("fake", False, '\n  "failures": []'), ("ok", True, "")]
+    monkeypatch.setattr(cli, "runSuite", lambda *a: (fake, {"rows": [{"failures": []}]}))
+    for fmt in ("json", "csv", "pretty"):
+        argv = ("suite", "steinberg-lists", "--type", "A2", "--format", fmt,
+                "--cache-dir", str(tmp_path / f"cache-{fmt}"))
+        cold = run(capsys, *argv)
+        assert cold[0] == 1 and run(capsys, *argv) == cold, fmt
+
+
+def test_cache_byte_identity_of_the_F4_character(tmp_path, capsys):
+    # 15,145 term rows, 1.4 MB of JSON: the one entry large enough to show a
+    # fault in how the text is stored
+    argv = ("eval", "chi([1,1,1,1])", "--type", "F4")
+    for fmt in ("json", "csv", "pretty"):
+        cdir = str(tmp_path / f"cache-{fmt}")
+        cold = run(capsys, *argv, "--format", fmt, "--cache-dir", cdir)
+        hot = run(capsys, *argv, "--format", fmt, "--cache-dir", cdir)
+        bare = run(capsys, *argv, "--format", fmt, "--no-cache")
+        assert cold == hot == bare and cold[0] == 0, fmt
+        if fmt == "json":
+            assert len(json.loads(cold[1])["value"]) == 15145
+
+
+def test_cache_entry_is_named_by_its_key(tmp_path, capsys):
+    # the benchmark's tracer sizes <root>/<key>.json for cache.put.bytes
+    cdir = tmp_path / "cache"
+    assert run(capsys, "eval", "chi([1,0])", "--type", "A2", "--cache-dir", str(cdir))[0] == 0
+    assert run(capsys, "suite", "steinberg-lists", "--type", "A2",
+               "--cache-dir", str(cdir))[0] == 0
+    store = cache.DiskCache(None)
+    keys = [store.key("A2", 2, "eval",
+                      {"expr": printExpr(parse("chi([1,0])")), "parabolic": [],
+                       "order": "default"}),
+            store.key("A2", 2, "suite:steinberg-lists",
+                      {"parabolic": [], "order": "default", "seed": cli.SEED})]
+    assert sorted(os.listdir(cdir)) == sorted(k + ".json" for k in keys)
 
 
 def test_cache_eval_normalizes_expr(tmp_path, capsys):
@@ -692,6 +810,22 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     # cached eval result must not re-run anything
     code, _, _ = run(capsys, "eval", "e([0,0])", "--type", "A2")
     assert code == 0
+
+
+def test_empty_cache_dir_writes_nothing(tmp_path, capsys, monkeypatch):
+    # an empty DEMKIT_CACHE is unset; an empty --cache-dir is refused and does
+    # not fall through to DEMKIT_CACHE
+    monkeypatch.chdir(tmp_path)
+    argv = ("eval", "chi([1,0])", "--type", "A2")
+    want = run(capsys, *argv, "--no-cache")
+    monkeypatch.setenv("DEMKIT_CACHE", "")
+    assert run(capsys, *argv) == want
+    for env in ("", str(tmp_path / "env")):
+        monkeypatch.setenv("DEMKIT_CACHE", env)
+        code, out, err = run(capsys, *argv, "--cache-dir", "")
+        assert (code, out) == (2, "")
+        assert err.startswith("demkit: cannot create cache directory ''"), err
+    assert os.listdir(tmp_path) == []
 
 
 def test_cache_keyed_on_source_tag(tmp_path, capsys, monkeypatch):
