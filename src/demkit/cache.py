@@ -1,13 +1,14 @@
 """Persistent result cache keyed by content hashes.
 
-An entry is a command's --format json text, sealed: a line of the 64
-lowercase hex digits of sha256(key + text), then the text as raw ASCII bytes.
-A hit checks the newline, the ASCII and the hash and returns the text with
-nothing decoded; any other file is a miss, recomputed and overwritten.  Files
-keep the name <key>.json, though they hold no JSON: the benchmark's tracer
-sizes that path.  The key carries a hash of the package's sources, so any
-change to the code silently starts a fresh namespace instead of serving stale
-values.  Writes go through a temp file and an atomic rename.
+An entry is what a command printed, and its exit status, sealed: a line of
+the status digit, a space and the 64 lowercase hex digits of
+sha256(key + " " + status + "\\n" + text), then the text as raw bytes in the
+encoding the caller names.  A hit checks the seal and decodes the text
+strictly in that encoding; any other file is a miss, recomputed and
+overwritten.  Files keep the name <key>.json, though they hold no JSON: the
+benchmark's tracer sizes that path.  The key carries a hash of the package's
+sources, so any change to the code silently starts a fresh namespace instead
+of serving stale values.  Writes go through a temp file and an atomic rename.
 """
 from __future__ import annotations
 
@@ -37,10 +38,13 @@ def sourceTag() -> str:
     return hashSources(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _sealLine(key: str, body: bytes) -> bytes:
-    h = hashlib.sha256(key.encode())
-    h.update(body)   # not key + body: that would copy a large text once more
-    return h.hexdigest().encode() + b"\n"
+SEAL_BYTES = 67   # status digit, space, 64 hex digits, newline
+
+
+def _sealLine(key: str, status: int, body: bytes) -> bytes:
+    h = hashlib.sha256(b"%s %d\n" % (key.encode(), status))
+    h.update(body)   # not prefix + body: that would copy a large text once more
+    return b"%d %s\n" % (status, h.hexdigest().encode())
 
 
 class DiskCache:
@@ -48,10 +52,6 @@ class DiskCache:
         self.root = root
         if root is not None:
             os.makedirs(root, exist_ok=True)
-
-    @property
-    def enabled(self) -> bool:
-        return self.root is not None
 
     def key(self, family: str, rank: int, kind: str, params) -> str:
         blob = json.dumps(
@@ -64,29 +64,38 @@ class DiskCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.root, key + ".json")
 
-    def get(self, key: str) -> str | None:
-        """The text stored under key, or None on a miss."""
-        if not self.enabled:
+    def get(self, key: str, encoding: str) -> tuple[int, str] | None:
+        """(status, text) stored under key, or None on a miss."""
+        if self.root is None:
             return None
         try:
             # unbuffered: the text is read in one piece, with no second copy
             with open(self._path(key), "rb", buffering=0) as fh:
-                seal, body = fh.read(65), fh.read()
+                seal, body = fh.read(SEAL_BYTES), fh.read()
         except OSError:
             return None
-        if body.isascii() and seal == _sealLine(key, body):
-            return body.decode("ascii")
+        status = seal[:1]
+        if status.isdigit() and seal == _sealLine(key, int(status), body):
+            with contextlib.suppress(UnicodeDecodeError):
+                return int(status), body.decode(encoding)
         return None
 
-    def put(self, key: str, text: str) -> None:
-        """Store ASCII text under key; a write that fails leaves no temp file."""
-        if not self.enabled:
+    def put(self, key: str, encoding: str, status: int, text: str) -> None:
+        """Store text, in encoding, and a one-digit exit status under key.
+        A text the encoding cannot write raises; a write that fails is
+        skipped and leaves no temp file."""
+        if self.root is None:
             return
-        body = text.encode("ascii")
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        if status not in range(10):
+            raise ValueError(f"exit status {status!r} is not one digit")
+        body = text.encode(encoding)
+        try:
+            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        except OSError:
+            return
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(_sealLine(key, body))
+                fh.write(_sealLine(key, status, body))
                 fh.write(body)
             os.replace(tmp, self._path(key))
         except BaseException as e:

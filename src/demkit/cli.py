@@ -16,17 +16,17 @@ instead of running the stdlib's pure-Python indenting encoder.
 
 Results are re-derivable, so caching is safe: pass --cache-dir (or set the
 DEMKIT_CACHE environment variable, unless it is empty) to reuse previous
-runs.  An entry holds a command's --format json text, sealed by a hash of key
-and text (see cache).  A hot JSON run writes that text as it is and decodes
-nothing; csv and pretty render from its decoded value.  Output bytes are
-identical with the cache hot, cold, or disabled.
+runs.  The format is part of the key, and an entry holds exactly the text a
+command printed and its exit status, sealed by a hash (see cache).  A hot run,
+in any format, prints the stored text and returns the stored status, with
+nothing decoded or rendered; a cold one renders once, in its own format.
+Output bytes are identical with the cache hot, cold, or disabled.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import itertools
-import json
 import os
 import random
 import sys as _sys
@@ -457,6 +457,10 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the encoding each format's text is written and cached in
+ENCODINGS = {"json": "ascii", "csv": "ascii", "pretty": "utf-8"}
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
 
@@ -475,83 +479,62 @@ def main(argv=None) -> int:
         except OSError as e:
             raise UsageError(f"cannot create cache directory {clip(root)!r}: {e.strerror}")
 
+        params = {"parabolic": list(piP), "order": _orderSig(W, order), "format": args.format}
         if args.command == "eval":
-            return _runEval(args, W, piP, order, cache)
-        return _runSuite(args, W, piP, order, cache)
-    except UsageError as e:
-        print(f"demkit: {e}", file=_sys.stderr)
-        return 2
-
-
-def _runEval(args, W, piP, order, cache: DiskCache) -> int:
-    try:
-        node = parse(args.expr)
-    except ParseError as e:
-        print(f"demkit: {e}", file=_sys.stderr)
-        return 2
-    params = {"expr": printExpr(node), "parabolic": list(piP),
-              "order": _orderSig(W, order)}
-    key = cache.key(W.sys.name, W.sys.rank, "eval", params)
-    text = cache.get(key)
-    if text is None:
-        try:
-            value = evalExpr(node, EvalContext(W, piP, order))
-        except ValueError as e:
-            print(f"demkit: {e}", file=_sys.stderr)
-            return 2
-        if isinstance(value, Character):
-            kind, items = "char", value.sortedItems()
+            node = parse(args.expr)
+            kind, params["expr"] = "eval", printExpr(node)
+            compute = functools.partial(_evalText, node, W, piP, order)
         else:
-            kind, items = "gexp", sorted(value.items())
-        cs, ws = list(map(itemgetter(1), items)), list(map(itemgetter(0), items))
-        if cache.enabled:
-            text = _renderEval(kind, cs, ws, "json")
-            cache.put(key, text)
-    elif args.format != "json":
-        payload = json.loads(text)
-        kind, rows = payload["kind"], payload["value"]
-        field = "w" if kind == "char" else "weight"
-        cs, ws = list(map(itemgetter("c"), rows)), list(map(itemgetter(field), rows))
-    if text is None or args.format != "json":
-        text = _renderEval(kind, cs, ws, args.format)
-    _emit(text, args.out)
-    return 0
+            kind, params["seed"] = f"suite:{args.name}", SEED
+            compute = functools.partial(_suiteText, args.name, W, piP, order)
+        key = cache.key(W.sys.name, W.sys.rank, kind, params)
+        encoding = ENCODINGS[args.format]
+        entry = cache.get(key, encoding)
+        if entry is None:
+            entry = compute(args.format)
+            cache.put(key, encoding, *entry)
+        status, text = entry
+        _emit(text, args.out)
+        return status
+    except (UsageError, ParseError) as e:
+        print(f"demkit: {e}", file=_sys.stderr)
+        return 2
 
 
-def _runSuite(args, W, piP, order, cache: DiskCache) -> int:
-    params = {"parabolic": list(piP), "order": _orderSig(W, order), "seed": SEED}
-    key = cache.key(W.sys.name, W.sys.rank, f"suite:{args.name}", params)
-    text = cache.get(key)
-    if text is None:
-        checks, extras = runSuite(args.name, W, piP, order)
-        rows = [{"name": n, "status": "pass" if ok else "fail", "witness": wit}
-                for n, ok, wit in checks]
-        report = {
-            "suite": args.name,
-            "context": {
-                "type": W.sys.name,
-                "parabolic": [i + 1 for i in piP],
-                "order": "default" if order is None else "custom",
-            },
-            "checks": rows,
-            "failures": [r["name"] for r in rows if r["status"] == "fail"],
-            "seed": SEED,
-            "version": __version__,
-        }
-        report.update(extras)
-        failed = bool(report["failures"])
-        if cache.enabled:
-            text = _renderSuite(report, "json")
-            cache.put(key, text)
+def _evalText(node, W, piP, order, fmt: str) -> tuple[int, str]:
+    """(0, the text of the expression's value in format fmt)."""
+    try:
+        value = evalExpr(node, EvalContext(W, piP, order))
+    except ValueError as e:
+        raise UsageError(e) from None
+    if isinstance(value, Character):
+        kind, items = "char", value.sortedItems()
     else:
-        # only a top-level key starts a line of the JSON text at an indent of 2
-        failed = '\n  "failures": []' not in text
-        if args.format != "json":
-            report = json.loads(text)
-    if text is None or args.format != "json":
-        text = _renderSuite(report, args.format)
-    _emit(text, args.out)
-    return int(failed)
+        kind, items = "gexp", sorted(value.items())
+    cs, ws = list(map(itemgetter(1), items)), list(map(itemgetter(0), items))
+    return 0, _renderEval(kind, cs, ws, fmt)
+
+
+def _suiteText(name: str, W, piP, order, fmt: str) -> tuple[int, str]:
+    """(exit status, the text of the suite's report in format fmt); the
+    status is 1 if a check failed."""
+    checks, extras = runSuite(name, W, piP, order)
+    rows = [{"name": n, "status": "pass" if ok else "fail", "witness": wit}
+            for n, ok, wit in checks]
+    report = {
+        "suite": name,
+        "context": {
+            "type": W.sys.name,
+            "parabolic": [i + 1 for i in piP],
+            "order": "default" if order is None else "custom",
+        },
+        "checks": rows,
+        "failures": [r["name"] for r in rows if r["status"] == "fail"],
+        "seed": SEED,
+        "version": __version__,
+    }
+    report.update(extras)
+    return int(bool(report["failures"])), _renderSuite(report, fmt)
 
 
 if __name__ == "__main__":

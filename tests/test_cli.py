@@ -293,21 +293,28 @@ def cacheEntries(cdir):
 
 def suiteDigestRuns(cdir):
     """[{argv, code, sha256 of stdout}] of every suite case run through
-    cli.main with one cache directory.  A pair's json run must be cold (it
-    adds one cache entry) and its csv and pretty runs hot (they leave every
-    entry as it is), so the digests pin hot output to cold output.  The
-    checks raise, so they hold under python -O too."""
+    cli.main with one cache directory.  Each case runs twice: the cold run
+    must add one cache entry, and the hot run must leave every entry as it is
+    and print the same bytes and exit status, so the digests pin hot output
+    to cold output in every format.  The checks raise, so they hold under
+    python -O too."""
     out = []
     for argv in suiteCases():
-        before = cacheEntries(cdir)
-        so, se = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(so), contextlib.redirect_stderr(se):
-            code = cli.main([*argv, "--cache-dir", cdir])
-        after = cacheEntries(cdir)
-        fresh = (len(after - before), len(before - after))
-        if se.getvalue() or fresh != ((1, 0) if argv[-1] == "json" else (0, 0)):
-            raise AssertionError(f"{argv}: stderr {se.getvalue()!r}, cache {fresh}")
-        digest = hashlib.sha256(so.getvalue().encode()).hexdigest()
+        runs = []
+        for want in ((1, 0), (0, 0)):
+            before = cacheEntries(cdir)
+            so, se = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(so), contextlib.redirect_stderr(se):
+                code = cli.main([*argv, "--cache-dir", cdir])
+            after = cacheEntries(cdir)
+            fresh = (len(after - before), len(before - after))
+            if se.getvalue() or fresh != want:
+                raise AssertionError(f"{argv}: stderr {se.getvalue()!r}, cache {fresh}")
+            runs.append((code, so.getvalue()))
+        (code, text), hot = runs
+        if hot != (code, text):
+            raise AssertionError(f"{argv}: hot run differs from cold run")
+        digest = hashlib.sha256(text.encode()).hexdigest()
         out.append({"argv": argv, "code": code, "sha256": digest})
     return out
 
@@ -503,12 +510,16 @@ def test_q_equivalence_same_under_python_O(capsys):
 
 
 def test_cache_put_writes_the_sealed_text(tmp_path):
+    # one line "<status> <sha256 of key, status and text>", then the text
     store = cache.DiskCache(str(tmp_path))
-    text = '{\n  "kind": "char",\n  "s": "\\u00b2 \\"q\\"",\n  "value": []\n}\n'
-    store.put("k", text)
-    seal = hashlib.sha256(("k" + text).encode()).hexdigest()
-    assert (tmp_path / "k.json").read_bytes() == (seal + "\n" + text).encode()
-    assert store.get("k") == text
+    for key, encoding, status, text in [
+            ("k", "ascii", 0, '{\n  "kind": "char",\n  "s": "\\u00b2 \\"q\\"",\n  "value": []\n}\n'),
+            ("p", "utf-8", 1, "FAIL  q  [2\u00b7e[0,0]]\n")]:
+        store.put(key, encoding, status, text)
+        body = text.encode(encoding)
+        seal = hashlib.sha256(f"{key} {status}\n".encode() + body).hexdigest()
+        assert (tmp_path / f"{key}.json").read_bytes() == f"{status} {seal}\n".encode() + body
+        assert store.get(key, encoding) == (status, text)
 
 
 realFdopen = os.fdopen
@@ -544,20 +555,52 @@ def test_cache_put_leaves_no_temp_file(tmp_path, monkeypatch, site):
     store, text = cache.DiskCache(str(tmp_path)), '{\n  "a": 1\n}\n'
     if site == "replace":
         monkeypatch.setattr(cache.os, "replace", failingReplace)
-        store.put("k", text)
+        store.put("k", "ascii", 0, text)
     elif site == "write":
         monkeypatch.setattr(cache.os, "fdopen", FailingWriter)
         with pytest.raises(RuntimeError):
-            store.put("k", text)
+            store.put("k", "ascii", 0, text)
     else:
         with pytest.raises(UnicodeEncodeError):
-            store.put("k", "\u00b2")
+            store.put("k", "ascii", 0, "\u00b2")
+        with pytest.raises(UnicodeEncodeError):
+            store.put("k", "utf-8", 0, "\ud800")
+        with pytest.raises(ValueError):   # the seal line holds one status digit
+            store.put("k", "ascii", 10, text)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cache_put_into_a_removed_directory_is_skipped(tmp_path):
+    root = tmp_path / "cache"
+    store = cache.DiskCache(str(root))
+    root.rmdir()
+    assert store.put("k", "ascii", 0, "{}\n") is None
+    assert store.get("k", "ascii") is None
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cache_dir_that_takes_no_file_skips_the_write(tmp_path, capsys, monkeypatch):
+    # a cache directory that refuses a new file leaves the command's output
+    # as it is; mkstemp raises as it would in a read-only directory
+    def refused(*a, **kw):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cache.tempfile, "mkstemp", refused)
+    with open(GOLDEN, encoding="utf-8") as fh:
+        cases = json.load(fh)
+    for case in [next(c for c in cases if c["argv"][0] == cmd) for cmd in ("suite", "eval")]:
+        argv = [a for a in case["argv"] if a != "--no-cache"]
+        cdir = tmp_path / f"cache-{argv[0]}"
+        assert run(capsys, *argv, "--cache-dir", str(cdir)) == (0, case["stdout"], "")
+        assert list(cdir.iterdir()) == []
+
+
+SEAL = 67   # bytes in an entry's seal line: status digit, space, 64 hex digits, newline
 
 
 def sealedOver(good: bytes, text: str) -> bytes:
     """A good entry's seal line over another text."""
-    return good[:65] + text.encode()
+    return good[:SEAL] + text.encode()
 
 
 NESTED_BAD = [
@@ -633,6 +676,7 @@ def test_cached_report_with_bad_nested_field_is_recomputed(tmp_path, capsys, cha
     argv = ("suite", suite, "--type", "A2")
     with open(GOLDEN, encoding="utf-8") as fh:
         golden = {tuple(c["argv"]): c for c in json.load(fh)}
+    report = json.loads(golden[(*argv, "--format", "json", "--no-cache")]["stdout"])
     for fmt in ("json", "csv", "pretty"):
         case = golden[(*argv, "--format", fmt, "--no-cache")]
         cdir = tmp_path / f"cache-{fmt}"
@@ -640,7 +684,6 @@ def test_cached_report_with_bad_nested_field_is_recomputed(tmp_path, capsys, cha
         assert run(capsys, *fargv) == (case["code"], case["stdout"], "")
         (entry,) = cdir.iterdir()
         good = entry.read_bytes()
-        report = json.loads(good[65:])
         entry.write_bytes(sealedOver(good, stdlibText({**report, **change}) + "\n"))
         assert run(capsys, *fargv) == (case["code"], case["stdout"], ""), fmt
         assert entry.read_bytes() == good
@@ -655,45 +698,59 @@ SEALED = {
 
 
 def digitChanged(text):
-    i = re.search(r"[0-9]", text).start()
+    """text with its first digit changed; a text with none gets one in front."""
+    m = re.search(r"[0-9]", text)
+    if m is None:
+        return "0" + text
+    i = m.start()
     return text[:i] + str((int(text[i]) + 1) % 10) + text[i + 1:]
 
 
-def resealed(key: str, body: bytes, seal=lambda hexdigest: hexdigest + "\n") -> bytes:
-    """body under a seal line that matches it, spelt by seal."""
-    return seal(hashlib.sha256(key.encode() + body).hexdigest()).encode() + body
+def resealed(key: str, body: bytes, status: int = 0, spell=lambda line: line) -> bytes:
+    """body under a seal line that matches it and status, spelt by spell."""
+    digest = hashlib.sha256(f"{key} {status}\n".encode() + body).hexdigest()
+    return spell(f"{status} {digest}\n").encode() + body
 
 
 def inFirstString(body: bytes, insert: bytes) -> bytes:
-    i = body.index(b'"') + 1
+    """insert inside body's first JSON or csv string, or at its start."""
+    i = body.find(b'"') + 1
     return body[:i] + insert + body[i:]
 
 
-# (key, good entry, another key's good entry) -> a broken entry
+# (key, good entry, another key's good entry, the command's json text) ->
+# a broken entry.  A good entry's body is text in its format's encoding, so
+# a json-valued change to a csv or pretty entry starts from the json text.
 BROKEN_SEALS = {
-    "digit-changed": lambda key, good, other: sealedOver(good, digitChanged(good[65:].decode())),
-    "other-keys-entry": lambda key, good, other: other,
-    "extra-key": lambda key, good, other: sealedOver(
-        good, stdlibText({**json.loads(good[65:]), "x": 0}) + "\n"),
+    "digit-changed": lambda key, good, other, js: sealedOver(
+        good, digitChanged(good[SEAL:].decode())),
+    "other-keys-entry": lambda key, good, other, js: other,
+    "extra-key": lambda key, good, other, js: sealedOver(
+        good, stdlibText({**json.loads(js), "x": 0}) + "\n"),
     # the seal is over the text, not its value: the same value spelt compactly
-    "text-not-str": lambda key, good, other: sealedOver(
-        good, json.dumps(json.loads(good[65:]), sort_keys=True)),
-    "sha256-missing": lambda key, good, other: good[65:],
-    "seal-only": lambda key, good, other: good[:65],
-    "text-lone-surrogate": lambda key, good, other: resealed(
-        key, inFirstString(good[65:], "\ud800".encode("utf-8", "surrogatepass"))),
-    "non-ascii-resealed": lambda key, good, other: resealed(
-        key, inFirstString(good[65:], "\u00b2".encode())),
-    "envelope-with-valid-seal": lambda key, good, other: json.dumps(
-        {"sha256": hashlib.sha256(key.encode() + good[65:]).hexdigest(),
-         "text": good[65:].decode()}).encode(),
-    "truncated": lambda key, good, other: good[:len(good) // 2],
-    "empty": lambda key, good, other: b"",
-    "uppercase-seal": lambda key, good, other: resealed(
-        key, good[65:], lambda h: h.upper() + "\n"),
-    "crlf-after-seal": lambda key, good, other: resealed(
-        key, good[65:], lambda h: h + "\r\n"),
+    "text-not-str": lambda key, good, other, js: sealedOver(
+        good, json.dumps(json.loads(js), sort_keys=True)),
+    "sha256-missing": lambda key, good, other, js: good[SEAL:],
+    "seal-only": lambda key, good, other, js: good[:SEAL],
+    "text-lone-surrogate": lambda key, good, other, js: resealed(
+        key, inFirstString(good[SEAL:], "\ud800".encode("utf-8", "surrogatepass"))),
+    "non-ascii-resealed": lambda key, good, other, js: resealed(
+        key, inFirstString(good[SEAL:], "\u00b2".encode())),
+    "envelope-with-valid-seal": lambda key, good, other, js: json.dumps(
+        {"sha256": hashlib.sha256(key.encode() + good[SEAL:]).hexdigest(),
+         "text": good[SEAL:].decode()}).encode(),
+    "truncated": lambda key, good, other, js: good[:len(good) // 2],
+    "empty": lambda key, good, other, js: b"",
+    "uppercase-seal": lambda key, good, other, js: resealed(
+        key, good[SEAL:], spell=str.upper),
+    "crlf-after-seal": lambda key, good, other, js: resealed(
+        key, good[SEAL:], spell=lambda line: line[:-1] + "\r\n"),
+    # the hash is kept and the status it seals is changed
+    "status-flipped": lambda key, good, other, js: (
+        b"1" if good[:1] == b"0" else b"0") + good[1:],
 }
+# a pretty text may hold any UTF-8, so only json and csv refuse a non-ASCII one
+BROKEN_FORMATS = {"non-ascii-resealed": ("json", "csv")}
 
 
 @pytest.mark.parametrize("broken", sorted(BROKEN_SEALS))
@@ -701,24 +758,26 @@ BROKEN_SEALS = {
 def test_cache_entry_with_broken_seal_is_recomputed(tmp_path, capsys, monkeypatch,
                                                      command, broken):
     argv, otherArgv = SEALED[command]
-    cdir = tmp_path / "cache"
-    assert run(capsys, *otherArgv, "--cache-dir", str(cdir))[0] == 0
-    (otherEntry,) = cdir.iterdir()
-    assert run(capsys, *argv, "--cache-dir", str(cdir))[0] == 0
-    (entry,) = set(cdir.iterdir()) - {otherEntry}
-    good = entry.read_bytes()
-    assert good == resealed(entry.stem, good[65:])
-    bad = BROKEN_SEALS[broken](entry.stem, good, otherEntry.read_bytes())
-    assert bad != good
+    js = run(capsys, *argv, "--no-cache")[1]
     calls = []
     for name in ("evalExpr", "runSuite"):
         real = getattr(cli, name)
         monkeypatch.setattr(cli, name, lambda *a, real=real: calls.append(a) or real(*a))
-    for fmt in ("json", "csv", "pretty"):
+    for fmt in BROKEN_FORMATS.get(broken, ("json", "csv", "pretty")):
+        cdir = tmp_path / f"cache-{fmt}"
+        fargv = (*argv, "--format", fmt, "--cache-dir", str(cdir))
+        assert run(capsys, *otherArgv, "--format", fmt, "--cache-dir", str(cdir))[0] == 0
+        (otherEntry,) = cdir.iterdir()
         want = run(capsys, *argv, "--format", fmt, "--no-cache")
+        assert run(capsys, *fargv) == want, fmt
+        (entry,) = set(cdir.iterdir()) - {otherEntry}
+        good = entry.read_bytes()
+        assert good == resealed(entry.stem, good[SEAL:]), fmt
+        bad = BROKEN_SEALS[broken](entry.stem, good, otherEntry.read_bytes(), js)
+        assert bad != good, fmt
         entry.write_bytes(bad)
         del calls[:]
-        assert run(capsys, *argv, "--format", fmt, "--cache-dir", str(cdir)) == want, fmt
+        assert run(capsys, *fargv) == want, fmt
         assert len(calls) == 1 and entry.read_bytes() == good, fmt
 
 
@@ -734,18 +793,20 @@ def test_cache_entry_nested_too_deep_is_recomputed(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", sorted(SEALED))
 def test_hot_json_run_writes_the_stored_text(tmp_path, capsys, monkeypatch, command):
-    # a hot --format json run neither recomputes, re-renders nor decodes its result
-    argv = (*SEALED[command][0], "--cache-dir", str(tmp_path / "cache"))
-    cold = run(capsys, *argv)
-
+    # a hot run, in json, csv or pretty, neither recomputes, re-renders nor
+    # decodes its result
     def recomputed(*a, **kw):
-        raise AssertionError("hot JSON run recomputed, re-rendered or decoded its result")
+        raise AssertionError("hot run recomputed, re-rendered or decoded its result")
 
-    for name in ("evalExpr", "runSuite", "_renderEval", "_renderSuite"):
-        monkeypatch.setattr(cli, name, recomputed)
-    for name in ("load", "loads"):
-        monkeypatch.setattr(json, name, recomputed)
-    assert run(capsys, *argv) == cold
+    for fmt in ("json", "csv", "pretty"):
+        argv = (*SEALED[command][0], "--format", fmt, "--cache-dir", str(tmp_path / "cache"))
+        cold = run(capsys, *argv)
+        with monkeypatch.context() as m:
+            for name in ("evalExpr", "runSuite", "_renderEval", "_renderSuite"):
+                m.setattr(cli, name, recomputed)
+            for name in ("load", "loads"):
+                m.setattr(json, name, recomputed)
+            assert run(capsys, *argv) == cold, fmt
 
 
 def test_hot_suite_run_keeps_the_exit_status(tmp_path, capsys, monkeypatch):
@@ -782,9 +843,10 @@ def test_cache_entry_is_named_by_its_key(tmp_path, capsys):
     store = cache.DiskCache(None)
     keys = [store.key("A2", 2, "eval",
                       {"expr": printExpr(parse("chi([1,0])")), "parabolic": [],
-                       "order": "default"}),
+                       "order": "default", "format": "json"}),
             store.key("A2", 2, "suite:steinberg-lists",
-                      {"parabolic": [], "order": "default", "seed": cli.SEED})]
+                      {"parabolic": [], "order": "default", "seed": cli.SEED,
+                       "format": "json"})]
     assert sorted(os.listdir(cdir)) == sorted(k + ".json" for k in keys)
 
 

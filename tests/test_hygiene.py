@@ -3,10 +3,10 @@ linter needed): every imported name is used, every global name a module
 refers to exists, every private function or class is referred to, the
 package imports only the standard library and itself, only rootsystem,
 which builds its scaled integer matrices through exact rationals, imports
-fractions, no module has an assert statement (python -O strips them), and
-every text-mode open names its encoding.  The module doctests run here too,
-and every function the benchmark's tracer (bench/tracer.py) wraps must still
-resolve."""
+fractions, no module has an assert statement (python -O strips them), every
+text-mode open names its encoding, and no module decodes JSON.  The module
+doctests run here too, and every function the benchmark's tracer
+(bench/tracer.py) wraps must still resolve."""
 from __future__ import annotations
 
 import ast
@@ -180,6 +180,22 @@ def test_text_mode_opens_name_an_encoding():
             if not binary and "encoding" not in keywords and len(node.args) < 4:
                 found.append((module, node.lineno))
     assert found == [], f"text-mode opens without encoding= (module, line): {found}"
+
+
+def test_no_json_decoding():
+    """No module calls json.load or json.loads, nor imports either name: the
+    package writes JSON and never reads it back, since a cache hit prints the
+    stored text as it is."""
+    found = []
+    for module in MODULES:
+        for node in ast.walk(tree(module)):
+            if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                found.append((module, node.lineno))
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                found += [(module, node.lineno) for a in node.names
+                          if a.name in ("load", "loads")]
+    assert found == [], f"json decoding (module, line): {found}"
 
 
 def test_traced_names_resolve():
