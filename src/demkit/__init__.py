@@ -24,8 +24,6 @@ from .weyl import WeylGroup, weylGroup
 from .characters import (
     Character,
     augment,
-    charFromJSON,
-    charToJSON,
     compact,
     decomposeWeylBasis,
     dual,
@@ -75,8 +73,8 @@ __all__ = [
     "RootSystem", "Weight", "dominanceLeq", "fundamental", "isDominant",
     "rootSystem", "rho",
     "WeylGroup", "weylGroup",
-    "Character", "augment", "charFromJSON", "charToJSON", "compact",
-    "decomposeWeylBasis", "dual", "expandGClass", "pretty", "weylActionChar",
+    "Character", "augment", "compact", "decomposeWeylBasis", "dual",
+    "expandGClass", "pretty", "weylActionChar",
     "charNabla", "charP", "charQ", "charQhat", "charQviaTwist", "charSections",
     "demElt", "demStep", "demWord", "eulerChar",
     "PSTAR", "Q", "QHAT", "UNIT", "basisCharacter", "excellentLeq",

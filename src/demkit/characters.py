@@ -256,15 +256,7 @@ def expandGClass(W: WeylGroup, coeffs: GClassExpansion) -> Character:
     return r
 
 
-# -- serialization ------------------------------------------------------------
-
-def charToJSON(f: Character) -> list[dict]:
-    return [{"w": list(w), "c": c} for w, c in f.sortedItems()]
-
-
-def charFromJSON(data: list[dict]) -> Character:
-    return Character({tuple(d["w"]): d["c"] for d in data})
-
+# -- text forms (JSON term rows are written by cli) ----------------------------
 
 def _formatTerms(items, symbol: str, tight: bool) -> str:
     """Sorted (weight, coeff) pairs, nonzero coefficients, as a sum of

@@ -9,10 +9,13 @@ Suite reports are JSON by default; every check row carries a name, a status,
 and a witness string that is empty on success and pinpoints the first
 counterexample otherwise.  The process exits 0 only if every check passed.
 
-JSON output, reports and eval payloads alike, comes from one emitter,
-`_jsonText`.  Its bytes are those of json.dumps with sorted keys and an
-indent of 2, but it writes a list of term rows with one %-template per row
-instead of running the stdlib's pure-Python indenting encoder.
+A suite's extras are JSON values or Characters.  This module alone turns a
+character into text: JSON output, reports and eval payloads alike, comes
+from one emitter, `_jsonText`, whose bytes are those of json.dumps with
+sorted keys and an indent of 2; it writes a Character as its {"c", "w"}
+term rows in weight order, filled in from %-templates, instead of running
+the stdlib's pure-Python indenting encoder.  CSV quotes every cell that may
+hold a comma.
 
 Results are re-derivable, so caching is safe: pass --cache-dir (or set the
 DEMKIT_CACHE environment variable, unless it is empty) to reuse previous
@@ -31,13 +34,12 @@ import os
 import random
 import sys as _sys
 from json.encoder import encode_basestring_ascii as _jsonStr
-from operator import itemgetter
 
 from . import __version__
 from . import demazure as dz
 from . import ktheory as kt
 from .cache import DiskCache
-from .characters import Character, _formatTerms, charFromJSON, compact
+from .characters import Character, _formatTerms, compact
 from .exprlang import EvalContext, ParseError, asciiInt, clip, evalExpr, parse, printExpr
 from .weyl import WeylGroup, weylGroup
 
@@ -161,7 +163,7 @@ def _suiteQEquivalence(W: WeylGroup):
 
 def _suiteIndPQ(W: WeylGroup):
     rows = kt.indPQMatrix(W)
-    return kt.indPQCheck(W, rows), {"matrix": kt.matrixToJSON(W, rows)}
+    return kt.indPQCheck(W, rows), {"matrix": kt.matrixReport(W, rows)}
 
 
 def _suiteTriang(W: WeylGroup, rng: random.Random):
@@ -253,7 +255,8 @@ def _maxRank(r: int):
 
 # name -> (gate, runner).  A gate returns None for a Weyl group the suite
 # accepts and otherwise the reason it does not; a runner takes
-# (W, piP, order, rng) and returns (checks, extras).
+# (W, piP, order, rng) and returns (checks, extras), the extras a dict of
+# JSON values (str keys, lists, str, int, bool, None) and Characters.
 SUITES = {
     "steinberg-lists": (
         _types(*RANK2), lambda W, *_: (kt.steinbergListCheck(W), {})),
@@ -294,39 +297,29 @@ def runSuite(name: str, W: WeylGroup, piP, order):
 # -- rendering --------------------------------------------------------------------
 
 
-def _termColumns(rows: list, key: str, r: int):
-    """(coefficients, weights) of rows that are all {"c": int, key: [int] * r},
-    or None.  Every test runs over whole columns at C speed; a bool is not an
-    int here."""
-    if set(map(type, rows)) - {dict} or set(map(len, rows)) - {2}:
-        return None
-    try:
-        cs = list(map(itemgetter("c"), rows))
-        ws = list(map(itemgetter(key), rows))
-    except KeyError:
-        return None
-    if (set(map(type, cs)) - {int} or set(map(type, ws)) - {list}
-            or set(map(len, ws)) - {r}
-            or set(map(type, itertools.chain.from_iterable(ws))) - {int}):
-        return None
-    return cs, ws
-
-
 @functools.cache
-def _rowTemplate(nl: str, key: str, r: int) -> str:
-    """One term row's text, with a %d for c and for each of the r weight
-    entries, in a list whose own line starts with nl."""
+def _rowTemplates(nl: str, key: str, r: int) -> tuple[str, str]:
+    """The text of one term row in a list whose own line starts with nl: a
+    template with a %d for c and a %s for the weight, and the weight's own
+    template with a %d for each of its r entries."""
     i1, i2, i3 = nl + "  ", nl + "    ", nl + "      "
     w = "[" + i3 + ("," + i3).join(["%d"] * r) + i2 + "]" if r else "[]"
-    return "{" + i2 + '"c": %d,' + i2 + _jsonStr(key) + ": " + w + i1 + "}"
+    return "{" + i2 + '"c": %d,' + i2 + _jsonStr(key) + ": %s" + i1 + "}", w
 
 
-def _termRows(nl: str, key: str, cs: list, ws: list) -> str:
-    """A nonempty list of term rows, given by its columns (_termColumns), as
-    _jsonText writes it on a line that starts with nl."""
+def _termRows(nl: str, key: str, terms: dict) -> str:
+    """{weight: coeff} terms as the list of {"c", key} term rows in weight
+    order that _jsonText writes on a line that starts with nl; "[]" if there
+    are none.  Rows are filled from two %-templates over the sorted weights,
+    with no tuple held per term: for a large character those would set off
+    collections of the cyclic garbage collector."""
+    if not terms:
+        return "[]"
+    ws = sorted(terms)
+    row, weight = _rowTemplates(nl, key, len(ws[0]))
+    rows = map(row.__mod__, zip(map(terms.__getitem__, ws), map(weight.__mod__, ws)))
     inner = nl + "  "
-    items = map(_rowTemplate(nl, key, len(ws[0])).__mod__, zip(cs, *zip(*ws)))
-    return "[" + inner + ("," + inner).join(items) + nl + "]"
+    return "[" + inner + ("," + inner).join(rows) + nl + "]"
 
 
 def _json(o, nl: str) -> str:
@@ -337,16 +330,12 @@ def _json(o, nl: str) -> str:
         return _jsonStr(o)
     if t is int:
         return int.__repr__(o)
+    if t is Character:
+        return _termRows(nl, "w", o.terms)
     inner = nl + "  "
     if t is list:
         if not o:
             return "[]"
-        first = o[0]
-        key = type(first) is dict and ("w" if "w" in first else "weight")
-        w = key and first.get(key)
-        cols = type(w) is list and _termColumns(o, key, len(w))
-        if cols:
-            return _termRows(nl, key, *cols)
         return "[" + inner + ("," + inner).join(_json(x, inner) for x in o) + nl + "]"
     if t is dict:
         if not o:
@@ -365,28 +354,26 @@ def _json(o, nl: str) -> str:
 def _jsonText(obj) -> str:
     """The text json.dumps(obj, sort_keys=True) writes with an indent of 2,
     byte for byte, for the values reports and eval payloads are made of:
-    dicts with str keys, lists, str, int, bool and None.  Any other type
-    raises TypeError, where json.dumps would write a float or a tuple.  A
-    nonempty list of term rows ({"c": int, "w" or "weight": [int] * r}) is
-    written by one %-template per row; a list with any other row takes the
-    node-by-node route."""
+    dicts with str keys, lists, str, int, bool and None.  A Character is
+    written as the JSON of its term rows, [{"c": coeff, "w": [weight]}, ...]
+    in weight order (_termRows).  Any other type raises TypeError, where
+    json.dumps would write a float or a tuple."""
     return _json(obj, "\n")
 
 
-def _renderEval(kind: str, cs: list, ws: list, fmt: str) -> str:
-    """An eval payload of this kind with term rows given by their columns of
-    coefficients and weights; as JSON, the text _jsonText writes for the
-    payload."""
+def _renderEval(kind: str, terms: dict, fmt: str) -> str:
+    """An eval payload of this kind whose value is the {weight: coeff}
+    terms; as JSON, the text _jsonText writes for the payload."""
     key, symbol = ("weight", "chi") if kind == "gexp" else ("w", "e")
     if fmt == "json":
-        value = _termRows("\n  ", key, cs, ws) if cs else "[]"
-        return '{\n  "kind": %s,\n  "value": %s\n}\n' % (_jsonStr(kind), value)
-    pairs = zip(ws, cs)
+        return '{\n  "kind": %s,\n  "value": %s\n}\n' % (
+            _jsonStr(kind), _termRows("\n  ", key, terms))
+    items = sorted(terms.items())
     if fmt == "csv":
         lines = ["weight,coeff"]
-        lines += ['"[%s]",%d' % (",".join(str(x) for x in w), c) for w, c in pairs]
+        lines += ['"[%s]",%d' % (",".join(str(x) for x in w), c) for w, c in items]
         return "\n".join(lines) + "\n"
-    return _formatTerms(pairs, symbol, tight=False) + "\n"
+    return _formatTerms(items, symbol, tight=False) + "\n"
 
 
 def _renderSuite(report: dict, fmt: str) -> str:
@@ -397,11 +384,10 @@ def _renderSuite(report: dict, fmt: str) -> str:
             m = report["matrix"]
             lines = ["," + ",".join(m["cols"])]
             for r, row in zip(m["rows"], m["entries"]):
-                cells = [compact(charFromJSON(cell)) for cell in row]
-                lines.append(r + "," + ",".join(cells))
+                lines.append(r + "," + ",".join('"%s"' % compact(f) for f in row))
             return "\n".join(lines) + "\n"
         lines = ["name,status,witness"]
-        lines += ['%s,%s,"%s"' % (c["name"], c["status"], c["witness"])
+        lines += ['%s,%s,"%s"' % (c["name"], c["status"], c["witness"].replace('"', '""'))
                   for c in report["checks"]]
         return "\n".join(lines) + "\n"
     lines = []
@@ -508,11 +494,8 @@ def _evalText(node, W, piP, order, fmt: str) -> tuple[int, str]:
     except ValueError as e:
         raise UsageError(e) from None
     if isinstance(value, Character):
-        kind, items = "char", value.sortedItems()
-    else:
-        kind, items = "gexp", sorted(value.items())
-    cs, ws = list(map(itemgetter(1), items)), list(map(itemgetter(0), items))
-    return 0, _renderEval(kind, cs, ws, fmt)
+        return 0, _renderEval("char", value.terms, fmt)
+    return 0, _renderEval("gexp", value, fmt)
 
 
 def _suiteText(name: str, W, piP, order, fmt: str) -> tuple[int, str]:

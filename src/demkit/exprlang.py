@@ -8,7 +8,8 @@
 Weights are bracketed integer lists like [1,-1]; Weyl words are written
 's1 s2 s1' (or 'e' for the identity) in the argument slots that expect a
 word.  Argument counts and kinds are checked while parsing, so an
-ill-formed call never reaches evaluation.
+ill-formed call never reaches evaluation; so is the nesting depth
+(MAX_DEPTH).
 
 The argument of decomposeG is evaluated in R(G) coordinates (dominant
 multiplicities) when it is built from chi, euler and pair by + - * and
@@ -93,6 +94,13 @@ def clip(token: str, limit: int = CLIP_CHARS) -> str:
     return f"{token[:limit]}... ({len(token)} characters)"
 
 
+# The deepest parse tree parse accepts: each call, operator, negation and
+# parenthesised group is one level above its operands, a weight or word one
+# level.  The parser, printExpr and evalExpr recurse a few frames a level, so
+# this keeps them inside the default recursion limit, which is left as it is.
+MAX_DEPTH = 100
+
+
 class ParseError(ValueError):
     def __init__(self, msg: str, line: int, col: int):
         super().__init__(f"{msg} at line {line}, column {col}")
@@ -157,6 +165,7 @@ class _Parser:
     def __init__(self, src: str):
         self.toks = _tokenize(src)
         self.i = 0
+        self.open = 0   # groups the parser is inside: parentheses, negations, call arguments
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -177,42 +186,62 @@ class _Parser:
         t = self.peek()
         raise ParseError(msg, t.line, t.col)
 
+    def capped(self, tok: _Tok, depth: int) -> int:
+        """depth, refused at tok when it is more than MAX_DEPTH levels."""
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nested more than {MAX_DEPTH} levels deep",
+                             tok.line, tok.col)
+        return depth
+
+    def nested(self, tok: _Tok, parse):
+        """parse() inside one more group, opened at tok; a group more than
+        MAX_DEPTH deep is refused before the parser descends into it."""
+        self.open += 1
+        self.capped(tok, self.open)
+        got = parse()
+        self.open -= 1
+        return got
+
+    # Each rule returns (node, kind, depth), depth counted as MAX_DEPTH says.
+
     # expr := term (('+'|'-') term)*
     def expr(self):
-        node, kind = self.term()
+        node, kind, depth = self.term()
         while self.peek().kind in ("PLUS", "MINUS"):
             op = self.next()
-            right, rkind = self.term()
+            right, rkind, rdepth = self.term()
             if kind != CHAR or rkind != CHAR:
                 raise ParseError("arithmetic needs character operands", op.line, op.col)
             node = ("add" if op.kind == "PLUS" else "sub", node, right)
-        return node, kind
+            depth = self.capped(op, 1 + max(depth, rdepth))
+        return node, kind, depth
 
     # term := factor ('*' factor)*
     def term(self):
-        node, kind = self.factor()
+        node, kind, depth = self.factor()
         while self.peek().kind == "STAR":
             op = self.next()
-            right, rkind = self.factor()
+            right, rkind, rdepth = self.factor()
             if kind != CHAR or rkind != CHAR:
                 raise ParseError("arithmetic needs character operands", op.line, op.col)
             node = ("mul", node, right)
-        return node, kind
+            depth = self.capped(op, 1 + max(depth, rdepth))
+        return node, kind, depth
 
     # factor := func | '(' expr ')' | '-' factor
     def factor(self):
         t = self.peek()
         if t.kind == "MINUS":
             self.next()
-            node, kind = self.factor()
+            node, kind, depth = self.nested(t, self.factor)
             if kind != CHAR:
                 raise ParseError("negation needs a character operand", t.line, t.col)
-            return ("neg", node), CHAR
+            return ("neg", node), CHAR, self.capped(t, depth + 1)
         if t.kind == "LPAREN":
             self.next()
-            node, kind = self.expr()
+            node, kind, depth = self.nested(t, self.expr)
             self.expect("RPAREN", "')'")
-            return node, kind
+            return node, kind, self.capped(t, depth + 1)
         if t.kind == "IDENT":
             return self.call()
         self.fail(f"expected an expression, found {clip(t.text or 'end of input')!r}")
@@ -225,7 +254,7 @@ class _Parser:
                              name_tok.line, name_tok.col)
         argkinds, result, _ = sig
         self.expect("LPAREN", "'('")
-        args = []
+        args, depth = [], 1   # a weight or word literal is one level
         for k, want in enumerate(argkinds):
             if k > 0:
                 self.expect("COMMA", "','")
@@ -234,15 +263,16 @@ class _Parser:
             elif want == WORD:
                 args.append(self.wordLit())
             else:
-                node, kind = self.expr()
+                node, kind, argDepth = self.nested(name_tok, self.expr)
                 if kind != CHAR:
                     t = self.peek()
                     raise ParseError(
                         f"argument {k + 1} of {name_tok.text} must be a character",
                         t.line, t.col)
                 args.append(node)
+                depth = max(depth, argDepth)
         self.expect("RPAREN", "')'")
-        return (name_tok.text, *args), result
+        return (name_tok.text, *args), result, self.capped(name_tok, depth + 1)
 
     def weightLit(self):
         self.expect("LBRACK", "'['")
@@ -287,7 +317,7 @@ class _Parser:
 
 def parse(src: str):
     p = _Parser(src)
-    node, kind = p.expr()
+    node, _, _ = p.expr()
     t = p.peek()
     if t.kind != "EOF":
         raise ParseError(f"trailing input {clip(t.text)!r}", t.line, t.col)

@@ -25,7 +25,6 @@ from .characters import (
     GClassExpansion,
     alternantCoeffs,
     augment,
-    charToJSON,
     compact,
     decomposeWeylBasis,
     dual,
@@ -61,14 +60,11 @@ def wordStr(W: WeylGroup, w: int) -> str:
     return "e" if not word else " ".join(f"s{i + 1}" for i in word)
 
 
-def matrixToJSON(W: WeylGroup, rows: list[list[Character]]) -> dict:
-    """A square matrix whose rows and columns are both indexed by id."""
+def matrixReport(W: WeylGroup, rows: list[list[Character]]) -> dict:
+    """A square matrix of characters whose rows and columns are both indexed
+    by id, as a report extra."""
     names = [wordStr(W, w) for w in W.elements()]
-    return {
-        "rows": names,
-        "cols": names,
-        "entries": [[charToJSON(c) for c in row] for row in rows],
-    }
+    return {"rows": names, "cols": names, "entries": rows}
 
 
 def pairingsWithP(W: WeylGroup, vs, gs: dict) -> dict[tuple, GClassExpansion]:
@@ -314,7 +310,7 @@ def sameLengthPairReport(
                 rows.append({
                     "v": wordStr(W, v),
                     "w": wordStr(W, w),
-                    "pairing": charToJSON(expandGClass(W, table[(v, w)])),
+                    "pairing": expandGClass(W, table[(v, w)]),
                 })
     return rows
 
@@ -401,7 +397,7 @@ def dualConjectureCheck(W: WeylGroup, v: int) -> dict:
         "v": wordStr(W, v),
         "identity": "pass",
         "conjectureHolds": strong == {zero(W.sys): sign},
-        "pairingValue": charToJSON(expandGClass(W, strong)),
+        "pairingValue": expandGClass(W, strong),
     }
 
 

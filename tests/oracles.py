@@ -73,6 +73,10 @@ from demkit.rootsystem import (
 from demkit.steinberg import antipodalLeq, basisCharacter, isSteinbergWeight
 from demkit.weyl import WeylGroup
 
+# Every type rootSystem accepts (test_rootsystem pins this), in the order
+# the per-type tests run them.
+TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4")
+
 
 # -- the rational weight API ------------------------------------------------------
 

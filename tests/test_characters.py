@@ -8,8 +8,6 @@ import pytest
 from demkit.characters import (
     Character,
     augment,
-    charFromJSON,
-    charToJSON,
     compact,
     decomposeWeylBasis,
     dual,
@@ -23,7 +21,7 @@ from demkit.characters import (
 from demkit.demazure import charNabla
 from demkit.rootsystem import fundamental, isDominant, rho, rootSystem
 from demkit.weyl import weylGroup
-from oracles import decomposeGreedy, extremalWeights
+from oracles import TYPES, decomposeGreedy, extremalWeights
 
 
 def randomChar(rank: int, rng: random.Random, nterms: int = 5) -> Character:
@@ -106,10 +104,6 @@ def test_invariance_detector(name):
         assert weylActionChar(W, w, chi) == chi
 
 
-ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
-             "C2", "C3", "C4", "D4", "G2", "F4"]
-
-
 def smallestFundamentals(W) -> list:
     fundamentals = [fundamental(W.sys, i) for i in range(W.sys.rank)]
     return sorted(fundamentals, key=lambda f: augment(charNabla(W, f)))[:2]
@@ -131,7 +125,7 @@ def invariantSamples(W, runs: int):
         yield charNabla(W, a) * charNabla(W, b) + rng.randint(-2, 2) * charNabla(W, b)
 
 
-@pytest.mark.parametrize("name", ALL_TYPES)
+@pytest.mark.parametrize("name", TYPES)
 def test_decompose_weyl_basis_round_trip(name):
     W = weylGroup(name)
     for f in invariantSamples(W, 100 if W.sys.rank <= 3 else 12):
@@ -140,7 +134,7 @@ def test_decompose_weyl_basis_round_trip(name):
         assert all(c != 0 for c in coeffs.values())
 
 
-@pytest.mark.parametrize("name", ALL_TYPES)
+@pytest.mark.parametrize("name", TYPES)
 def test_decompose_matches_greedy_oracle(name):
     # the alternant rule against the greedy stripping it replaced, order too
     W = weylGroup(name)
@@ -152,7 +146,7 @@ def test_decompose_matches_greedy_oracle(name):
             list(decomposeGreedy(W, f).items())
 
 
-RANK_LE_3 = [name for name in ALL_TYPES if rootSystem(name).rank <= 3]
+RANK_LE_3 = [name for name in TYPES if rootSystem(name).rank <= 3]
 
 
 def gProduct(W, lam, mu) -> dict:
@@ -181,7 +175,7 @@ def test_brauer_klimyk_product_every_small_pair(name):
         assert gDual(W, {lam: 3}) == decomposeWeylBasis(W, dual(3 * charNabla(W, lam)))
 
 
-@pytest.mark.parametrize("name", [t for t in ALL_TYPES if t not in RANK_LE_3])
+@pytest.mark.parametrize("name", [t for t in TYPES if t not in RANK_LE_3])
 def test_brauer_klimyk_product_rank_4_sample(name):
     # seeded pairs over the two smallest fundamentals and their sum
     W = weylGroup(name)
@@ -212,7 +206,7 @@ def test_decompose_readme_example_order():
         [((2, 0), 1), ((0, 1), 1), ((0, 0), 1)]
 
 
-@pytest.mark.parametrize("name", ALL_TYPES)
+@pytest.mark.parametrize("name", TYPES)
 def test_decompose_rejects_perturbed_invariant(name):
     W = weylGroup(name)
     chi = charNabla(W, rho(W.sys))
@@ -263,15 +257,6 @@ def test_extremal_weights():
     orbit = {W.act(w, rho(W.sys)) for w in W.elements()}
     assert extremalWeights(W.sys, chi) == orbit
     assert extremalWeights(W.sys, Character.monomial((0, 0))) == {(0, 0)}
-
-
-def test_json_round_trip_and_ordering():
-    rng = random.Random(8)
-    for _ in range(20):
-        f = randomChar(3, rng)
-        data = charToJSON(f)
-        assert charFromJSON(data) == f
-        assert data == sorted(data, key=lambda d: tuple(d["w"]))
 
 
 def test_pretty_and_compact_forms():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import itertools
@@ -18,12 +19,13 @@ import demkit
 import demkit.cache as cache
 import demkit.cli as cli
 import demkit.ktheory as kt
-from demkit.characters import Character
+from demkit.characters import Character, compact
 from demkit.cli import main
-from demkit.exprlang import clip, parse, printExpr
+from demkit.exprlang import MAX_DEPTH, clip, parse, printExpr
 from demkit.weyl import weylGroup
 
 import oracles
+from test_exprlang import DEEP_INPUTS, nestedTo
 from test_rootsystem import BAD_TYPE_NAMES
 
 
@@ -168,13 +170,12 @@ ACCEPTED_TYPES = {
     "dual-conjecture-report": "A1 A2 A3 B2 B3 C2 C3 G2",
     "word-independence": "A2 B2 B3 G2",
 }
-ALL_TYPES = "A1 A2 A3 A4 B2 B3 B4 C2 C3 C4 D4 G2 F4".split()
 
 
 def test_suite_gates(capsys):
     assert list(cli.SUITES) == list(ACCEPTED_TYPES)
     for name, (gate, _) in cli.SUITES.items():
-        accepted = {t for t in ALL_TYPES if gate(weylGroup(t)) is None}
+        accepted = {t for t in oracles.TYPES if gate(weylGroup(t)) is None}
         assert accepted == set(ACCEPTED_TYPES[name].split()), name
     for argv, msg in [
         (("indpq-triangular", "F4"), "needs |W| <= 48; F4 has 1152"),
@@ -187,7 +188,7 @@ def test_suite_gates(capsys):
 
 def smallestAcceptedType(name):
     gate, _ = cli.SUITES[name]
-    return min((weylGroup(t) for t in ALL_TYPES if gate(weylGroup(t)) is None),
+    return min((weylGroup(t) for t in oracles.TYPES if gate(weylGroup(t)) is None),
                key=lambda W: (W.size, W.sys.name)).sys.name
 
 
@@ -243,6 +244,50 @@ def test_json_text_rejects_other_types(bad):
         cli._jsonText(bad)
 
 
+def charRows(f):
+    """f's term rows as plain JSON values, in weight order."""
+    return [{"c": c, "w": list(w)} for w, c in sorted(f.terms.items())]
+
+
+def test_json_round_trip_and_ordering():
+    # a Character is written as json.dumps writes its term rows in weight
+    # order, alone or inside other values, and the rows read back to it
+    rng = random.Random(8)
+    chars = [Character.zero(), Character({(): 5}),
+             Character({(1,): 10 ** 30, (-1,): -(10 ** 30), (0,): 1})]
+    for rank in (1, 2, 3, 4):
+        for _ in range(5):
+            chars.append(Character({tuple(rng.randint(-3, 3) for _ in range(rank)):
+                                    rng.randint(-5, 5) for _ in range(6)}))
+    for f in chars:
+        text = cli._jsonText(f)
+        assert text == stdlibText(charRows(f))
+        rows = json.loads(text)
+        assert Character({tuple(r["w"]): r["c"] for r in rows}) == f
+        assert [r["w"] for r in rows] == sorted(r["w"] for r in rows)
+    nested = {"m": [chars[:4], []], "f": chars[-1]}
+    assert cli._jsonText(nested) == stdlibText(
+        {"m": [[charRows(f) for f in chars[:4]], []], "f": charRows(chars[-1])})
+
+
+def termRowLists(x) -> list:
+    """The lists of {"c", "w"} dicts anywhere in x."""
+    if isinstance(x, dict):
+        return [rows for v in x.values() for rows in termRowLists(v)]
+    if not isinstance(x, list):
+        return []
+    own = [x] if x and all(type(r) is dict and set(r) == {"c", "w"} for r in x) else []
+    return own + [rows for v in x for rows in termRowLists(v)]
+
+
+@pytest.mark.parametrize("name", list(ACCEPTED_TYPES))
+def test_suite_extras_hold_characters_not_term_rows(name):
+    # characters reach cli as Characters; only cli writes their term rows
+    piP = (0,) if name == "parabolic" else ()
+    _, extras = cli.runSuite(name, weylGroup(smallestAcceptedType(name)), piP, None)
+    assert termRowLists(extras) == []
+
+
 def test_unknown_suite_rejected_by_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["suite", "frobnicate", "--type", "A2"])
@@ -255,7 +300,30 @@ def test_matrix_csv(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == ",e,s1"
-    assert lines[1].startswith("e,e[0]")
+    assert lines[1].startswith('e,"e[0]')
+
+
+@pytest.mark.parametrize("t", ACCEPTED_TYPES["indpq-triangular"].split())
+def test_matrix_csv_parses_into_square_rows(capsys, t):
+    # every entry cell is quoted, so its commas stay inside the cell
+    code, out, _ = run(capsys, "suite", "indpq-triangular", "--type", t,
+                       "--format", "csv", "--no-cache")
+    W = weylGroup(t)
+    m = kt.matrixReport(W, kt.indPQMatrix(W))
+    rows = list(csv.reader(io.StringIO(out)))
+    assert code == 0 and rows[0] == ["", *m["cols"]]
+    assert [len(r) for r in rows] == [W.size + 1] * (W.size + 1)
+    assert rows[1:] == [[name, *map(compact, entries)]
+                        for name, entries in zip(m["rows"], m["entries"])]
+
+
+def test_check_csv_witness_with_quotes_round_trips():
+    witness = 'weights "(1, -1)", then ""'
+    checks = [{"name": "q", "status": "fail", "witness": witness},
+              {"name": "r", "status": "pass", "witness": ""}]
+    text = cli._renderSuite({"checks": checks}, "csv")
+    assert list(csv.reader(io.StringIO(text))) == [
+        ["name", "status", "witness"], ["q", "fail", witness], ["r", "pass", ""]]
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cli.json")
@@ -393,6 +461,27 @@ def test_pairing_suites_same_under_python_O(capsys, argv):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err) == (0, out, "")
 
 
+@pytest.mark.parametrize("case", [*sorted(DEEP_INPUTS), "at-the-cap"])
+def test_too_deep_expression_exits_2(capsys, case):
+    # in process and in a fresh interpreter alike: one usage line naming the
+    # position, no traceback; an expression at the cap still evaluates
+    if case == "at-the-cap":
+        src, want = next(iter(nestedTo(MAX_DEPTH).items()))
+        expected = (0, cli._renderEval("char", want.terms, "json"), "")
+    else:
+        src, col = DEEP_INPUTS[case]
+        expected = (2, "", f"demkit: expression nested more than {MAX_DEPTH} levels "
+                           f"deep at line 1, column {col}\n")
+    argv = ["eval", src, "--type", "A2", "--no-cache"]
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(demkit.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "demkit.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert run(capsys, *argv) == expected
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
 def test_out_file(tmp_path, capsys):
     dest = tmp_path / "r.json"
     code, out, _ = run(capsys, "suite", "steinberg-lists", "--type", "G2",
@@ -427,9 +516,7 @@ def test_cache_byte_identity(tmp_path, capsys):
     for k, argv in enumerate([("suite", "q-equivalence", "--type", "A2"), *BIG_EVALS]):
         if argv[0] == "eval":   # payloads large enough to show the term-row route
             payload = json.loads(run(capsys, *argv, "--no-cache")[1])
-            key = "w" if payload["kind"] == "char" else "weight"
             assert len(payload["value"]) > 30
-            assert cli._termColumns(payload["value"], key, 3) is not None
         for fmt in ("json", "csv", "pretty"):
             cdir = str(tmp_path / f"cache-{k}-{fmt}")
             _, cold, _ = run(capsys, *argv, "--format", fmt, "--cache-dir", cdir)

@@ -25,9 +25,7 @@ from demkit.rootsystem import fundamental, isDominant, rho, rootSystem, zero
 from demkit.weyl import WeylGroup, weylGroup
 
 import oracles
-
-ALL_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4",
-             "C2", "C3", "C4", "D4", "G2", "F4")
+from oracles import TYPES
 
 
 def randomChar(rank: int, rng: random.Random) -> Character:
@@ -116,7 +114,7 @@ FULL_FIELDS = {"A1": (12,), "A2": (1, 10), "B2": (2, 5), "C2": (5, 2),
                "D4": (0, 1, 0, 2), "F4": (0, 1, 0, 0)}
 
 
-@pytest.mark.parametrize("name", ALL_TYPES)
+@pytest.mark.parametrize("name", TYPES)
 def test_char_nabla_matches_longest_operator(name):
     # Freudenthal on dominant weights against pi_w0(e^lam) and Weyl's
     # dimension formula; a fresh group, so nothing is read from a memo
@@ -127,7 +125,7 @@ def test_char_nabla_matches_longest_operator(name):
         assert augment(chi) == oracles.weylDim(W.sys, lam), lam
 
 
-@pytest.mark.parametrize("name", ALL_TYPES)
+@pytest.mark.parametrize("name", TYPES)
 def test_char_nabla_with_full_packing_fields(name, monkeypatch):
     W = WeylGroup(rootSystem(name))
     lam = FULL_FIELDS[name]
@@ -173,7 +171,7 @@ def test_filtration_identity(name):
                 charSections(W, W.bruhatBits[w], lamPlus, 0)
 
 
-@pytest.mark.parametrize("name", ALL_TYPES)
+@pytest.mark.parametrize("name", TYPES)
 def test_sections_walk_matches_plain_oracle(name):
     """The orbit masks against one W.act per element of the mask: every
     one-generator lower set below rank 4, and seeded two-generator lower sets
@@ -194,7 +192,7 @@ def test_sections_walk_matches_plain_oracle(name):
             (oracles.antichainFromMask(W, mask), lam)
 
 
-@pytest.mark.parametrize("name", ALL_TYPES)
+@pytest.mark.parametrize("name", TYPES)
 def test_sections_masks_match_walk_oracle(name):
     """The orbit masks against the lower-set walk they replaced, at every
     dominant 0/1 weight.  Tops are Demazure products u * t: every top when
@@ -408,7 +406,7 @@ def packingSamples(W, rng: random.Random):
         yield (i,), Character({big: 2, zero(W.sys): -1})
 
 
-@pytest.mark.parametrize("name", ALL_TYPES)
+@pytest.mark.parametrize("name", TYPES)
 def test_demword_matches_plain_oracle(name):
     W = weylGroup(name)
     rng = random.Random(23)
@@ -443,7 +441,7 @@ def eulerSamples(W, rng: random.Random):
         yield Character(terms)
 
 
-@pytest.mark.parametrize("name", ALL_TYPES)
+@pytest.mark.parametrize("name", TYPES)
 def test_euler_char_matches_termwise_oracle(name):
     W = weylGroup(name)
     rng = random.Random(29)
@@ -478,7 +476,7 @@ def overlappingWordSets(W, rng: random.Random):
         yield spellings([word, (), word]), f
 
 
-@pytest.mark.parametrize("name", ALL_TYPES)
+@pytest.mark.parametrize("name", TYPES)
 def test_demwords_matches_plain_oracle(name):
     W = weylGroup(name)
     rng = random.Random(31)

@@ -12,6 +12,7 @@ from demkit.exprlang import EvalContext, ParseError, evalExpr, parse, printExpr
 from demkit.ktheory import xClass
 from demkit.rootsystem import rootSystem
 from demkit.weyl import WeylGroup, weylGroup
+from oracles import TYPES
 from test_characters import smallestFundamentals
 
 
@@ -118,6 +119,49 @@ def test_multiline_error_position():
     assert exc.value.line == 2
 
 
+# (expression, column where parse refuses it): each is deep enough that the
+# parser, printExpr or evalExpr would pass the interpreter's recursion limit
+DEEP_INPUTS = {
+    "sum-of-1000": ("+".join(["e([0,0])"] * 1000), 9 * 99),
+    "dualOf-300-deep": ("dualOf(" * 300 + "e([0,0])" + ")" * 300, 7 * 100 + 1),
+    "parentheses-400-deep": ("(" * 400 + "e([0,0])" + ")" * 400, 101),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEEP_INPUTS))
+def test_too_deep_expression_is_a_parse_error(case):
+    src, col = DEEP_INPUTS[case]
+    with pytest.raises(ParseError) as exc:
+        parse(src)
+    assert (exc.value.line, exc.value.col) == (1, col)
+    assert f"nested more than {ex.MAX_DEPTH} levels" in str(exc.value)
+
+
+def nestedTo(levels: int) -> dict:
+    """Expressions exactly `levels` deep, by the count MAX_DEPTH describes,
+    with the value each has on A2."""
+    k = levels - 2   # e([0,0]) and chi([1,0]) are two levels
+    return {
+        "+".join(["e([0,0])"] * (k + 1)): Character.monomial((0, 0), k + 1),
+        "dualOf(" * k + "e([0,0])" + ")" * k: Character.monomial((0, 0)),
+        "(" * k + "e([0,0])" + ")" * k: Character.monomial((0, 0)),
+        "-" * k + "e([0,0])": Character.monomial((0, 0), (-1) ** k),
+        "decomposeG(" + "dualOf(" * (k - 1) + "chi([1,0])" + ")" * k:
+            {(1, 0) if k % 2 else (0, 1): 1},
+    }
+
+
+def test_expression_at_the_nesting_cap_evaluates():
+    ctx = EvalContext(weylGroup("A2"))
+    for src, want in nestedTo(ex.MAX_DEPTH).items():
+        node = parse(src)
+        assert evalExpr(node, ctx) == want, src[:40]
+        assert parse(printExpr(node)) == node
+    for src in nestedTo(ex.MAX_DEPTH + 1):
+        with pytest.raises(ParseError, match="nested more than"):
+            parse(src)
+
+
 def test_no_bare_literals():
     # weights and words only appear as arguments; integers are not factors
     for src in ["[1,0]", "3", "e([1,0]) * 2", "s1", "2*chi([1,0])"]:
@@ -183,9 +227,6 @@ def test_eval_qhat_uses_context():
 
 
 # -- decomposeG in R(G) coordinates ----------------------------------------------
-
-TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4"]
-
 
 def lit(w) -> str:
     return "[" + ",".join(map(str, w)) + "]"
