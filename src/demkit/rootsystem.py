@@ -6,14 +6,17 @@ vector of the simple root alpha_j, and the pairing of a weight with the simple
 coroot alpha_i^vee is just coordinate i.  All length computations go through
 the gram matrix of the fundamental weights, stored as integers scaled by the
 lcm of its denominators (likewise the inverse Cartan matrix); no floats
-anywhere.  Lengths, heights and the dominance order are read off those
-scaled integers; rationals appear only while the scaled matrices are built.
+anywhere.  Lengths and the dominance order are read off those scaled
+integers; rationals appear only while the scaled matrices are built.  Height
+is one integer linear form, stored once: the scaled matrix's column sums.
 
 >>> sys = rootSystem("A2")
 >>> sys.cartan[0]
 (2, -1)
 >>> norm2Scaled(sys, (1, 1)), sys.gramScale
 (6, 3)
+>>> sys.heightInt, heightScaled(sys, (1, 1)), sys.cartanInvScale
+((3, 3), 6, 3)
 >>> dominanceLeq(sys, (0, 0), (1, 1)), dominanceLeq(sys, (0, 0), (1, 0))
 (True, False)
 """
@@ -96,6 +99,7 @@ class RootSystem:
     gramScale: int
     cartanInvInt: tuple[tuple[int, ...], ...]  # cartanInvScale * simple-root coordinates
     cartanInvScale: int
+    heightInt: tuple[int, ...]               # cartanInvScale * height(omega_j): cartanInvInt's column sums
 
 
 def rootSystem(name: str) -> RootSystem:
@@ -115,6 +119,7 @@ def rootSystem(name: str) -> RootSystem:
         gramScale=gs,
         cartanInvInt=cinvInt,
         cartanInvScale=cs,
+        heightInt=tuple(map(sum, zip(*cinvInt))),
     )
 
 
@@ -164,7 +169,7 @@ def _rootCoordsScaled(sys: RootSystem, lam: Weight) -> list[int]:
 
 def heightScaled(sys: RootSystem, lam: Weight) -> int:
     """sys.cartanInvScale * height(lam): an exact integer with the same order."""
-    return sum(_rootCoordsScaled(sys, lam))
+    return sum(map(mul, sys.heightInt, lam))
 
 
 def dominanceLeq(sys: RootSystem, lam: Weight, mu: Weight) -> bool:

@@ -102,12 +102,19 @@ def basisCharacter(
 
 
 def _addVec(W: WeylGroup, acc: dict, vec: dict, m) -> None:
-    """acc += vec * m in place, on vectors {index: GClassExpansion}; m is an
-    int or a GClassExpansion."""
+    """acc += vec * m in place, on vectors {index: GClassExpansion}, deleting
+    every index that cancels; m is an int or a GClassExpansion.  An int m
+    copies vec's coefficient times m into an index acc does not hold yet and
+    sends one it holds through addMul; m == 0 adds nothing."""
     scalar = type(m) is int
+    if scalar and not m:
+        return
     for u, coef in vec.items():
         a = acc.get(u)
         if a is None:
+            if scalar:
+                acc[u] = {lam: c * m for lam, c in coef.items()}
+                continue
             a = acc[u] = {}
         if scalar:
             addMul(a, coef, m)

@@ -14,6 +14,7 @@ from demkit.characters import (
     expandGClass,
     gAddMul,
     gDual,
+    gSorted,
     isInvariant,
     pretty,
     weylActionChar,
@@ -21,7 +22,7 @@ from demkit.characters import (
 from demkit.demazure import charNabla
 from demkit.rootsystem import fundamental, isDominant, rho, rootSystem
 from demkit.weyl import weylGroup
-from oracles import TYPES, decomposeGreedy, extremalWeights
+from oracles import TYPES, decomposeGreedy, extremalWeights, height
 
 
 def randomChar(rank: int, rng: random.Random, nterms: int = 5) -> Character:
@@ -243,6 +244,26 @@ def test_is_invariant_matches_simple_reflections(name):
             lam, slam = witness
             assert f.coeff(lam) != f.coeff(slam)
             assert slam in {W.reflect(lam, i) for i in range(W.sys.rank)}
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_g_sorted_is_descending_height_then_lex(name):
+    # height is the linear form with the column sums of the scaled inverse
+    # Cartan matrix as coefficients; gSorted orders by it, then by the weight
+    W = weylGroup(name)
+    sys = W.sys
+    assert sys.heightInt == tuple(sum(row[j] for row in sys.cartanInvInt)
+                                  for j in range(sys.rank))
+    rng = random.Random(f"gSorted:{name}")
+    box = list(itertools.product(range(3), repeat=sys.rank))
+    if sys.rank == 4:
+        box = rng.sample(box, 40)
+    rng.shuffle(box)
+    mult = {lam: k + 1 for k, lam in enumerate(box)}
+    got = gSorted(W, mult)
+    want = sorted(box, key=lambda lam: (height(sys, lam), lam), reverse=True)
+    assert list(got) == want
+    assert got == mult
 
 
 def test_decompose_rejects_non_invariant():

@@ -96,6 +96,17 @@ def test_eval_domain_error_exit_2(capsys):
     assert code == 2
 
 
+def test_eval_leading_minus_after_double_dash(capsys):
+    # argparse reads a bare '-e(...)' as an option; '--' ends the options
+    code, out, err = run(capsys, "eval", "--type", "A2", "--no-cache", "--", "-e([1,0])")
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"kind": "char", "value": [{"c": -1, "w": [1, 0]}]}
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "-e([1,0])", "--type", "A2", "--no-cache"])
+    assert exc.value.code == 2
+    assert "required: expr" in capsys.readouterr().err
+
+
 def test_unknown_type_exit_2(capsys):
     for name in BAD_TYPE_NAMES:
         code, out, err = run(capsys, "eval", "e([0])", "--type", name)

@@ -11,7 +11,8 @@ import textwrap
 import pytest
 
 import demkit
-from demkit.characters import Character, decomposeWeylBasis, dual, expandGClass
+import demkit.rootsystem as rootsystem
+from demkit.characters import Character, decomposeWeylBasis, dual, expandGClass, gSorted
 from demkit.demazure import charNabla, charP
 from demkit.rootsystem import negW, rho, rootSystem, zero
 from demkit.steinberg import (
@@ -19,6 +20,8 @@ from demkit.steinberg import (
     Q,
     QHAT,
     UNIT,
+    _addVec,
+    _unitVector,
     antipodalLeq,
     basisCharacter,
     excellentLeq,
@@ -211,6 +214,70 @@ def test_coefficients_in_decomposition_order(name):
         assert list(got) == list(chars)
         for v, coef in got.items():
             assert list(coef.items()) == list(decomposeWeylBasis(W, chars[v]).items())
+
+
+def test_zero_and_cancelling_adds():
+    W = weylGroup("B2")
+    a, b = (0, 0), (1, 0)
+    acc = {0: {a: 2}, 5: {b: 4}}
+    _addVec(W, acc, {0: {a: 2, b: -1}, 3: {a: 1}}, 0)
+    assert acc == {0: {a: 2}, 5: {b: 4}}
+    vec = {0: {a: -1, b: 3}, 3: {a: 2}, 5: {b: -2}}
+    _addVec(W, acc, vec, 2)
+    # index 0 drops its cancelled weight, index 3 is vec's coefficient times
+    # 2 and index 5 cancels away
+    assert acc == {0: {b: 6}, 3: {a: 4}}
+    assert vec == {0: {a: -1, b: 3}, 3: {a: 2}, 5: {b: -2}}
+    _addVec(W, acc, {0: {b: 3}, 3: {a: 2}}, -2)
+    assert acc == {}
+    # the same over the shared UNIT vectors, which the adds must not change
+    for lam in [(2, 1), (-1, 2), (1, -2), (0, 0), (-2, -1)]:
+        unit = _unitVector(W, lam)
+        kept = {u: dict(coef) for u, coef in unit.items()}
+        x: dict = {}
+        total = 0
+        for m in (1, 0, 3, -5):
+            _addVec(W, x, unit, m)
+            total += m
+            assert x == {u: {mu: c * total for mu, c in coef.items()}
+                         for u, coef in unit.items()}
+            # no index maps to {} and no stored coefficient is 0
+            assert all(coef and 0 not in coef.values() for coef in x.values())
+        _addVec(W, x, unit, -total)
+        assert x == {}
+        assert unit == kept
+
+
+def test_zero_and_cancelling_adds_under_python_O():
+    # pytest rewrites the test's asserts, so they still check under -O
+    src = os.path.dirname(os.path.dirname(os.path.abspath(demkit.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    test = os.path.abspath(__file__) + "::test_zero_and_cancelling_adds"
+    proc = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           test], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "1 passed" in proc.stdout, proc.stdout
+
+
+def test_warm_solve_and_sort_do_not_take_root_coordinates(monkeypatch):
+    # height is one dot product; only the dominance test takes simple-root
+    # coordinates
+    W = weylGroup("B3")
+    rng = random.Random(23)
+    f = Character({(2, 2, 2): 2, (1, -1, 0): -1, (-2, 1, 1): 3, (0, 0, 0): 1})
+    choices = {v: rng.choice([UNIT, Q, PSTAR]) for v in W.elements()}
+    first = steinbergDecompose(W, f, choices)
+
+    def refuse(rs, lam):
+        raise AssertionError("simple-root coordinates taken")
+
+    monkeypatch.setattr(rootsystem, "_rootCoordsScaled", refuse)
+    assert repr(steinbergDecompose(W, f, choices)) == repr(first)
+    mult = {lam: 1 for coef in first.values() for lam in coef}
+    assert list(gSorted(W, dict(reversed(mult.items())))) == list(gSorted(W, mult))
+    with pytest.raises(AssertionError, match="simple-root coordinates"):
+        rootsystem.dominanceLeq(W.sys, (0, 0, 0), (1, 0, 0))
 
 
 def test_no_recursion_limit_change(monkeypatch):
