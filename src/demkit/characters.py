@@ -283,3 +283,15 @@ def pretty(f: Character) -> str:
 def compact(f: Character) -> str:
     """CSV cell form, lex-sorted: "2e[0,0]+e[1,-1]"."""
     return _formatTerms(f.sortedItems(), "e", tight=True)
+
+
+CLIP_CHARS = 40
+
+
+def clip(token: str, limit: int = CLIP_CHARS) -> str:
+    """A token for a usage error: the whole of it up to `limit` characters,
+    else its first `limit` and a marker with its length, so a huge rejected
+    input does not flood the message."""
+    if len(token) <= limit:
+        return token
+    return f"{token[:limit]}... ({len(token)} characters)"

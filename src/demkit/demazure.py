@@ -38,7 +38,7 @@ from functools import reduce
 from math import isqrt
 from operator import add, mul, or_, sub
 
-from .characters import Character, addMul, alternantCoeffs, expandGClass
+from .characters import Character, addMul, alternantCoeffs, clip, expandGClass
 from .rootsystem import (
     Weight,
     heightScaled,
@@ -179,7 +179,7 @@ def eulerChar(W: WeylGroup, f: Character) -> Character:
 def highestWeight(lam: Weight) -> Weight:
     """lam, checked to be dominant, as the highest weight of an irreducible."""
     if not isDominant(lam):
-        raise ValueError(f"highest weight must be dominant, got {lam}")
+        raise ValueError(f"highest weight must be dominant, got {clip(str(list(lam)))}")
     return lam
 
 

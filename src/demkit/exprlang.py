@@ -32,6 +32,7 @@ from .characters import (
     GClassExpansion,
     addMul,
     alternantCoeffs,
+    clip,
     decomposeWeylBasis,
     dual,
     gAddMul,
@@ -80,18 +81,6 @@ def asciiInt(text: str) -> int | None:
         return int(text)
     except ValueError:   # more digits than sys.get_int_max_str_digits()
         return None
-
-
-CLIP_CHARS = 40
-
-
-def clip(token: str, limit: int = CLIP_CHARS) -> str:
-    """A token for a usage error: the whole of it up to `limit` characters,
-    else its first `limit` and a marker with its length, so a huge rejected
-    input does not flood the message."""
-    if len(token) <= limit:
-        return token
-    return f"{token[:limit]}... ({len(token)} characters)"
 
 
 # The deepest parse tree parse accepts: each call, operator, negation and

@@ -15,8 +15,10 @@ where a report prints an entry):
   characters is a product of characters (gramTable).
 
 The transition entries are differences of section characters over unions of
-Schubert varieties, and the class constructions project dualized section
-characters onto a chosen half of a mixed basis.
+Schubert varieties, with the weight theta_v = v e_v of the v-th row, the sum
+of the omega_i over the left descents of v (WeylGroup.theta), and the class
+constructions project dualized section characters onto a chosen half of a
+mixed basis.
 """
 from __future__ import annotations
 
@@ -45,7 +47,7 @@ from .demazure import (
     eulerChar,
     lowerSetMask,
 )
-from .rootsystem import fundamental, isDominant, negW, rho, subW, zero
+from .rootsystem import fundamental, negW, rho, subW, zero
 from .steinberg import PSTAR, Q, QHAT, steinbergDecompose
 from .weyl import WeylGroup
 
@@ -53,6 +55,13 @@ from .weyl import WeylGroup
 def eulerPair(W: WeylGroup, f: Character, g: Character) -> Character:
     """Euler-characteristic pairing of two classes; symmetric, invariant."""
     return eulerChar(W, f * g)
+
+
+def verdict(name: str, failures: list[str]) -> tuple[str, bool, str]:
+    """The check row of a check that scanned to the end and collected the
+    witnesses of its failures in scan order: it passes when there are none,
+    and its witness is the last one ("" when it passes)."""
+    return (name, not failures, failures[-1] if failures else "")
 
 
 def wordStr(W: WeylGroup, w: int) -> str:
@@ -124,10 +133,7 @@ def indPQCheck(W: WeylGroup, rows: list[list[Character]]) -> list[tuple[str, boo
 def betaEntry(W: WeylGroup, v: int, w: int) -> Character:
     """Expansion coefficient of the v-th layer class over the twisted
     structure sheaves of the opposite Schubert cells."""
-    theta = W.act(v, W.steinbergWeight(v))
-    lam = negW(W.act(W.w0, theta))
-    if not isDominant(lam):
-        raise AssertionError(f"beta weight {lam} of element {v} is not dominant")
+    lam = negW(W.act(W.w0, W.theta(v)))
     vw0 = W.mul(W.inverse(v), W.w0)
     ww0 = W.mul(w, W.w0)
     top = W.demazureProduct(ww0, vw0)
@@ -139,9 +145,7 @@ def alphaEntry(W: WeylGroup, v: int, w: int) -> Character:
     """Expansion coefficient of the v-th dual-section class over the Schubert
     basis, computed on the opposite Borel side and carried back by the longest
     element."""
-    lam = W.act(v, W.steinbergWeight(v))
-    if not isDominant(lam):
-        raise AssertionError(f"alpha weight {lam} of element {v} is not dominant")
+    lam = W.theta(v)
     u = W.mul(W.mul(W.w0, w), W.w0)
     vi = W.inverse(v)
     top = W.demazureProduct(u, vi)
@@ -149,31 +153,26 @@ def alphaEntry(W: WeylGroup, v: int, w: int) -> Character:
     return weylActionChar(W, W.w0, charSections(W, W.bruhatBits[top], lam, below))
 
 
-def triangularityChecks(
-    W: WeylGroup, vs, ws
-) -> list[tuple[str, bool, str]]:
-    """Zero pattern and monomial corners for both transition matrices."""
-    checks = []
-    okz, wz = True, ""
-    okc, wc = True, ""
-    for v in vs:
-        ev = W.steinbergWeight(v)
-        vev = W.act(v, ev)
+def triangularityChecks(W: WeylGroup, ws) -> list[tuple[str, bool, str]]:
+    """Monomial corners e^theta_v and e^-theta_v of both transition matrices
+    in every row v, and their zero pattern in the columns ws."""
+    corners, zeros = [], []
+    for v in W.elements():
+        theta = W.theta(v)
         vw0 = W.mul(v, W.w0)
         corner_a = alphaEntry(W, v, vw0)
-        if corner_a != Character.monomial(vev):
-            okc, wc = False, f"alpha corner {wordStr(W, v)}: {compact(corner_a)}"
+        if corner_a != Character.monomial(theta):
+            corners.append(f"alpha corner {wordStr(W, v)}: {compact(corner_a)}")
         corner_b = betaEntry(W, v, vw0)
-        if corner_b != Character.monomial(negW(vev)):
-            okc, wc = False, f"beta corner {wordStr(W, v)}: {compact(corner_b)}"
+        if corner_b != Character.monomial(negW(theta)):
+            corners.append(f"beta corner {wordStr(W, v)}: {compact(corner_b)}")
         for w in ws:
             if not W.bruhatLeq(w, vw0) and alphaEntry(W, v, w):
-                okz, wz = False, f"alpha ({wordStr(W, v)},{wordStr(W, w)})"
+                zeros.append(f"alpha ({wordStr(W, v)},{wordStr(W, w)})")
             if not W.bruhatLeq(vw0, w) and betaEntry(W, v, w):
-                okz, wz = False, f"beta ({wordStr(W, v)},{wordStr(W, w)})"
-    checks.append(("alpha-beta-corners", okc, wc))
-    checks.append(("alpha-beta-zero-pattern", okz, wz))
-    return checks
+                zeros.append(f"beta ({wordStr(W, v)},{wordStr(W, w)})")
+    return [verdict("alpha-beta-corners", corners),
+            verdict("alpha-beta-zero-pattern", zeros)]
 
 
 def orthogonalityCheck(W: WeylGroup) -> list[tuple[str, bool, str]]:
@@ -271,27 +270,26 @@ def gramCheck(
     W: WeylGroup,
     order: list[int] | None,
     table: dict[tuple[int, int], GClassExpansion],
-) -> tuple[list[tuple[str, bool, str]], dict[tuple[int, int], GClassExpansion]]:
+) -> tuple[list[tuple[str, bool, str]], int]:
     """Diagonal-1 and upper-zero conditions on the class pairing table
-    gramTable(W, order), None meaning the id order.  Entries strictly below
-    the diagonal are returned unconstrained."""
+    gramTable(W, order), None meaning the id order, and the number of nonzero
+    entries strictly below the diagonal, which are unconstrained."""
     order = W.elements() if order is None else order
     pos = {w: k for k, w in enumerate(order)}
     one = {zero(W.sys): 1}
-    below: dict[tuple[int, int], GClassExpansion] = {}
-    ok, witness = True, ""
+    below = 0
+    failures = []
     for v in order:
         for w in order:
             g = table[(v, w)]
             if v == w and g != one:
-                ok, witness = False, (
-                    f"diagonal {wordStr(W, v)}: {compact(expandGClass(W, g))}")
+                failures.append(f"diagonal {wordStr(W, v)}: {compact(expandGClass(W, g))}")
             elif pos[w] > pos[v] and g:
-                ok, witness = False, (
+                failures.append(
                     f"({wordStr(W, v)},{wordStr(W, w)}): {compact(expandGClass(W, g))}")
-            elif pos[w] < pos[v]:
-                below[(v, w)] = g
-    return [("xclass-gram", ok, witness)], below
+            elif pos[w] < pos[v] and g:
+                below += 1
+    return [verdict("xclass-gram", failures)], below
 
 
 def sameLengthPairReport(
@@ -356,23 +354,14 @@ def parabolicChecks(
     hat = pairingsWithP(
         W, minimal, {w: charQhat(W, W.steinbergWeight(w), piP) for w in minimal})
     plain = pairingsWithP(W, minimal, _qChars(W, minimal))
-    checks = []
-    ok, witness = True, ""
-    for v in minimal:
-        for w in minimal:
-            lhs, rhs = hat[(v, w)], plain[(v, w)]
-            if lhs != rhs:
-                ok, witness = False, (
-                    f"({wordStr(W, v)},{wordStr(W, w)}): "
-                    f"{compact(expandGClass(W, lhs))} vs {compact(expandGClass(W, rhs))}"
-                )
-    checks.append(("parabolic-ind-matches-borel", ok, witness))
-    ok, witness = True, ""
-    for p in minimal:
-        if xHatClass(W, p, piP, order) != xClass(W, p, order):
-            ok, witness = False, f"class mismatch at {wordStr(W, p)}"
-    checks.append(("parabolic-classes-match", ok, witness))
-    return checks
+    tables = [
+        f"({wordStr(W, v)},{wordStr(W, w)}): "
+        f"{compact(expandGClass(W, hat[(v, w)]))} vs {compact(expandGClass(W, plain[(v, w)]))}"
+        for v in minimal for w in minimal if hat[(v, w)] != plain[(v, w)]]
+    classes = [f"class mismatch at {wordStr(W, p)}" for p in minimal
+               if xHatClass(W, p, piP, order) != xClass(W, p, order)]
+    return [verdict("parabolic-ind-matches-borel", tables),
+            verdict("parabolic-classes-match", classes)]
 
 
 def dualConjectureCheck(W: WeylGroup, v: int) -> dict:
@@ -436,12 +425,12 @@ _FUND_DIMS = {"A2": (3, 3), "B2": (4, 5), "G2": (7, 14)}
 
 
 def _tensorListCheck(W: WeylGroup) -> tuple[str, bool, str]:
-    ok, witness = True, ""
+    failures = []
     for (a, b), want in _TENSOR_LISTS[W.sys.name]:
         got = decomposeWeylBasis(W, charNabla(W, a) * charNabla(W, b))
         if got != want:
-            ok, witness = False, f"{a}x{b}: {got}"
-    return ("tensor-filtration-lists", ok, witness)
+            failures.append(f"{a}x{b}: {got}")
+    return verdict("tensor-filtration-lists", failures)
 
 
 def tensorDecompCheck(W: WeylGroup) -> list[tuple[str, bool, str]]:
@@ -449,15 +438,12 @@ def tensorDecompCheck(W: WeylGroup) -> list[tuple[str, bool, str]]:
     name = W.sys.name
     if name not in _TENSOR_LISTS:
         raise ValueError(f"reference lists exist for A2/B2/G2, not {name}")
-    checks = []
-    ok, witness = True, ""
+    failures = []
     for i, want in enumerate(_FUND_DIMS[name]):
         got = augment(charNabla(W, fundamental(W.sys, i)))
         if got != want:
-            ok, witness = False, f"dim chi(omega_{i + 1}) = {got}, expected {want}"
-    checks.append(("fundamental-dimensions", ok, witness))
-    checks.append(_tensorListCheck(W))
-    return checks
+            failures.append(f"dim chi(omega_{i + 1}) = {got}, expected {want}")
+    return [verdict("fundamental-dimensions", failures), _tensorListCheck(W)]
 
 
 def rank2BundleChecks(W: WeylGroup) -> list[tuple[str, bool, str]]:
@@ -471,11 +457,8 @@ def rank2BundleChecks(W: WeylGroup) -> list[tuple[str, bool, str]]:
         psi = charNabla(W, (1, 0)) - Character.monomial((1, 0))
         got = demStep(W, 0, psi)
         want = Character.monomial((-1, 0)) + Character.monomial((1, -1))
-        checks.append((
-            "two-step-bundle-character",
-            got == want,
-            "" if got == want else compact(got),
-        ))
+        checks.append(verdict("two-step-bundle-character",
+                              [] if got == want else [compact(got)]))
     checks.append(_tensorListCheck(W))
     checks.append(steinbergListCheck(W)[0])
     return checks

@@ -22,7 +22,10 @@ of s_i u, an earlier id, and u lam = s_i (s_i u) lam.  Two memo families
 read orbits: ("orbit", lam) holds the distinct u lam of one weight, each
 with the bitmask of the u reaching it (demazure.charSections), and the
 one-item ("stw",) the Steinberg weights e_v = v^-1 theta_v of every id,
-summed from the orbits of the fundamental weights on first use.
+summed from the orbits of the fundamental weights on first use.  Here
+theta_v is the sum of the omega_i over the left descents i of v (Steinberg,
+"On a theorem of Pittie", 1975), dominant with 0/1 coordinates; theta reads
+it from the descents directly.
 """
 from __future__ import annotations
 
@@ -221,9 +224,15 @@ class WeylGroup:
             out.append(reflect(out[lm[u][i]], i))
         return out
 
+    def theta(self, v: int) -> Weight:
+        """theta_v = v e_v, the sum of the omega_i over the left descents i of
+        v: coordinate i is 1 when s_i v is shorter than v, else 0."""
+        lv, length = self.length[v], self.length
+        return tuple([int(length[u] < lv) for u in self.lmulTable[v]])
+
     def steinbergWeight(self, v: int) -> Weight:
-        """e_v = v^-1 theta_v, theta_v the sum of the omega_i over the left
-        descents i of v, read from the ("stw",) table (module docstring)."""
+        """e_v = v^-1 theta_v (theta), read from the ("stw",) table (module
+        docstring)."""
         table = self.memo.get(("stw",))
         if table is None:
             n, inv = self.sys.rank, self.inv

@@ -45,9 +45,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
 from fractions import Fraction as Q
 from math import lcm
 
+import demkit
 from demkit.characters import Character, GClassExpansion, decomposeWeylBasis, dual
 from demkit.cli import RANK2, randomCharacters
 from demkit.demazure import (
@@ -76,6 +78,16 @@ from demkit.weyl import WeylGroup
 # Every type rootSystem accepts (test_rootsystem pins this), in the order
 # the per-type tests run them.
 TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4")
+
+
+def subprocessEnv(**extra: str) -> dict[str, str]:
+    """The environment for a child interpreter that imports this demkit: the
+    current one with extra set, and the directory holding the package first
+    on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(demkit.__file__)))
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 # -- the rational weight API ------------------------------------------------------

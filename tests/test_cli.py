@@ -15,7 +15,6 @@ import sys
 
 import pytest
 
-import demkit
 import demkit.cache as cache
 import demkit.cli as cli
 import demkit.ktheory as kt
@@ -150,6 +149,18 @@ def test_suite_failure_exit_1(capsys, monkeypatch):
     report = json.loads(out)
     assert report["failures"] == ["fake"]
     assert report["checks"][0]["witness"] == "boom"
+
+
+def test_check_witness_names_the_last_failure(monkeypatch):
+    # two grid weights fail, (-2, 1) scanned before (1, -2); neither is a
+    # Steinberg weight of A2
+    bad = {(-2, 1), (1, -2)}
+    twist = cli.dz.charQviaTwist
+    monkeypatch.setattr(cli.dz, "charQviaTwist", lambda W, lam: twist(W, lam) + (
+        Character.monomial(lam) if lam in bad else Character.zero()))
+    checks, _ = cli._suiteQEquivalence(weylGroup("A2"))
+    assert checks == [("q-twist-on-steinberg-weights", True, ""),
+                      ("q-twist-on-grid", False, "(1, -2)")]
 
 
 def test_suite_pretty_summary_line(capsys):
@@ -455,6 +466,16 @@ def test_rejected_long_token_is_echoed_short(tmp_path, capsys, site, digits):
     assert "characters)" in err
 
 
+def test_non_dominant_chi_weight_is_echoed_short(capsys):
+    # the dominance refusal writes its weight as the rank check does, and
+    # the same line whether chi stands alone or inside decomposeG
+    n = LONG["3000"]
+    want = (2, "", f"demkit: highest weight must be dominant, got {clip(f'[-1, {n}]')}\n")
+    assert len(want[2]) < 120
+    for src in (f"chi([-1,{n}])", f"decomposeG(chi([-1,{n}]))"):
+        assert run(capsys, "eval", src, "--type", "A2", "--no-cache") == want, src
+
+
 @pytest.mark.parametrize("argv", [
     ["suite", "xclass-gram", "--type", "B3"],
     ["suite", "indpq-triangular", "--type", "B3"],
@@ -463,9 +484,7 @@ def test_rejected_long_token_is_echoed_short(tmp_path, capsys, site, digits):
 def test_pairing_suites_same_under_python_O(capsys, argv):
     # every invariant on these paths is an explicit raise, so stripping
     # asserts changes nothing a report says
-    src = os.path.dirname(os.path.dirname(os.path.abspath(demkit.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = oracles.subprocessEnv()
     proc = subprocess.run([sys.executable, "-O", "-m", "demkit.cli", *argv, "--no-cache"],
                           capture_output=True, text=True, env=env, timeout=300)
     code, out, err = run(capsys, *argv, "--no-cache")
@@ -484,9 +503,7 @@ def test_too_deep_expression_exits_2(capsys, case):
         expected = (2, "", f"demkit: expression nested more than {MAX_DEPTH} levels "
                            f"deep at line 1, column {col}\n")
     argv = ["eval", src, "--type", "A2", "--no-cache"]
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(demkit.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    env = oracles.subprocessEnv()
     proc = subprocess.run([sys.executable, "-m", "demkit.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=300)
     assert run(capsys, *argv) == expected
@@ -506,9 +523,7 @@ def test_out_file_is_utf8_under_c_locale(tmp_path, capsys):
     argv = ["eval", "e([1,0])+e([1,0])", "--type", "B2", "--format", "pretty",
             "--no-cache"]
     dest = tmp_path / "out.txt"
-    src = os.path.dirname(os.path.dirname(os.path.abspath(demkit.__file__)))
-    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = oracles.subprocessEnv(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
     proc = subprocess.run([sys.executable, "-m", "demkit.cli", *argv, "--out", str(dest)],
                           capture_output=True, env=env, timeout=300)
     code, out, err = run(capsys, *argv)
@@ -541,9 +556,7 @@ def test_cache_byte_identity(tmp_path, capsys):
 def test_golden_outputs_under_python_O(tmp_path):
     # one -O process runs every golden case through cli.main in turn, then
     # every suite digest case
-    src = os.path.dirname(os.path.dirname(os.path.abspath(demkit.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = oracles.subprocessEnv()
     script = """if 1:
         import contextlib, io, json, os, sys
         import demkit.cli as cli
@@ -572,9 +585,7 @@ def test_golden_outputs_under_python_O(tmp_path):
 def test_acceptance_gate_under_python_O():
     # the gate's own asserts are rewritten by pytest and so still check;
     # every invariant in the package under them is an explicit raise
-    src = os.path.dirname(os.path.dirname(os.path.abspath(demkit.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = oracles.subprocessEnv()
     gate = os.path.join(os.path.dirname(os.path.abspath(__file__)), "test_acceptance.py")
     proc = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
                            gate], capture_output=True, text=True, env=env, timeout=300)
@@ -587,9 +598,7 @@ Q_TYPES = ("A2", "A3", "B2", "B3", "C3", "G2")
 
 def test_q_equivalence_same_under_python_O(capsys):
     # one -O process runs the suite on every type it accepts
-    src = os.path.dirname(os.path.dirname(os.path.abspath(demkit.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = oracles.subprocessEnv()
     script = """if 1:
         import sys
         import demkit.cli as cli

@@ -10,7 +10,6 @@ import textwrap
 
 import pytest
 
-import demkit
 import demkit.rootsystem as rootsystem
 from demkit.characters import Character, decomposeWeylBasis, dual, expandGClass, gSorted
 from demkit.demazure import charNabla, charP
@@ -250,9 +249,7 @@ def test_zero_and_cancelling_adds():
 
 def test_zero_and_cancelling_adds_under_python_O():
     # pytest rewrites the test's asserts, so they still check under -O
-    src = os.path.dirname(os.path.dirname(os.path.abspath(demkit.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = oracles.subprocessEnv()
     test = os.path.abspath(__file__) + "::test_zero_and_cancelling_adds"
     proc = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
                            test], capture_output=True, text=True, env=env, timeout=120)
@@ -338,14 +335,12 @@ def test_recursion_limit_restored():
 OPTIMIZED_SCRIPT = textwrap.dedent("""
     import itertools
     from demkit.characters import Character, expandGClass
-    from demkit.ktheory import alphaEntry, betaEntry
-    from demkit.rootsystem import rootSystem
     import demkit.steinberg as st
     from demkit.steinberg import (
         PSTAR, Q, UNIT, basisCharacter, steinbergDecompose, steinbergDecomposeChar,
         uniformChoices,
     )
-    from demkit.weyl import WeylGroup, weylGroup
+    from demkit.weyl import weylGroup
 
     if __debug__:
         raise SystemExit("expected python -O")
@@ -371,14 +366,6 @@ OPTIMIZED_SCRIPT = textwrap.dedent("""
             raise SystemExit("wrong refusal: " + str(e))
     else:
         raise SystemExit("a basis row reaching above its own index was accepted")
-    bad = WeylGroup(rootSystem("B2"))
-    bad.steinbergWeight = lambda v: (-1, 0)
-    for entry in (alphaEntry, betaEntry):
-        try:
-            entry(bad, 0, 0)
-        except AssertionError:
-            continue
-        raise SystemExit(entry.__name__ + " accepted a non-dominant weight")
     # a left-out set that is not inside the lower set has no section difference
     import demkit.demazure as dz
     A2 = weylGroup("A2")
@@ -408,9 +395,7 @@ OPTIMIZED_SCRIPT = textwrap.dedent("""
 
 
 def test_invariants_hold_under_python_O():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(demkit.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = oracles.subprocessEnv()
     proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr

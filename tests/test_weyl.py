@@ -9,7 +9,6 @@ import sys
 
 import pytest
 
-import demkit
 from demkit.rootsystem import isDominant, negW, rho, rootSystem, zero
 from demkit.weyl import WeylGroup, weylGroup
 
@@ -90,10 +89,7 @@ def test_group_keeps_no_build_scratch():
 
 def test_bruhat_table_same_under_python_O():
     # one -O process with another hash seed builds every group afresh
-    src = os.path.dirname(os.path.dirname(os.path.abspath(demkit.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env["PYTHONHASHSEED"] = "7"
+    env = oracles.subprocessEnv(PYTHONHASHSEED="7")
     script = """if 1:
         import hashlib, sys
         from demkit.weyl import weylGroup
@@ -198,7 +194,7 @@ def test_steinberg_weight_table_matches_fold_oracle(name):
     assert got == [oracles.steinbergWeightByAct(W, v) for v in W.elements()]
 
 
-@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3", "B3", "C3"])
+@pytest.mark.parametrize("name", oracles.TYPES)
 def test_steinberg_weights(name):
     W = weylGroup(name)
     seen = {}
@@ -208,6 +204,7 @@ def test_steinberg_weights(name):
         seen[ev] = v
         moved = W.act(v, ev)
         assert isDominant(moved) and all(x in (0, 1) for x in moved)
+        assert W.theta(v) == moved
         dom, w = W.toDominant(ev)
         assert dom == moved
         assert w == W.inverse(v)
