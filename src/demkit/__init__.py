@@ -64,7 +64,6 @@ from .ktheory import (
     orthogonalityCheck,
     parabolicChecks,
     xClass,
-    xHatClass,
 )
 from .exprlang import EvalContext, ParseError, evalExpr, parse, printExpr
 
@@ -81,6 +80,6 @@ __all__ = [
     "isSteinbergWeight", "steinbergDecompose", "steinbergDecomposeChar",
     "uniformChoices",
     "alphaEntry", "betaEntry", "eulerPair", "gramCheck", "indPQMatrix",
-    "orthogonalityCheck", "parabolicChecks", "xClass", "xHatClass",
+    "orthogonalityCheck", "parabolicChecks", "xClass",
     "EvalContext", "ParseError", "evalExpr", "parse", "printExpr",
 ]

@@ -191,7 +191,8 @@ def decomposeWeylBasis(W: WeylGroup, f: Character) -> GClassExpansion:
     """
     wit = isInvariant(W, f)
     if wit is not None:
-        raise ValueError(f"character is not W-invariant: weights {wit[0]} vs {wit[1]}")
+        raise ValueError(f"character is not W-invariant: weights "
+                         f"{clip(str(wit[0]))} vs {clip(str(wit[1]))}")
     return gSorted(W, alternantCoeffs(W, f))
 
 

@@ -7,11 +7,8 @@ Two commands:
 
 Suite reports are JSON by default; every check row carries a name, a status,
 and a witness string that is empty on success and otherwise names the last
-failure in scan order (ktheory.verdict), with three exceptions:
-indpq-triangular and orthogonality name the first failure, the Steinberg
-weight-list check the sorted symmetric difference of its weight sets, and
-word-independence the last failure in its documented block order.  The
-process exits 0 only if every check passed.
+failure in scan order (ktheory.verdict).  The process exits 0 only if every
+check passed.
 
 A suite's extras are JSON values or Characters.  This module alone turns a
 character into text: JSON output, reports and eval payloads alike, comes
@@ -188,10 +185,11 @@ def _suiteXclassGram(W: WeylGroup, order):
 def _suiteDualConjecture(W: WeylGroup):
     rows, failures = [], []
     for v in W.elements():
-        try:
-            rows.append(kt.dualConjectureCheck(W, v))
-        except AssertionError as e:
-            failures.append(str(e))
+        row = kt.dualConjectureCheck(W, v)
+        if row["identity"] == "pass":
+            rows.append(row)
+        else:
+            failures.append(row["identity"])
     holds = sum(1 for r in rows if r["conjectureHolds"])
     checks = [kt.verdict("dual-sign-identity", failures)]
     extras = {"rows": rows, "conjectureHoldsCount": holds, "elements": W.size}
@@ -229,12 +227,12 @@ def _suiteWordIndependence(W: WeylGroup, rng: random.Random):
         got = dz.demWords(W, words, f)
         fails += [(block, k, n) for n, (block, _, a, b) in enumerate(pairs)
                   if got[a] != got[b]]
-    witness = ""
-    if fails:
-        _, w, a, b = pairs[max(fails)[2]]
-        witness = (f"{kt.wordStr(W, w)} word {b}" if W.sys.name in RANK2
-                   else f"{kt.wordStr(W, w)}: {a} vs {b}")
-    return [("word-independence", not fails, witness)], {"comparisons": comparisons}
+    witnesses = []
+    for _, _, n in sorted(fails):
+        _, w, a, b = pairs[n]
+        witnesses.append(f"{kt.wordStr(W, w)} word {b}" if W.sys.name in RANK2
+                         else f"{kt.wordStr(W, w)}: {a} vs {b}")
+    return [kt.verdict("word-independence", witnesses)], {"comparisons": comparisons}
 
 
 def _types(*names: str):

@@ -25,7 +25,6 @@ from demkit.ktheory import (
     tensorDecompCheck,
     triangularityChecks,
     xClass,
-    xHatClass,
 )
 from demkit.rootsystem import fundamental, rho, subW, zero
 from demkit.weyl import weylGroup
@@ -161,7 +160,7 @@ def test_c09_parabolic():
             assert all(ok for _, ok, _ in checks), (name, piP, checks)
             _, minimal, _ = W.parabolicData(piP)
             for v in minimal:
-                assert xHatClass(W, v, piP) == xClass(W, v), (name, piP, v)
+                assert xClass(W, v, None, piP) == xClass(W, v), (name, piP, v)
     passLine(9, "parabolic",
              "induction matrices and classes agree on minimal reps, "
              "both maximal parabolics of A2/B2",

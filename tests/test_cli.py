@@ -163,6 +163,50 @@ def test_check_witness_names_the_last_failure(monkeypatch):
                       ("q-twist-on-grid", False, "(1, -2)")]
 
 
+def test_dual_sign_failure_keeps_its_report(capsys, monkeypatch):
+    # a wrong sign at e drops e's row and names it as the witness
+    euler, calls = kt.eulerChar, []
+
+    def firstNegated(W, f):
+        calls.append(f)
+        return -euler(W, f) if len(calls) == 1 else euler(W, f)
+
+    monkeypatch.setattr(kt, "eulerChar", firstNegated)
+    witness = "sign identity fails at e: e[0] vs -e[0]"
+    code, out, _ = run(capsys, "suite", "dual-conjecture-report", "--type", "A1", "--no-cache")
+    assert code == 1
+    assert out == json.dumps({
+        "checks": [{"name": "dual-sign-identity", "status": "fail", "witness": witness}],
+        "conjectureHoldsCount": 1,
+        "context": {"order": "default", "parabolic": [], "type": "A1"},
+        "elements": 2,
+        "failures": ["dual-sign-identity"],
+        "rows": [{"conjectureHolds": True, "identity": "pass",
+                  "pairingValue": [{"c": 1, "w": [0]}], "v": "s1"}],
+        "seed": cli.SEED,
+        "suite": "dual-conjecture-report",
+        "version": cli.__version__,
+    }, indent=2, sort_keys=True) + "\n"
+    calls.clear()
+    code, out, _ = run(capsys, "suite", "dual-conjecture-report", "--type", "A1", "--no-cache",
+                       "--format", "pretty")
+    assert (code, out) == (1, f"FAIL  dual-sign-identity  [{witness}]\n"
+                              "0/1 checks passed (dual-conjecture-report, A1)\n")
+
+
+def test_dual_conjecture_internal_fault_propagates(tmp_path, monkeypatch):
+    # an AssertionError under the suite is a fault of the program, not a
+    # failed check: it leaves main, and no report is printed or cached
+    def broken(*args):
+        raise AssertionError("residual left at [3] after the solve")
+
+    monkeypatch.setattr(kt, "pairingsWithP", broken)
+    with pytest.raises(AssertionError, match="residual left"):
+        main(["suite", "dual-conjecture-report", "--type", "A2",
+              "--cache-dir", str(tmp_path)])
+    assert os.listdir(tmp_path) == []
+
+
 def test_suite_pretty_summary_line(capsys):
     code, out, _ = run(capsys, "suite", "tensor-decomp", "--type", "B2",
                        "--format", "pretty")
@@ -474,6 +518,17 @@ def test_non_dominant_chi_weight_is_echoed_short(capsys):
     assert len(want[2]) < 120
     for src in (f"chi([-1,{n}])", f"decomposeG(chi([-1,{n}]))"):
         assert run(capsys, "eval", src, "--type", "A2", "--no-cache") == want, src
+
+
+def test_non_invariant_weights_are_echoed_short(capsys):
+    # the invariance refusal clips each weight of its witnessing pair as the
+    # dominance refusal clips its weight; s1 maps (a, 0) to (-a, a) on A2
+    n = LONG["3000"]
+    a = int(n)
+    want = (2, "", "demkit: character is not W-invariant: weights "
+                   f"{clip(str((a, 0)))} vs {clip(str((-a, a)))}\n")
+    assert len(want[2]) < 250
+    assert run(capsys, "eval", f"decomposeG(e([{n},0]))", "--type", "A2", "--no-cache") == want
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,7 +3,9 @@ linter needed): every imported name is used, every global name a module
 refers to exists, every private function or class is referred to, the
 package imports only the standard library and itself, only rootsystem,
 which builds its scaled integer matrices through exact rationals, imports
-fractions, no module has an assert statement (python -O strips them), every
+fractions, no module has an assert statement (python -O strips them), no
+except clause is bare or names AssertionError or Exception (an internal fault
+must surface, never pass as a failed check or a usage error), every
 text-mode open names its encoding, and no module decodes JSON.  The module
 doctests run here too, and every function the benchmark's tracer
 (bench/tracer.py) wraps must still resolve."""
@@ -154,6 +156,23 @@ def test_no_assert_statements():
     found = [(module, node.lineno) for module in MODULES
              for node in ast.walk(tree(module)) if isinstance(node, ast.Assert)]
     assert found == [], f"assert statements (module, line): {found}"
+
+
+def test_no_broad_except_clauses():
+    """No except clause is bare or catches AssertionError or Exception, alone
+    or in a tuple: the package raises AssertionError for a broken invariant,
+    and a handler that caught it would turn a fault into an answer."""
+    broad = {"AssertionError", "Exception"}
+    found = []
+    for module in MODULES:
+        for node in ast.walk(tree(module)):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            names = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if node.type is None or any(
+                    isinstance(n, ast.Name) and n.id in broad for n in names):
+                found.append((module, node.lineno))
+    assert found == [], f"broad except clauses (module, line): {found}"
 
 
 def isOpenCall(node: ast.Call) -> bool:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -32,10 +33,9 @@ from demkit.ktheory import (
     triangularityChecks,
     wordStr,
     xClass,
-    xHatClass,
 )
 from demkit.rootsystem import negW, rho, rootSystem, zero
-from demkit.steinberg import Q, steinbergDecomposeChar, uniformChoices
+from demkit.steinberg import Q, QHAT, steinbergDecomposeChar, uniformChoices
 from demkit.weyl import WeylGroup, weylGroup
 from oracles import (
     alphaEntryTwoSums,
@@ -258,7 +258,7 @@ def test_xhat_requires_minimal_rep():
     piP = (0,)
     s1 = W.rmul(0, 0)
     with pytest.raises(ValueError):
-        xHatClass(W, s1, piP)
+        xClass(W, s1, None, piP)
 
 
 def test_xhat_refuses_stray_coefficient(monkeypatch):
@@ -276,7 +276,7 @@ def test_xhat_refuses_stray_coefficient(monkeypatch):
 
     monkeypatch.setattr(kt, "steinbergDecompose", withStray)
     with pytest.raises(AssertionError, match="outside the minimal representatives"):
-        xHatClass(W, 0, piP)
+        xClass(W, 0, None, piP)
 
 
 def test_parabolic_degenerate_cases():
@@ -286,7 +286,28 @@ def test_parabolic_degenerate_cases():
     # full parabolic: one coset, one class, equal to the unit
     wp, minimal, w0p = W.parabolicData((0, 1))
     assert minimal == [0]
-    assert xHatClass(W, 0, (0, 1)) == Character.monomial(zero(W.sys))
+    assert xClass(W, 0, None, (0, 1)) == Character.monomial(zero(W.sys))
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3"])
+def test_parabolic_classes_match_borel_on_every_proper_subset(name):
+    # the G/P class at a minimal coset representative is the G/B one, for
+    # every nonempty proper subset of the simple reflections
+    W = weylGroup(name)
+    for r in range(1, W.sys.rank):
+        for piP in itertools.combinations(range(W.sys.rank), r):
+            for p in W.parabolicData(piP)[1]:
+                assert xClass(W, p, None, piP) == xClass(W, p), (name, piP, wordStr(W, p))
+
+
+def test_borel_classes_build_no_parabolic_layers():
+    # with no parabolic, the classes read the Q layers and the (v, Q, None)
+    # basis rows only: no Qhat character and no QHAT row is built
+    W = WeylGroup(rootSystem("B3"))
+    for p in W.elements():
+        xClass(W, p)
+    assert "Qhat" not in {key[0] for key in W.memo}
+    assert not [key for key in W.memo[("stxrow",)] if QHAT in key]
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3", "A4", "D4"])
@@ -381,8 +402,8 @@ def test_gram_cross_check_catches_a_dropped_coefficient(monkeypatch):
     dropped = []
     xCoefficients = kt._xCoefficients
 
-    def dropFirstNonScalar(W, p, order):
-        got = xCoefficients(W, p, order)
+    def dropFirstNonScalar(W, p, order, *rest):
+        got = xCoefficients(W, p, order, *rest)
         for b, c in got.items():
             if set(c) != scalar and not dropped:
                 dropped.append((p, b, c))
@@ -431,6 +452,31 @@ def test_indpq_check_reports_tampered_entries():
     m = indPQMatrix(W)
     m[0][1] = Character({(1, 0): 1, (0, -1): -1})
     assert indPQCheck(W, m) == [("indpq-unitriangular", False, "(e,s1): -e[0,-1]+e[1,0]")]
+
+
+def test_indpq_check_names_the_later_of_two_tampered_cells():
+    # the scan runs to the end: a tampered diagonal in the first row and an
+    # off-support cell in a later row give the later cell as the witness
+    W = weylGroup("A2")
+    m = indPQMatrix(W)
+    m[0][0] = Character.monomial((0, 0), 2)
+    m[1][2] = Character.monomial((1, 0))
+    assert indPQCheck(W, m) == [("indpq-unitriangular", False,
+                                 f"({wordStr(W, 1)},{wordStr(W, 2)}): e[1,0]")]
+
+
+def test_orthogonality_names_the_later_of_two_failing_cells(monkeypatch):
+    # a far monomial added to alpha(s1, s1) in A1 breaks the cells (v, s1)
+    # whose beta(v, s1) is nonzero, that is (e, s1) and then (s1, s1)
+    W = weylGroup("A1")
+    s1 = W.w0
+    assert betaEntry(W, 0, s1) and betaEntry(W, s1, s1)
+    entry = kt.alphaEntry
+    monkeypatch.setattr(kt, "alphaEntry", lambda W, w, y: entry(W, w, y) + (
+        Character.monomial((5,)) if (w, y) == (s1, s1) else Character.zero()))
+    [(name, ok, witness)] = orthogonalityCheck(W)
+    assert (name, ok) == ("orthogonality", False)
+    assert witness.startswith("(s1,s1): sum "), witness
 
 
 def test_gram_check_reports_tampered_entries():

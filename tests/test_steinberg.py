@@ -156,8 +156,8 @@ def test_matches_per_choice_map_oracle(name):
 
 @pytest.mark.parametrize("name,piP", [("A2", (0,)), ("B2", (1,)), ("B3", (0, 2))])
 def test_parabolic_maps_match_per_choice_map_oracle(name, piP):
-    # the choice maps xHatClass builds: QHAT on minimal coset representatives
-    # at or after p, PSTAR everywhere else
+    # the choice maps xClass builds for a parabolic: QHAT on minimal coset
+    # representatives at or after p, PSTAR everywhere else
     W = weylGroup(name)
     _, minimal, _ = W.parabolicData(piP)
     for p in minimal:
