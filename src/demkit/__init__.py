@@ -27,7 +27,6 @@ from .characters import (
     compact,
     decomposeWeylBasis,
     dual,
-    expandGClass,
     pretty,
     weylActionChar,
 )
@@ -42,6 +41,7 @@ from .demazure import (
     demStep,
     demWord,
     eulerChar,
+    expandGClass,
 )
 from .steinberg import (
     PSTAR,

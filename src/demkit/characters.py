@@ -3,8 +3,9 @@
 A Character maps weight tuples to nonzero integers.  Ring operations are
 exact; coefficients are Python ints so nothing overflows silently.  An
 element of the representation ring R(G) is kept as irreducible
-multiplicities (a GClassExpansion), with gAddMul and gDual as its product
-and dual.
+multiplicities (a GClassExpansion): alternantCoeffs reads them off a
+character and gDual dualizes them.  Their product and their expansion back
+to a character need chi(lam), so they live beside it in demazure.
 
 >>> a = Character.monomial((1, 0))
 >>> b = Character.monomial((0, 1), 2)
@@ -207,54 +208,6 @@ def gSorted(W: WeylGroup, mult: GClassExpansion) -> GClassExpansion:
 def gDual(W: WeylGroup, h: GClassExpansion) -> GClassExpansion:
     """Dual in R(G): chi(lam)^* = chi(-w0 lam)."""
     return {negW(W.act(W.w0, lam)): m for lam, m in h.items()}
-
-
-def gAddMul(W: WeylGroup, acc: GClassExpansion, h: GClassExpansion,
-            k: GClassExpansion) -> None:
-    """acc += h k in R(G), in place, dropping every multiplicity that cancels.
-
-    A factor chi(0) is a scaling.  Any other chi(lam) chi(mu) is
-    Brauer-Klimyk: the alternant of the irreducible of lower height shifted
-    by the other highest weight (alternantCoeffs), memoised per group in the
-    ("stxprod",) family of W.memo.
-    """
-    products = W.memo.get(("stxprod",))
-    if products is None:
-        products = W.memo[("stxprod",)] = {}
-    for lam, a in h.items():
-        if not any(lam):
-            addMul(acc, k, a)
-            continue
-        for mu, b in k.items():
-            if not any(mu):
-                addMul(acc, {lam: a}, b)
-                continue
-            key = (lam, mu) if lam <= mu else (mu, lam)
-            terms = products.get(key)
-            if terms is None:
-                terms = products[key] = _bkProduct(W, *key)
-            addMul(acc, terms, a * b)
-
-
-def _bkProduct(W: WeylGroup, lam: Weight, mu: Weight) -> GClassExpansion:
-    """chi(lam) chi(mu), expanding the irreducible of lower height."""
-    from . import demazure
-
-    sys = W.sys
-    if (heightScaled(sys, lam), lam) > (heightScaled(sys, mu), mu):
-        lam, mu = mu, lam
-    return alternantCoeffs(W, demazure.charNabla(W, lam), mu)
-
-
-def expandGClass(W: WeylGroup, coeffs: GClassExpansion) -> Character:
-    """Inverse of decomposeWeylBasis: assemble the invariant character."""
-    from . import demazure
-
-    r = Character.__new__(Character)
-    r.terms = acc = {}
-    for lam, m in coeffs.items():
-        addMul(acc, demazure.charNabla(W, lam).terms, m)
-    return r
 
 
 # -- text forms (JSON term rows are written by cli) ----------------------------

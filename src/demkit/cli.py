@@ -244,10 +244,6 @@ def _maxSize(n: int):
     return lambda W: None if W.size <= n else f"needs |W| <= {n}; {W.sys.name} has {W.size}"
 
 
-def _maxRank(r: int):
-    return lambda W: None if W.sys.rank <= r else f"supports rank <= {r}; got {W.sys.name}"
-
-
 # name -> (gate, runner).  A gate returns None for a Weyl group the suite
 # accepts and otherwise the reason it does not; a runner takes
 # (W, piP, order, rng) and returns (checks, extras), the extras a dict of
@@ -264,17 +260,17 @@ SUITES = {
     "triang-alphabeta": (
         _maxSize(48), lambda W, piP, order, rng: _suiteTriang(W, rng)),
     "orthogonality": (
-        _maxRank(2), lambda W, *_: (kt.orthogonalityCheck(W), {})),
+        _maxSize(12), lambda W, *_: (kt.orthogonalityCheck(W), {})),
     "xclass-gram": (
-        _maxRank(3), lambda W, piP, order, rng: _suiteXclassGram(W, order)),
+        _maxSize(48), lambda W, piP, order, rng: _suiteXclassGram(W, order)),
     "parabolic": (
-        _maxRank(3), lambda W, piP, order, rng: (
+        _maxSize(48), lambda W, piP, order, rng: (
             kt.parabolicChecks(W, piP, order),
             {"minimalReps": len(W.parabolicData(piP)[1])})),
     "rank2-bundles": (
         _types(*RANK2), lambda W, *_: (kt.rank2BundleChecks(W), {})),
     "dual-conjecture-report": (
-        _maxRank(3), lambda W, *_: _suiteDualConjecture(W)),
+        _maxSize(48), lambda W, *_: _suiteDualConjecture(W)),
     "word-independence": (
         _types(*RANK2, "B3"), lambda W, piP, order, rng: _suiteWordIndependence(W, rng)),
 }
@@ -317,9 +313,14 @@ def _termRows(nl: str, key: str, terms: dict) -> str:
     return "[" + inner + ("," + inner).join(rows) + nl + "]"
 
 
-def _json(o, nl: str) -> str:
-    """o as _jsonText writes it, nl being the newline and indent of the
-    line o starts on."""
+def _jsonText(o, nl: str = "\n") -> str:
+    """The text json.dumps(o, sort_keys=True) writes with an indent of 2,
+    byte for byte, for the values reports and eval payloads are made of:
+    dicts with str keys, lists, str, int, bool and None; nl is the newline
+    and indent of the line o starts on.  A Character is written as the JSON
+    of its term rows, [{"c": coeff, "w": [weight]}, ...] in weight order
+    (_termRows).  Any other type raises TypeError, where json.dumps would
+    write a float or a tuple."""
     t = type(o)
     if t is str:
         return _jsonStr(o)
@@ -331,29 +332,19 @@ def _json(o, nl: str) -> str:
     if t is list:
         if not o:
             return "[]"
-        return "[" + inner + ("," + inner).join(_json(x, inner) for x in o) + nl + "]"
+        return "[" + inner + ("," + inner).join(_jsonText(x, inner) for x in o) + nl + "]"
     if t is dict:
         if not o:
             return "{}"
         if set(map(type, o)) - {str}:
             raise TypeError("report JSON keys must be str")
         return "{" + inner + ("," + inner).join(
-            _jsonStr(k) + ": " + _json(o[k], inner) for k in sorted(o)) + nl + "}"
+            _jsonStr(k) + ": " + _jsonText(o[k], inner) for k in sorted(o)) + nl + "}"
     if o is None:
         return "null"
     if t is bool:
         return "true" if o else "false"
     raise TypeError(f"cannot write {t.__name__} as report JSON")
-
-
-def _jsonText(obj) -> str:
-    """The text json.dumps(obj, sort_keys=True) writes with an indent of 2,
-    byte for byte, for the values reports and eval payloads are made of:
-    dicts with str keys, lists, str, int, bool and None.  A Character is
-    written as the JSON of its term rows, [{"c": coeff, "w": [weight]}, ...]
-    in weight order (_termRows).  Any other type raises TypeError, where
-    json.dumps would write a float or a tuple."""
-    return _json(obj, "\n")
 
 
 def _renderEval(kind: str, terms: dict, fmt: str) -> str:

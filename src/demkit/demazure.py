@@ -31,6 +31,10 @@ inclusion-exclusion over the boundary that defines them is a test oracle
 only.  The Euler characteristic (the longest operator) of an arbitrary
 character instead follows the Weyl character formula: e^mu goes to
 (-1)^l(w) chi(w^-1(mu + rho) - rho), or to 0 when mu + rho lies on a wall.
+
+The R(G) routines that need chi(lam) live here too: expandGClass turns
+irreducible multiplicities back into the character sum of m chi(lam), and
+gAddMul multiplies two such sums, each chi(lam) chi(mu) by Brauer-Klimyk.
 """
 from __future__ import annotations
 
@@ -38,7 +42,7 @@ from functools import reduce
 from math import isqrt
 from operator import add, mul, or_, sub
 
-from .characters import Character, addMul, alternantCoeffs, clip, expandGClass
+from .characters import Character, GClassExpansion, addMul, alternantCoeffs, clip
 from .rootsystem import (
     Weight,
     heightScaled,
@@ -251,6 +255,50 @@ def _freudenthal(W: WeylGroup, lam: Weight) -> Character:
                         nxt.append(y)
             layer = nxt
     return _unpack(mult, bound, mask, shifts)
+
+
+def expandGClass(W: WeylGroup, coeffs: GClassExpansion) -> Character:
+    """Inverse of decomposeWeylBasis: assemble the invariant character."""
+    r = Character.__new__(Character)
+    r.terms = acc = {}
+    for lam, m in coeffs.items():
+        addMul(acc, charNabla(W, lam).terms, m)
+    return r
+
+
+def gAddMul(W: WeylGroup, acc: GClassExpansion, h: GClassExpansion,
+            k: GClassExpansion) -> None:
+    """acc += h k in R(G), in place, dropping every multiplicity that cancels.
+
+    A factor chi(0) is a scaling.  Any other chi(lam) chi(mu) is
+    Brauer-Klimyk: the alternant of the irreducible of lower height shifted
+    by the other highest weight (alternantCoeffs), memoised per group in the
+    ("stxprod",) family of W.memo.
+    """
+    products = W.memo.get(("stxprod",))
+    if products is None:
+        products = W.memo[("stxprod",)] = {}
+    for lam, a in h.items():
+        if not any(lam):
+            addMul(acc, k, a)
+            continue
+        for mu, b in k.items():
+            if not any(mu):
+                addMul(acc, {lam: a}, b)
+                continue
+            key = (lam, mu) if lam <= mu else (mu, lam)
+            terms = products.get(key)
+            if terms is None:
+                terms = products[key] = _bkProduct(W, *key)
+            addMul(acc, terms, a * b)
+
+
+def _bkProduct(W: WeylGroup, lam: Weight, mu: Weight) -> GClassExpansion:
+    """chi(lam) chi(mu), expanding the irreducible of lower height."""
+    sys = W.sys
+    if (heightScaled(sys, lam), lam) > (heightScaled(sys, mu), mu):
+        lam, mu = mu, lam
+    return alternantCoeffs(W, charNabla(W, lam), mu)
 
 
 def charP(W: WeylGroup, lam: Weight) -> Character:

@@ -35,7 +35,6 @@ from .characters import (
     clip,
     decomposeWeylBasis,
     dual,
-    gAddMul,
     gDual,
     gSorted,
 )
@@ -396,7 +395,7 @@ def _evalG(node, ctx: EvalContext) -> GClassExpansion:
     b = _evalG(node[2], ctx)
     acc: GClassExpansion = {}
     if kind == "mul":
-        gAddMul(W, acc, a, b)
+        _dz.gAddMul(W, acc, a, b)
     else:
         addMul(acc, a, 1)
         addMul(acc, b, 1 if kind == "add" else -1)

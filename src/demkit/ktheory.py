@@ -30,21 +30,18 @@ from .characters import (
     compact,
     decomposeWeylBasis,
     dual,
-    expandGClass,
-    gAddMul,
     gDual,
     isInvariant,
     weylActionChar,
 )
 from .demazure import (
     charNabla,
-    charP,
-    charQ,
-    charQhat,
     charSections,
     demStep,
     demWords,
     eulerChar,
+    expandGClass,
+    gAddMul,
     lowerSetMask,
 )
 from .rootsystem import fundamental, negW, rho, subW, zero
@@ -102,7 +99,7 @@ def pairingsWithP(W: WeylGroup, vs, gs: dict) -> dict[tuple, GClassExpansion]:
 
 def _qChars(W: WeylGroup, ws) -> dict[int, Character]:
     """The layer characters Q(e_w), keyed by w."""
-    return {w: charQ(W, W.steinbergWeight(w)) for w in ws}
+    return {w: basisCharacter(W, w, Q) for w in ws}
 
 
 def indPQMatrix(W: WeylGroup) -> list[list[Character]]:
@@ -214,7 +211,7 @@ def _xCoefficients(
     layer = QHAT if piP else Q
     choices = {v: (layer if v in minset and pos[v] >= pos[p] else PSTAR)
                for v in W.elements()}
-    raw = steinbergDecompose(W, dual(charP(W, negW(W.steinbergWeight(p)))), choices, piP)
+    raw = steinbergDecompose(W, basisCharacter(W, p, PSTAR), choices, piP)
     stray = sorted(v for v in raw if v not in minset)
     if stray:
         raise AssertionError(f"nonzero coefficients outside the minimal representatives: {stray}")
@@ -328,8 +325,7 @@ def parabolicChecks(
     matches the full-flag one; (b) the parabolic classes coincide with the
     plain ones."""
     wp, minimal, w0p = W.parabolicData(piP)
-    hat = pairingsWithP(
-        W, minimal, {w: charQhat(W, W.steinbergWeight(w), piP) for w in minimal})
+    hat = pairingsWithP(W, minimal, {w: basisCharacter(W, w, QHAT, piP) for w in minimal})
     plain = pairingsWithP(W, minimal, _qChars(W, minimal))
     tables = [
         f"({wordStr(W, v)},{wordStr(W, w)}): "
@@ -358,7 +354,7 @@ def dualConjectureCheck(W: WeylGroup, v: int) -> dict:
     if lhs != expected:
         return {"identity": f"sign identity fails at {wordStr(W, v)}: "
                             f"{compact(lhs)} vs {compact(expected)}"}
-    g = charQ(W, ew0v) * Character.monomial(negW(rho(W.sys)))
+    g = basisCharacter(W, w0v, Q) * Character.monomial(negW(rho(W.sys)))
     strong = pairingsWithP(W, [v], {0: g})[(v, 0)]
     return {
         "v": wordStr(W, v),

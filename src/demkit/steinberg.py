@@ -30,7 +30,7 @@ The expansion has three parts, none of which depends on the choice map:
 
 Every product of two R(G) values, the pivot's chi(omega_j) times a UNIT
 coefficient and a solved coefficient times a row, is one Brauer-Klimyk
-product (characters.gAddMul); no invariant character is ever multiplied.
+product (demazure.gAddMul); no invariant character is ever multiplied.
 """
 from __future__ import annotations
 
@@ -39,11 +39,9 @@ from .characters import (
     GClassExpansion,
     addMul,
     dual,
-    expandGClass,
-    gAddMul,
     gSorted,
 )
-from .demazure import charNabla, charP, charQ, charQhat
+from .demazure import charNabla, charP, charQ, charQhat, expandGClass, gAddMul
 from .rootsystem import Weight, fundamental, negW, norm2Scaled, zero
 from .weyl import WeylGroup
 

@@ -11,15 +11,13 @@ from demkit.characters import (
     compact,
     decomposeWeylBasis,
     dual,
-    expandGClass,
-    gAddMul,
     gDual,
     gSorted,
     isInvariant,
     pretty,
     weylActionChar,
 )
-from demkit.demazure import charNabla
+from demkit.demazure import charNabla, expandGClass, gAddMul
 from demkit.rootsystem import fundamental, isDominant, rho, rootSystem
 from demkit.weyl import weylGroup
 from oracles import TYPES, decomposeGreedy, extremalWeights, height

@@ -245,7 +245,7 @@ def test_suite_gates(capsys):
         assert accepted == set(ACCEPTED_TYPES[name].split()), name
     for argv, msg in [
         (("indpq-triangular", "F4"), "needs |W| <= 48; F4 has 1152"),
-        (("orthogonality", "A3"), "supports rank <= 2; got A3"),
+        (("orthogonality", "A3"), "needs |W| <= 12; A3 has 24"),
         (("word-independence", "C3"), "supports A2, B2, G2, B3; got C3"),
     ]:
         code, out, err = run(capsys, "suite", argv[0], "--type", argv[1])

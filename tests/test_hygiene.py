@@ -6,9 +6,9 @@ which builds its scaled integer matrices through exact rationals, imports
 fractions, no module has an assert statement (python -O strips them), no
 except clause is bare or names AssertionError or Exception (an internal fault
 must surface, never pass as a failed check or a usage error), every
-text-mode open names its encoding, and no module decodes JSON.  The module
-doctests run here too, and every function the benchmark's tracer
-(bench/tracer.py) wraps must still resolve."""
+text-mode open names its encoding, no module decodes JSON, and every import
+sits at module level.  The module doctests run here too, and every function
+the benchmark's tracer (bench/tracer.py) wraps must still resolve."""
 from __future__ import annotations
 
 import ast
@@ -215,6 +215,20 @@ def test_no_json_decoding():
                 found += [(module, node.lineno) for a in node.names
                           if a.name in ("load", "loads")]
     assert found == [], f"json decoding (module, line): {found}"
+
+
+def test_no_import_inside_a_body():
+    """Every import sits at module level: one inside a function or class
+    body hides a dependency (two modules importing each other) from the
+    module's import list."""
+    found = set()
+    for module in MODULES:
+        for node in ast.walk(tree(module)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found |= {(module, n.lineno) for n in ast.walk(node)
+                          if isinstance(n, (ast.Import, ast.ImportFrom))}
+    found = sorted(found)
+    assert found == [], f"imports inside a function or class body (module, line): {found}"
 
 
 def test_traced_names_resolve():

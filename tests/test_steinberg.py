@@ -11,8 +11,8 @@ import textwrap
 import pytest
 
 import demkit.rootsystem as rootsystem
-from demkit.characters import Character, decomposeWeylBasis, dual, expandGClass, gSorted
-from demkit.demazure import charNabla, charP
+from demkit.characters import Character, decomposeWeylBasis, dual, gSorted
+from demkit.demazure import charNabla, charP, expandGClass
 from demkit.rootsystem import negW, rho, rootSystem, zero
 from demkit.steinberg import (
     PSTAR,
@@ -334,7 +334,8 @@ def test_recursion_limit_restored():
 
 OPTIMIZED_SCRIPT = textwrap.dedent("""
     import itertools
-    from demkit.characters import Character, expandGClass
+    from demkit.characters import Character
+    from demkit.demazure import expandGClass
     import demkit.steinberg as st
     from demkit.steinberg import (
         PSTAR, Q, UNIT, basisCharacter, steinbergDecompose, steinbergDecomposeChar,
