@@ -173,13 +173,8 @@ def _suiteTriang(W: WeylGroup, rng: random.Random):
 
 
 def _suiteXclassGram(W: WeylGroup, order):
-    table = kt.gramTable(W, order)
-    checks, below = kt.gramCheck(W, order, table)
-    extras = {
-        "belowDiagonalNonzero": below,
-        "sameLengthPairs": kt.sameLengthPairReport(W, order, table),
-    }
-    return checks, extras
+    checks, below, pairs = kt.gramCheck(W, order)
+    return checks, {"belowDiagonalNonzero": below, "sameLengthPairs": pairs}
 
 
 def _suiteDualConjecture(W: WeylGroup):

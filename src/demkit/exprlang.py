@@ -22,7 +22,7 @@ other argument is evaluated as a character and then decomposed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 
 from . import demazure as _dz
@@ -38,7 +38,6 @@ from .characters import (
     gDual,
     gSorted,
 )
-from .weyl import WeylGroup
 
 CHAR = "char"
 WEIGHT = "weight"
@@ -96,12 +95,7 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass
-class _Tok:
-    kind: str
-    text: str
-    line: int
-    col: int
+_Tok = namedtuple("_Tok", "kind text line col")
 
 
 def _tokenize(src: str) -> list[_Tok]:
@@ -340,11 +334,8 @@ def printExpr(node) -> str:
     return f"{kind}(" + ", ".join(printExpr(a) for a in node[1:]) + ")"
 
 
-@dataclass
-class EvalContext:
-    W: WeylGroup
-    piP: tuple[int, ...] = ()
-    order: list[int] | None = None
+# W: WeylGroup, piP: tuple[int, ...], order: list[int] | None
+EvalContext = namedtuple("EvalContext", "W piP order", defaults=((), None))
 
 
 def _weight(ctx: EvalContext, node) -> tuple[int, ...]:

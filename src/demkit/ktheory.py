@@ -10,9 +10,10 @@ where a report prints an entry):
   adjointness: chi(pi_w(f) g) = chi(f pi_{w^-1}(g)), so pairing with
   P_v = pi_u(e^dom) is the alternant of pi_{u^-1}(g) shifted by dom
   (pairingsWithP);
-* the Gram table of the exceptional classes by the projection formula:
+* the Gram matrix of the exceptional classes by the projection formula:
   chi(h f) = h chi(f) for invariant h, so only the Gram table of the layer
-  characters is a product of characters (gramTable).
+  characters is a product of characters; it is computed and checked one row
+  at a time (gramRows, gramCheck).
 
 The transition entries are differences of section characters over unions of
 Schubert varieties, with the weight theta_v = v e_v of the v-th row, the sum
@@ -233,60 +234,57 @@ def xClass(
     return out
 
 
-def gramTable(
-    W: WeylGroup, order: list[int] | None = None
-) -> dict[tuple[int, int], GClassExpansion]:
-    """The Euler pairings chi(dual(x_v) x_w) of the exceptional classes, for
-    every ordered pair, in R(G) coordinates.
+def gramRows(W: WeylGroup, order: list[int] | None = None):
+    """The Euler pairings chi(dual(x_v) x_w) of the exceptional classes in
+    R(G) coordinates, one row at a time: (v, {w: entry}) for v in order,
+    w in order, None meaning the id order.
 
     Projection formula: x_p = sum_b c_{p,b} Q_b with W-invariant c_{p,b}, and
     chi(h f) = h chi(f) for invariant h, so the entry is
-    sum_a dual(c_{v,a}) (sum_b c_{w,b} M_ab) with M_ab = chi(dual(Q_a) Q_b).
+    sum_b c_{w,b} (sum_a dual(c_{v,a}) M_ab) with M_ab = chi(dual(Q_a) Q_b).
     The coefficients are few and mostly scalars, so the only products of
     characters are the entries of the small layer Gram table M.
     """
     order = W.elements() if order is None else order
     coeffs = {p: _xCoefficients(W, p, order) for p in order}
-    duals = {p: {a: gDual(W, c) for a, c in cp.items()} for p, cp in coeffs.items()}
-    support = sorted({a for cp in coeffs.values() for a in cp})
+    support = sorted({b for cp in coeffs.values() for b in cp})
     layers = _qChars(W, support)
     qGram: dict[tuple[int, int], GClassExpansion] = {}
-    table = {}
-    for w in order:
-        # inner[a] = sum_b c_{w,b} M_ab
-        inner: dict[int, GClassExpansion] = {}
-        for a in support:
+    for v in order:
+        duals = {a: gDual(W, c) for a, c in coeffs[v].items()}
+        # outer[b] = sum_a dual(c_{v,a}) M_ab
+        outer: dict[int, GClassExpansion] = {}
+        for b in support:
             acc: dict = {}
-            for b, c in coeffs[w].items():
+            for a, c in duals.items():
                 m = qGram.get((a, b))
                 if m is None:
                     m = qGram[(a, b)] = alternantCoeffs(W, dual(layers[a]) * layers[b])
                 gAddMul(W, acc, c, m)
-            inner[a] = acc
-        for v in order:
+            outer[b] = acc
+        row = {}
+        for w in order:
             acc = {}
-            for a, c in duals[v].items():
-                gAddMul(W, acc, c, inner[a])
-            table[(v, w)] = acc
-    return table
+            for b, c in coeffs[w].items():
+                gAddMul(W, acc, c, outer[b])
+            row[w] = acc
+        yield v, row
 
 
 def gramCheck(
-    W: WeylGroup,
-    order: list[int] | None,
-    table: dict[tuple[int, int], GClassExpansion],
-) -> tuple[list[tuple[str, bool, str]], int]:
-    """Diagonal-1 and upper-zero conditions on the class pairing table
-    gramTable(W, order), None meaning the id order, and the number of nonzero
-    entries strictly below the diagonal, which are unconstrained."""
+    W: WeylGroup, order: list[int] | None = None
+) -> tuple[list[tuple[str, bool, str]], int, list[dict]]:
+    """One pass over gramRows(W, order), None meaning the id order: the
+    diagonal-1 and upper-zero conditions, the number of nonzero entries
+    strictly below the diagonal, which are unconstrained, and the pairings
+    between distinct classes of equal length, emitted for inspection only."""
     order = W.elements() if order is None else order
     pos = {w: k for k, w in enumerate(order)}
     one = {zero(W.sys): 1}
     below = 0
-    failures = []
-    for v in order:
-        for w in order:
-            g = table[(v, w)]
+    failures, pairs = [], []
+    for v, row in gramRows(W, order):
+        for w, g in row.items():
             if v == w and g != one:
                 failures.append(f"diagonal {wordStr(W, v)}: {compact(expandGClass(W, g))}")
             elif pos[w] > pos[v] and g:
@@ -294,28 +292,10 @@ def gramCheck(
                     f"({wordStr(W, v)},{wordStr(W, w)}): {compact(expandGClass(W, g))}")
             elif pos[w] < pos[v] and g:
                 below += 1
-    return [verdict("xclass-gram", failures)], below
-
-
-def sameLengthPairReport(
-    W: WeylGroup,
-    order: list[int] | None,
-    table: dict[tuple[int, int], GClassExpansion],
-) -> list[dict]:
-    """Euler pairings between distinct classes of equal length, from the
-    table gramTable(W, order), None meaning the id order; emitted for
-    inspection only, nothing is asserted about their values."""
-    order = W.elements() if order is None else order
-    rows = []
-    for v in order:
-        for w in order:
             if v != w and W.length[v] == W.length[w]:
-                rows.append({
-                    "v": wordStr(W, v),
-                    "w": wordStr(W, w),
-                    "pairing": expandGClass(W, table[(v, w)]),
-                })
-    return rows
+                pairs.append({"v": wordStr(W, v), "w": wordStr(W, w),
+                              "pairing": expandGClass(W, g)})
+    return [verdict("xclass-gram", failures)], below, pairs
 
 
 def parabolicChecks(
@@ -398,6 +378,14 @@ _TENSOR_LISTS = {
 _FUND_DIMS = {"A2": (3, 3), "B2": (4, 5), "G2": (7, 14)}
 
 
+def _rank2(W: WeylGroup) -> str:
+    """The type name of W, refused unless the rank-2 catalogue covers it."""
+    name = W.sys.name
+    if name not in _STEINBERG_LISTS:
+        raise ValueError(f"the rank-2 catalogue covers A2/B2/G2, not {name}")
+    return name
+
+
 def _tensorListCheck(W: WeylGroup) -> tuple[str, bool, str]:
     failures = []
     for (a, b), want in _TENSOR_LISTS[W.sys.name]:
@@ -407,13 +395,22 @@ def _tensorListCheck(W: WeylGroup) -> tuple[str, bool, str]:
     return verdict("tensor-filtration-lists", failures)
 
 
+def _steinbergListCheck(W: WeylGroup) -> tuple[str, bool, str]:
+    got = {W.steinbergWeight(v) for v in W.elements()}
+    want = _STEINBERG_LISTS[W.sys.name]
+    return verdict("steinberg-weight-list", [str(sorted(got ^ want))] if got != want else [])
+
+
+def steinbergListCheck(W: WeylGroup) -> list[tuple[str, bool, str]]:
+    """The Steinberg weights against the reference list, rank 2 only."""
+    _rank2(W)
+    return [_steinbergListCheck(W)]
+
+
 def tensorDecompCheck(W: WeylGroup) -> list[tuple[str, bool, str]]:
     """Fundamental dimensions and product filtration lists, rank 2 only."""
-    name = W.sys.name
-    if name not in _TENSOR_LISTS:
-        raise ValueError(f"reference lists exist for A2/B2/G2, not {name}")
     failures = []
-    for i, want in enumerate(_FUND_DIMS[name]):
+    for i, want in enumerate(_FUND_DIMS[_rank2(W)]):
         got = augment(charNabla(W, fundamental(W.sys, i)))
         if got != want:
             failures.append(f"dim chi(omega_{i + 1}) = {got}, expected {want}")
@@ -423,25 +420,11 @@ def tensorDecompCheck(W: WeylGroup) -> list[tuple[str, bool, str]]:
 def rank2BundleChecks(W: WeylGroup) -> list[tuple[str, bool, str]]:
     """Rank-2 catalogue: the two-step bundle character, the filtration factor
     lists, and the Steinberg weight lists."""
-    name = W.sys.name
-    if name not in _STEINBERG_LISTS:
-        raise ValueError(f"rank-2 catalogue covers A2/B2/G2, not {name}")
     checks = []
-    if name == "B2":
+    if _rank2(W) == "B2":
         psi = charNabla(W, (1, 0)) - Character.monomial((1, 0))
         got = demStep(W, 0, psi)
         want = Character.monomial((-1, 0)) + Character.monomial((1, -1))
         checks.append(verdict("two-step-bundle-character",
                               [] if got == want else [compact(got)]))
-    checks.append(_tensorListCheck(W))
-    checks.append(steinbergListCheck(W)[0])
-    return checks
-
-
-def steinbergListCheck(W: WeylGroup) -> list[tuple[str, bool, str]]:
-    name = W.sys.name
-    if name not in _STEINBERG_LISTS:
-        raise ValueError(f"reference lists exist for A2/B2/G2, not {name}")
-    got = {W.steinbergWeight(v) for v in W.elements()}
-    want = _STEINBERG_LISTS[name]
-    return [verdict("steinberg-weight-list", [str(sorted(got ^ want))] if got != want else [])]
+    return checks + [_tensorListCheck(W), _steinbergListCheck(W)]

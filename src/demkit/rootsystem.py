@@ -22,7 +22,7 @@ is one integer linear form, stored once: the scaled matrix's column sums.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction as Q
 from math import lcm
 from operator import mul
@@ -89,17 +89,17 @@ def _scaled(mat: list[list[Q]]) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(tuple(int(x * s) for x in row) for row in mat), s
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    name: str
-    rank: int
-    cartan: tuple[tuple[int, ...], ...]      # cartan[i][j] = <alpha_j, alpha_i^vee>
-    d: tuple[int, ...]                       # d[i] = (alpha_i, alpha_i)/2, short roots have d=1
-    gramInt: tuple[tuple[int, ...], ...]     # gramScale * (omega_i, omega_j)
-    gramScale: int
-    cartanInvInt: tuple[tuple[int, ...], ...]  # cartanInvScale * simple-root coordinates
-    cartanInvScale: int
-    heightInt: tuple[int, ...]               # cartanInvScale * height(omega_j): cartanInvInt's column sums
+RootSystem = namedtuple("RootSystem", [
+    "name",
+    "rank",
+    "cartan",          # cartan[i][j] = <alpha_j, alpha_i^vee>
+    "d",               # d[i] = (alpha_i, alpha_i)/2, short roots have d=1
+    "gramInt",         # gramScale * (omega_i, omega_j)
+    "gramScale",
+    "cartanInvInt",    # cartanInvScale * simple-root coordinates
+    "cartanInvScale",
+    "heightInt",       # cartanInvScale * height(omega_j): cartanInvInt's column sums
+])
 
 
 def rootSystem(name: str) -> RootSystem:

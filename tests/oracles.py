@@ -15,7 +15,7 @@ weight tuples that demWord's packed keys replace) along the longest word.
 
 The pairing tables by the product route (eulerPair of the two full
 characters, then decomposed) check the adjointness and projection-formula
-routes of ktheory.pairingsWithP and ktheory.gramTable; the dual-conjecture
+routes of ktheory.pairingsWithP and ktheory.gramRows; the dual-conjecture
 pairing by the product route (dualConjecturePairingProduct) checks the
 adjointness route of ktheory.dualConjectureCheck.
 
@@ -680,7 +680,8 @@ def gramTableProduct(
     W: WeylGroup, order: list[int] | None = None
 ) -> dict[tuple[int, int], GClassExpansion]:
     """chi(dual(x_v) x_w) for every ordered pair of exceptional classes, as
-    ktheory.gramTable, by building each class and forming each product."""
+    the rows of ktheory.gramRows, by building each class and forming each
+    product."""
     order = W.elements() if order is None else order
     classes = {p: xClass(W, p, order) for p in order}
     return {(v, w): decomposeWeylBasis(W, eulerPair(W, dual(classes[v]), classes[w]))

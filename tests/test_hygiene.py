@@ -3,12 +3,13 @@ linter needed): every imported name is used, every global name a module
 refers to exists, every private function or class is referred to, the
 package imports only the standard library and itself, only rootsystem,
 which builds its scaled integer matrices through exact rationals, imports
-fractions, no module has an assert statement (python -O strips them), no
-except clause is bare or names AssertionError or Exception (an internal fault
-must surface, never pass as a failed check or a usage error), every
-text-mode open names its encoding, no module decodes JSON, and every import
-sits at module level.  The module doctests run here too, and every function
-the benchmark's tracer (bench/tracer.py) wraps must still resolve."""
+fractions, no module imports dataclasses, no module has an assert
+statement (python -O strips them), no except clause is bare or names
+AssertionError or Exception (an internal fault must surface, never pass as a
+failed check or a usage error), every text-mode open names its encoding, no
+module decodes JSON, and every import sits at module level.  The module
+doctests run here too, and every function the benchmark's tracer
+(bench/tracer.py) wraps must still resolve."""
 from __future__ import annotations
 
 import ast
@@ -80,6 +81,17 @@ def test_only_rootsystem_imports_fractions(module):
         elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
             found.append(node.module)
     assert module == "rootsystem.py" or found == [], f"{module}: imports {found}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_imports_dataclasses(module):
+    # records are namedtuples: dataclasses pulls inspect, ast and dis into
+    # every command's start-up
+    found = [node.lineno for node in ast.walk(tree(module))
+             if isinstance(node, ast.Import)
+             and any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
+    assert found == [], f"{module}: imports dataclasses at lines {found}"
 
 
 def importModule(module: str):

@@ -19,7 +19,7 @@ from demkit.ktheory import (
     dualConjectureCheck,
     eulerPair,
     gramCheck,
-    gramTable,
+    gramRows,
     indPQCheck,
     indPQMatrix,
     matrixReport,
@@ -27,7 +27,6 @@ from demkit.ktheory import (
     pairingsWithP,
     parabolicChecks,
     rank2BundleChecks,
-    sameLengthPairReport,
     steinbergListCheck,
     tensorDecompCheck,
     triangularityChecks,
@@ -179,7 +178,7 @@ def test_xclass_rank1():
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "B3", "C3"])
 def test_gram_conditions_default_order(name):
     W = weylGroup(name)
-    checks, below = gramCheck(W, None, gramTable(W))
+    checks, _, _ = gramCheck(W, None)
     allPass(checks)
 
 
@@ -212,7 +211,7 @@ def test_gram_conditions_random_orders(name):
             for w in W.elements():
                 if u != w and W.bruhatLeq(u, w):
                     assert pos[u] < pos[w]
-        checks, below = gramCheck(W, order, gramTable(W, order))
+        checks, _, _ = gramCheck(W, order)
         allPass(checks)
         # class differences across orders are reported, never asserted
         changed = sum(1 for p in W.elements() if xClass(W, p, order) != default[p])
@@ -237,11 +236,11 @@ def test_same_length_report_counts():
     # the same-length pairings below the diagonal are emitted for inspection;
     # their nonzero counts are stable for the default order
     W3 = weylGroup("B3")
-    rows = sameLengthPairReport(W3, None, gramTable(W3))
+    rows = gramCheck(W3, None)[2]
     nonzero = [r for r in rows if r["pairing"]]
     assert len(nonzero) == 12
     C3 = weylGroup("C3")
-    nonzeroC = [r for r in sameLengthPairReport(C3, None, gramTable(C3)) if r["pairing"]]
+    nonzeroC = [r for r in gramCheck(C3, None)[2] if r["pairing"]]
     assert len(nonzeroC) == 10
     for r in nonzero:
         assert r["pairing"] != Character.zero()
@@ -362,16 +361,42 @@ def test_pq_table_matches_product_route(name):
     assert fast == slow
 
 
+def gramTableOf(W, order=None):
+    return {(v, w): e for v, row in gramRows(W, order) for w, e in row.items()}
+
+
 @pytest.mark.parametrize("name", SMALL)
 def test_gram_table_matches_product_route(name):
     W = weylGroup(name)
-    assert gramTable(W) == gramTableProduct(W)
+    assert gramTableOf(W) == gramTableProduct(W)
 
 
 def test_gram_table_matches_product_route_random_order():
     W = weylGroup("A3")
     order = randomBruhatExtension(W, random.Random(29))
-    assert gramTable(W, order) == gramTableProduct(W, order)
+    assert gramTableOf(W, order) == gramTableProduct(W, order)
+
+
+@pytest.mark.parametrize("name,seed", [("A2", None), ("B2", None), ("G2", None), ("A3", 31)])
+def test_gram_extras_match_product_route(name, seed):
+    # the below-diagonal count and the same-length pairs, read off the table
+    # of the product route: pairs in scan order (v outer, w inner), each
+    # pairing decomposed back to the oracle's R(G) coordinates
+    W = weylGroup(name)
+    order = W.elements() if seed is None else randomBruhatExtension(W, random.Random(seed))
+    table = gramTableProduct(W, order)
+    pos = {w: k for k, w in enumerate(order)}
+    below = sum(1 for (v, w), e in table.items() if pos[w] < pos[v] and e)
+    pairs = [(v, w) for v in order for w in order
+             if v != w and W.length[v] == W.length[w]]
+    checks, gotBelow, gotPairs = gramCheck(W, None if seed is None else order)
+    allPass(checks)
+    assert gotBelow == below
+    assert [(r["v"], r["w"]) for r in gotPairs] == \
+        [(wordStr(W, v), wordStr(W, w)) for v, w in pairs]
+    assert [decomposeWeylBasis(W, r["pairing"]) for r in gotPairs] == \
+        [table[pair] for pair in pairs]
+    assert below and pairs
 
 
 @pytest.mark.parametrize("name", ["A4", "B4", "C4", "D4", "F4"])
@@ -412,7 +437,7 @@ def test_gram_cross_check_catches_a_dropped_coefficient(monkeypatch):
         return got
 
     monkeypatch.setattr(kt, "_xCoefficients", dropFirstNonScalar)
-    assert gramTable(W) != gramTableProduct(W)
+    assert gramTableOf(W) != gramTableProduct(W)
     assert dropped
 
 
@@ -420,7 +445,7 @@ def test_pairing_tables_leave_no_memo_family():
     # the tables are rebuilt per call; the group memo keeps only the
     # character families it had before
     W = WeylGroup(rootSystem("B2"))
-    gramCheck(W, None, gramTable(W))
+    gramCheck(W, None)
     indPQMatrix(W)
     orthogonalityCheck(W)
     parabolicChecks(W, (0,))
@@ -479,13 +504,21 @@ def test_orthogonality_names_the_later_of_two_failing_cells(monkeypatch):
     assert witness.startswith("(s1,s1): sum "), witness
 
 
-def test_gram_check_reports_tampered_entries():
+def test_gram_check_reports_tampered_entries(monkeypatch):
     W = weylGroup("A2")
     s1 = W.rmul(0, 0)
-    table = gramTable(W)
-    table[(s1, s1)] = {(0, 0): 2}
-    assert gramCheck(W, None, table)[0] == [("xclass-gram", False, "diagonal s1: 2e[0,0]")]
-    table = gramTable(W)
-    table[(0, s1)] = {(1, 0): 1}
-    assert gramCheck(W, None, table)[0] == [
+    rows = kt.gramRows
+
+    def tamper(v, w, entry):
+        def tampered(W, order):
+            for u, row in rows(W, order):
+                if u == v:
+                    row[w] = entry
+                yield u, row
+        monkeypatch.setattr(kt, "gramRows", tampered)
+
+    tamper(s1, s1, {(0, 0): 2})
+    assert gramCheck(W, None)[0] == [("xclass-gram", False, "diagonal s1: 2e[0,0]")]
+    tamper(0, s1, {(1, 0): 1})
+    assert gramCheck(W, None)[0] == [
         ("xclass-gram", False, "(e,s1): e[-1,1]+e[0,-1]+e[1,0]")]
