@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from operator import add
 
-from .rootsystem import Weight, heightScaled, negW
+from .rootsystem import Weight, heightScaled
 from .weyl import WeylGroup
 
 GClassExpansion = dict[Weight, int]   # keys dominant, values nonzero
@@ -207,7 +207,7 @@ def gSorted(W: WeylGroup, mult: GClassExpansion) -> GClassExpansion:
 
 def gDual(W: WeylGroup, h: GClassExpansion) -> GClassExpansion:
     """Dual in R(G): chi(lam)^* = chi(-w0 lam)."""
-    return {negW(W.act(W.w0, lam)): m for lam, m in h.items()}
+    return {W.negW0(lam): m for lam, m in h.items()}
 
 
 # -- text forms (JSON term rows are written by cli) ----------------------------

@@ -5,6 +5,13 @@
     factor := func | '(' expr ')' | '-' factor
     func   := IDENT '(' args ')'
 
+Two tables hold the grammar.  One regular expression (_TOKEN) reads every
+token kind; identifiers start with a letter or '_', integers are ASCII
+digits, and any whitespace separates tokens.  One infix table (_INFIX)
+gives each operator its token, printed symbol and binding level: expr and
+term are one parser rule over it, and printExpr parenthesises from it, so
+parse(printExpr(node)) == node.
+
 Weights are bracketed integer lists like [1,-1]; Weyl words are written
 's1 s2 s1' (or 'e' for the identity) in the argument slots that expect a
 word.  Argument counts and kinds are checked while parsing, so an
@@ -19,9 +26,12 @@ other argument is evaluated as a character and then decomposed.
 
 >>> printExpr(parse("pair(P([-1,-1]), Q([0,0]))"))
 'pair(P([-1,-1]), Q([0,0]))'
+>>> printExpr(parse("(e([1,0])*e([0,1]))*(e([1,1])*e([0,0]))"))
+'e([1,0])*e([0,1])*(e([1,1])*e([0,0]))'
 """
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from functools import reduce
 
@@ -81,6 +91,18 @@ def asciiInt(text: str) -> int | None:
         return None
 
 
+# node kind -> (token kind, printed symbol, binding level): a higher level
+# binds tighter, and every infix operator is left-associative.  The parser
+# (_Parser.binary) and printExpr both read precedence from here alone.
+_INFIX = {
+    "add": ("PLUS", " + ", 1),
+    "sub": ("MINUS", " - ", 1),
+    "mul": ("STAR", "*", 2),
+}
+_INFIX_TOKENS = {tok: (kind, level) for kind, (tok, _, level) in _INFIX.items()}
+_TIGHTEST = max(level for _, _, level in _INFIX.values())
+
+
 # The deepest parse tree parse accepts: each call, operator, negation and
 # parenthesised group is one level above its operands, a weight or word one
 # level.  The parser, printExpr and evalExpr recurse a few frames a level, so
@@ -98,48 +120,30 @@ class ParseError(ValueError):
 _Tok = namedtuple("_Tok", "kind text line col")
 
 
+# One named group per token kind, tried in this order: WS is a run of
+# whitespace other than a newline (one column a character), BAD any other
+# single character.  \w also matches a digit or numeral outside ASCII,
+# which no identifier may start with.
+_TOKEN = re.compile(r"""
+    (?P<NL>\n) | (?P<WS>[^\S\n]+) | (?P<INT>[0-9]+) | (?P<IDENT>\w+)
+  | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<LBRACK>\[) | (?P<RBRACK>\])
+  | (?P<COMMA>,) | (?P<PLUS>\+) | (?P<MINUS>-) | (?P<STAR>\*) | (?P<BAD>.)
+""", re.VERBOSE | re.DOTALL)
+
+
 def _tokenize(src: str) -> list[_Tok]:
     toks = []
-    line, col = 1, 1
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= src[j] <= "9":
-                j += 1
-            toks.append(_Tok("INT", src[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(_Tok("IDENT", src[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        kinds = {"(": "LPAREN", ")": "RPAREN", "[": "LBRACK", "]": "RBRACK",
-                 ",": "COMMA", "+": "PLUS", "-": "MINUS", "*": "STAR"}
-        kind = kinds.get(ch)
-        if kind is None:
-            raise ParseError(f"unexpected character {ch!r}", line, start_col)
-        toks.append(_Tok(kind, ch, line, start_col))
-        i += 1
-        col += 1
-    toks.append(_Tok("EOF", "", line, col))
+    line, start = 1, 0   # start: the index where the current line begins
+    for m in _TOKEN.finditer(src):
+        kind, text = m.lastgroup, m.group()
+        col = m.start() - start + 1
+        if kind == "NL":
+            line, start = line + 1, m.end()
+        elif kind == "BAD" or kind == "IDENT" and not (text[0].isalpha() or text[0] == "_"):
+            raise ParseError(f"unexpected character {text[0]!r}", line, col)
+        elif kind != "WS":
+            toks.append(_Tok(kind, text, line, col))
+    toks.append(_Tok("EOF", "", line, len(src) - start + 1))
     return toks
 
 
@@ -186,27 +190,16 @@ class _Parser:
 
     # Each rule returns (node, kind, depth), depth counted as MAX_DEPTH says.
 
-    # expr := term (('+'|'-') term)*
-    def expr(self):
-        node, kind, depth = self.term()
-        while self.peek().kind in ("PLUS", "MINUS"):
-            op = self.next()
-            right, rkind, rdepth = self.term()
-            if kind != CHAR or rkind != CHAR:
-                raise ParseError("arithmetic needs character operands", op.line, op.col)
-            node = ("add" if op.kind == "PLUS" else "sub", node, right)
-            depth = self.capped(op, 1 + max(depth, rdepth))
-        return node, kind, depth
-
-    # term := factor ('*' factor)*
-    def term(self):
+    # expr is binary(1) and term binary(2): factors joined by infix operators
+    # of at least this binding level, left-associative (precedence climbing)
+    def binary(self, level: int = 1):
         node, kind, depth = self.factor()
-        while self.peek().kind == "STAR":
+        while (infix := _INFIX_TOKENS.get(self.peek().kind)) and infix[1] >= level:
             op = self.next()
-            right, rkind, rdepth = self.factor()
+            right, rkind, rdepth = self.binary(infix[1] + 1)
             if kind != CHAR or rkind != CHAR:
                 raise ParseError("arithmetic needs character operands", op.line, op.col)
-            node = ("mul", node, right)
+            node = (infix[0], node, right)
             depth = self.capped(op, 1 + max(depth, rdepth))
         return node, kind, depth
 
@@ -221,7 +214,7 @@ class _Parser:
             return ("neg", node), CHAR, self.capped(t, depth + 1)
         if t.kind == "LPAREN":
             self.next()
-            node, kind, depth = self.nested(t, self.expr)
+            node, kind, depth = self.nested(t, self.binary)
             self.expect("RPAREN", "')'")
             return node, kind, self.capped(t, depth + 1)
         if t.kind == "IDENT":
@@ -245,7 +238,7 @@ class _Parser:
             elif want == WORD:
                 args.append(self.wordLit())
             else:
-                node, kind, argDepth = self.nested(name_tok, self.expr)
+                node, kind, argDepth = self.nested(name_tok, self.binary)
                 if kind != CHAR:
                     t = self.peek()
                     raise ParseError(
@@ -299,7 +292,7 @@ class _Parser:
 
 def parse(src: str):
     p = _Parser(src)
-    node, _, _ = p.expr()
+    node, _, _ = p.binary()
     t = p.peek()
     if t.kind != "EOF":
         raise ParseError(f"trailing input {clip(t.text)!r}", t.line, t.col)
@@ -312,26 +305,22 @@ def printExpr(node) -> str:
         return "[" + ",".join(str(x) for x in node[1]) + "]"
     if kind == "word":
         return "e" if not node[1] else " ".join(f"s{i + 1}" for i in node[1])
-    if kind in ("add", "sub"):
-        op = " + " if kind == "add" else " - "
-        right = printExpr(node[2])
-        if node[2][0] in ("add", "sub"):
-            right = f"({right})"
-        return printExpr(node[1]) + op + right
-    if kind == "mul":
-        parts = []
-        for child in node[1:]:
-            s = printExpr(child)
-            if child[0] in ("add", "sub"):
-                s = f"({s})"
-            parts.append(s)
-        return "*".join(parts)
-    if kind == "neg":
-        s = printExpr(node[1])
-        if node[1][0] in ("add", "sub", "mul"):
-            s = f"({s})"
-        return "-" + s
+    if kind in _INFIX:
+        _, symbol, level = _INFIX[kind]
+        return _operand(node[1], level) + symbol + _operand(node[2], level + 1)
+    if kind == "neg":   # negation binds tighter than every infix operator
+        return "-" + _operand(node[1], _TIGHTEST + 1)
     return f"{kind}(" + ", ".join(printExpr(a) for a in node[1:]) + ")"
+
+
+def _operand(node, level: int) -> str:
+    """printExpr(node), in parentheses when node is an infix operation that
+    binds looser than level: the left operand of an operator is printed at
+    its level and the right one a level tighter, so parse reads the tree
+    back as it was."""
+    text = printExpr(node)
+    infix = _INFIX.get(node[0])
+    return f"({text})" if infix and infix[2] < level else text
 
 
 # W: WeylGroup, piP: tuple[int, ...], order: list[int] | None

@@ -130,7 +130,7 @@ def indPQCheck(W: WeylGroup, rows: list[list[Character]]) -> list[tuple[str, boo
 def betaEntry(W: WeylGroup, v: int, w: int) -> Character:
     """Expansion coefficient of the v-th layer class over the twisted
     structure sheaves of the opposite Schubert cells."""
-    lam = negW(W.act(W.w0, W.theta(v)))
+    lam = W.negW0(W.theta(v))
     vw0 = W.mul(W.inverse(v), W.w0)
     ww0 = W.mul(w, W.w0)
     top = W.demazureProduct(ww0, vw0)

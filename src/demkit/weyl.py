@@ -34,6 +34,7 @@ from .rootsystem import (
     Weight,
     WEYL_SIZE_CAP,
     fundamental,
+    negW,
     rho,
     rootSystem,
 )
@@ -115,6 +116,9 @@ class WeylGroup:
         # s_i w = (w^-1 s_i)^-1
         self.lmulTable = [[inv[j] for j in rmul[inv[w]]] for w in range(self.size)]
         self.w0 = self.size - 1
+        # -w0 omega_i = omega_sigma(i), sigma an involution (w0 squares to e)
+        self.sigma = tuple(negW(self.act(self.w0, fundamental(sys, i))).index(1)
+                           for i in range(n))
 
         self.memo: dict = {}   # shared scratch for the character layers
 
@@ -159,6 +163,10 @@ class WeylGroup:
         for i in reversed(self.words[w]):
             lam = self.reflect(lam, i)
         return lam
+
+    def negW0(self, lam: Weight) -> Weight:
+        """-w0 lam: lam with its coordinates permuted by sigma."""
+        return tuple([lam[i] for i in self.sigma])
 
     def rmul(self, w: int, i: int) -> int:
         return self.rmulTable[w][i]

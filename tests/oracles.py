@@ -40,6 +40,9 @@ demWord in atom letters; demWordPlain folds the atom letters one step at a
 time.  The word-independence suite by one demWord per (word,
 character) pair (wordIndependencePairwise) checks the suite's one
 demWords call per character and the witness it names.
+
+The character-at-a-time scanner that exprlang's one token pattern replaced
+(tokenizeScan) checks the tokens and the lexical errors of exprlang._tokenize.
 """
 from __future__ import annotations
 
@@ -61,6 +64,7 @@ from demkit.demazure import (
     demWord,
     lowerSetMask,
 )
+from demkit.exprlang import ParseError
 from demkit.ktheory import eulerPair, wordStr, xClass
 from demkit.rootsystem import (
     RootSystem,
@@ -722,3 +726,39 @@ def wordIndependencePairwise(W: WeylGroup, rng) -> tuple[list, dict]:
                 if demWord(W, a, f) != demWord(W, b, f):
                     ok, witness = False, f"{wordStr(W, w)}: {a} vs {b}"
     return [("word-independence", ok, witness)], {"comparisons": pairs}
+
+
+def tokenizeScan(src: str) -> list[tuple[str, str, int, int]]:
+    """(kind, text, line, col) of every token of src and a final EOF, read
+    one character at a time; ParseError at the first character that starts
+    no token."""
+    kinds = {"(": "LPAREN", ")": "RPAREN", "[": "LBRACK", "]": "RBRACK",
+             ",": "COMMA", "+": "PLUS", "-": "MINUS", "*": "STAR"}
+    toks = []
+    line, col = 1, 1
+    i, n = 0, len(src)
+    while i < n:
+        ch = src[i]
+        if ch == "\n":
+            line, col, i = line + 1, 1, i + 1
+            continue
+        if ch.isspace():
+            i, col = i + 1, col + 1
+            continue
+        if "0" <= ch <= "9":
+            kind, j = "INT", i
+            while j < n and "0" <= src[j] <= "9":
+                j += 1
+        elif ch.isalpha() or ch == "_":
+            kind, j = "IDENT", i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+        elif ch in kinds:
+            kind, j = kinds[ch], i + 1
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+        toks.append((kind, src[i:j], line, col))
+        col += j - i
+        i = j
+    toks.append(("EOF", "", line, col))
+    return toks

@@ -12,7 +12,7 @@ from demkit.exprlang import EvalContext, ParseError, evalExpr, parse, printExpr
 from demkit.ktheory import xClass
 from demkit.rootsystem import rootSystem
 from demkit.weyl import WeylGroup, weylGroup
-from oracles import TYPES
+from oracles import TYPES, tokenizeScan
 from test_characters import smallestFundamentals
 
 
@@ -62,18 +62,32 @@ def genChar(rng, depth):
 
 
 def test_parse_print_parse_idempotent_on_corpus():
-    rng = random.Random(31)
-    corpus = []
-    for k in range(50):
-        src = genChar(rng, rng.randint(0, 3))
-        if k % 7 == 0:
-            src = f"decomposeG({src})"
-        corpus.append(src)
-    for src in corpus:
-        ast = parse(src)
-        printed = printExpr(ast)
-        assert parse(printed) == ast
-        assert printExpr(parse(printed)) == printed
+    # 50 expressions from each of seeds 0-199: a right operand that binds as
+    # tightly as its operator, as in a*(b*c), keeps its parentheses
+    for seed in range(200):
+        rng = random.Random(seed)
+        for k in range(50):
+            src = genChar(rng, rng.randint(0, 3))
+            if k % 7 == 0:
+                src = f"decomposeG({src})"
+            ast = parse(src)
+            printed = printExpr(ast)
+            assert parse(printed) == ast, (seed, src)
+            assert printExpr(parse(printed)) == printed
+
+
+def test_right_nested_operands_keep_their_parentheses():
+    for src in ["e([1,0])*(e([0,1])*e([1,1]))",
+                "e([1,0]) - (e([0,1]) + e([1,1]))",
+                "e([1,0]) - (e([0,1]) - e([1,1]))",
+                "(e([1,0]) + e([0,1]))*(e([1,1]) - e([0,0]))",
+                "-(e([1,0])*e([0,1]))*-e([1,1])"]:
+        assert printExpr(parse(src)) == src
+    assert parse("e([1,0])*(e([0,1])*e([1,1]))") != parse("e([1,0])*e([0,1])*e([1,1])")
+    # a left operand that binds as tightly as its operator needs none
+    assert printExpr(parse("(e([1,0])*e([0,1]))*e([1,1])")) == "e([1,0])*e([0,1])*e([1,1])"
+    assert printExpr(parse("(e([1,0]) - e([0,1])) + e([1,1])")) == \
+        "e([1,0]) - e([0,1]) + e([1,1])"
 
 
 def test_print_canonical_shapes():
@@ -117,6 +131,47 @@ def test_multiline_error_position():
     with pytest.raises(ParseError) as exc:
         parse("e([1,0]) +\n  chi([1,0)")
     assert exc.value.line == 2
+
+
+# -- tokens ----------------------------------------------------------------
+
+LEX_ALPHABET = ("\n\r\t\x0b\x1c 0123456789_abcdefghijklmnopqrstuvwxyz"
+                "ABCDEFGHIJKLMNOPQRSTUVWXYZ\u00e9\u01c5\u00b2\u00bd\u0661()[],+-*#.")
+
+
+def lexed(tokenize, src: str):
+    """The tokens of src as plain tuples, or the (message, line, col) of the
+    ParseError that refuses it."""
+    try:
+        return [tuple(t) for t in tokenize(src)]
+    except ParseError as exc:
+        return str(exc), exc.line, exc.col
+
+
+def test_token_pattern_matches_character_scanner():
+    rng = random.Random(2028)
+    for _ in range(20000):
+        src = "".join(rng.choice(LEX_ALPHABET) for _ in range(rng.randint(0, 12)))
+        assert lexed(ex._tokenize, src) == lexed(tokenizeScan, src), repr(src)
+
+
+def test_unicode_letters_start_identifiers_and_numerals_do_not():
+    with pytest.raises(ParseError, match="unknown function '\u00e9' at line 1, column 1"):
+        parse("\u00e9([1])")
+    for ch in "\u00b2\u00bd\u0661":   # superscript two, one half, Arabic-Indic one
+        for src, col in [(ch, 1), (f"e([1,0]) + {ch}", 12), (f"e([1,{ch}])", 6)]:
+            with pytest.raises(ParseError) as exc:
+                parse(src)
+            assert (str(exc.value), exc.value.col) == \
+                (f"unexpected character {ch!r} at line 1, column {col}", col)
+
+
+def test_token_columns_and_lines():
+    toks = ex._tokenize("12ab\r(\t)\x0b,\n  *")
+    assert [tuple(t) for t in toks] == [
+        ("INT", "12", 1, 1), ("IDENT", "ab", 1, 3), ("LPAREN", "(", 1, 6),
+        ("RPAREN", ")", 1, 8), ("COMMA", ",", 1, 10), ("STAR", "*", 2, 3),
+        ("EOF", "", 2, 4)]
 
 
 # (expression, column where parse refuses it): each is deep enough that the

@@ -1,10 +1,10 @@
 """Static checks on the package sources, read with ast and symtable (no
 linter needed): every imported name is used, every global name a module
-refers to exists, every private function or class is referred to, the
-package imports only the standard library and itself, only rootsystem,
-which builds its scaled integer matrices through exact rationals, imports
-fractions, no module imports dataclasses, no module has an assert
-statement (python -O strips them), no except clause is bare or names
+refers to exists, every private function, class or module-level name is
+referred to, the package imports only the standard library and itself, only
+rootsystem, which builds its scaled integer matrices through exact
+rationals, imports fractions, no module imports dataclasses, no module has
+an assert statement (python -O strips them), no except clause is bare or names
 AssertionError or Exception (an internal fault must surface, never pass as a
 failed check or a usage error), every text-mode open names its encoding, no
 module decodes JSON, and every import sits at module level.  The module
@@ -141,17 +141,28 @@ def tracerTargets() -> tuple:
     raise AssertionError("bench/tracer.py defines no TARGETS")
 
 
+def privateName(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def test_every_private_definition_is_referenced():
-    """A function or class whose name starts with one underscore is read
-    somewhere in the package, as a name, an attribute or an imported name;
-    otherwise it is a dead helper."""
+    """A function, class or module-level assigned name (a table like _TOKEN)
+    that starts with one underscore is read somewhere in the package, as a
+    name, an attribute or an imported name; otherwise it is a dead helper."""
     defined, read = [], set()
     for module in MODULES:
-        for node in ast.walk(tree(module)):
+        mod = tree(module)
+        for node in mod.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, node.lineno, t.id) for target in targets
+                            for t in ast.walk(target)
+                            if isinstance(t, ast.Name) and privateName(t.id)]
+        for node in ast.walk(mod):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if node.name.startswith("_") and not node.name.startswith("__"):
+                if privateName(node.name):
                     defined.append((module, node.lineno, node.name))
-            elif isinstance(node, ast.Name):
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)

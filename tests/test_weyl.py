@@ -83,7 +83,7 @@ def test_group_keeps_no_build_scratch():
     W = WeylGroup(rootSystem("B3"))
     assert sorted(vars(W)) == sorted([
         "sys", "cartanCols", "positiveRoots", "size", "words", "length", "rmulTable", "inv",
-        "lmulTable", "w0", "bruhatBits", "coversOf", "memo",
+        "lmulTable", "w0", "sigma", "bruhatBits", "coversOf", "memo",
     ])
 
 
@@ -184,6 +184,18 @@ def test_orbit_matches_act(name):
     W = weylGroup(name)
     lam = tuple(range(-1, W.sys.rank - 1))
     assert W.orbit(lam) == [W.act(u, lam) for u in W.elements()]
+
+
+@pytest.mark.parametrize("name", oracles.TYPES)
+def test_neg_w0_permutes_coordinates(name):
+    W = weylGroup(name)
+    rng = random.Random(sum(map(ord, "-w0:" + name)))
+    for _ in range(300):
+        lam = tuple(rng.randint(-5, 5) for _ in range(W.sys.rank))
+        assert W.negW0(lam) == negW(W.act(W.w0, lam))
+    # -w0 reverses the Dynkin nodes of A_n and fixes every other node here
+    n = W.sys.rank
+    assert W.sigma == (tuple(reversed(range(n))) if name[0] == "A" else tuple(range(n)))
 
 
 @pytest.mark.parametrize("name", sorted(ORDERS))
