@@ -194,7 +194,10 @@ def _suiteDualConjecture(W: WeylGroup):
 def _suiteWordIndependence(W: WeylGroup, rng: random.Random):
     """pi_a(f) == pi_b(f) for pairs (a, b) of reduced words of one element w:
     on rank 2 the first reduced word of each w against every other, on B3
-    100 drawn pairs.  Each character's words go to one demWords call.  The
+    100 drawn pairs.  A B3 pair is not always two distinct words: 11 of the
+    44 elements of length >= 2 have a single reduced word, and at SEED 19
+    of the 100 pairs compare a word with itself, though the report counts
+    100 comparisons.  Each character's words go to one demWords call.  The
     witness names the last failing pair in (element, character, word) order
     on rank 2 and in draw order on B3."""
     chars = randomCharacters(W, rng, 20)

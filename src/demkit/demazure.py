@@ -6,9 +6,13 @@ head term.  demWords applies many words of them to one character, packing
 its weights once into single integers: coordinate j sits in a field of a
 width chosen per call from an exact bound on every weight any word reaches,
 so a step subtracts multiples of the packed simple root and reads the
-coroot pairing from one field.  Words that end alike share those steps.
-demWord is its one-word case.  Orbit characters, section characters over
-unions of Schubert varieties and their twisted variants are built on it.
+coroot pairing from one field.  Words that end alike share those steps,
+and the words of one call share one layout, so each distinct packed key is
+split back into its weight once per call, through a table {key: weight}
+that all the words look up.  demWord is its one-word case; it, and
+Freudenthal's orbit dict below, split every key directly.  Orbit
+characters, section characters over unions of Schubert varieties and their
+twisted variants are built on demWords.
 
 The irreducible character chi(lam) = pi_w0(e^lam) (charNabla) is built from
 its dominant weights instead.  Those below lam are reached from it along
@@ -87,17 +91,31 @@ def _layout(W: WeylGroup, bound: int) -> tuple[int, list[int], list[int], int]:
     return (1 << width) - 1, shifts, place, bound * sum(place)
 
 
-def _unpack(packed: dict[int, int], bound: int, mask: int, shifts: list[int]) -> Character:
+def _unpack(packed: dict[int, int], bound: int, mask: int, shifts: list[int],
+            seen: dict[int, Weight] | None = None) -> Character:
     """The character of a packed terms dict, unpacked field by field.  The
     top field is read unmasked, so a carry out of it is not lost, and a
-    coordinate outside the bound is refused."""
-    coords = [[((k >> s) & mask) - bound for k in packed] for s in shifts[:-1]]
-    coords.append([(k >> shifts[-1]) - bound for k in packed])
-    for j, xs in enumerate(coords):
-        if max(xs, default=0) > bound or min(xs, default=0) < -bound:
-            raise AssertionError(f"coordinate {j} outside the packing bound {bound}")
+    coordinate outside the bound is refused.
+
+    With seen, the table {packed key: weight} shared by the words of one
+    demWords call (whose layout is fixed), only the keys missing from it are
+    split and checked; they join the table, and each term's weight is looked
+    up in it.  Without it (Freudenthal's orbit dict, a one-word call) every
+    key is split directly."""
+    new = packed if seen is None else [k for k in packed if k not in seen]
+    coords = []
+    if new:
+        coords = [[((k >> s) & mask) - bound for k in new] for s in shifts[:-1]]
+        coords.append([(k >> shifts[-1]) - bound for k in new])
+        for j, xs in enumerate(coords):
+            if max(xs) > bound or min(xs) < -bound:
+                raise AssertionError(f"coordinate {j} outside the packing bound {bound}")
     g = Character.__new__(Character)
-    g.terms = dict(zip(zip(*coords), packed.values()))
+    if seen is None:
+        g.terms = dict(zip(zip(*coords), packed.values()))
+    else:
+        seen.update(zip(new, zip(*coords)))
+        g.terms = {seen[k]: c for k, c in packed.items()}
     return g
 
 
@@ -112,7 +130,10 @@ def demWords(W: WeylGroup, words, f: Character) -> dict[tuple[int, ...], Charact
     share those steps: the distinct words, reversed and sorted, are walked
     as a trie whose nodes are the words and the suffixes where two of them
     part (the common prefixes of sorted neighbours), each node applying
-    only its own letters to its parent's packed dict.
+    only its own letters to its parent's packed dict.  With more than one
+    distinct word, the words' results are unpacked through one table of
+    the keys split so far (see _unpack), so each distinct key is split and
+    bound-checked once per call.
     """
     bound = _coordBound(W, f)
     mask, shifts, place, base = _layout(W, bound)
@@ -125,6 +146,7 @@ def demWords(W: WeylGroup, words, f: Character) -> dict[tuple[int, ...], Charact
         while n < len(a) and a[n] == b[n]:
             n += 1
         forks.add(a[:n])
+    seen = {} if len(rs) > 1 else None
     # path: the forks met so far on the way to the current word, each with
     # its packed dict; the root (no letter applied) never leaves it
     path = [((), {base + sum(map(mul, lam, place)): c for lam, c in f.terms.items()})]
@@ -157,7 +179,7 @@ def demWords(W: WeylGroup, words, f: Character) -> dict[tuple[int, ...], Charact
             cur = {k: c for k, c in acc.items() if c}
             if r[:t + 1] in forks:
                 path.append((r[:t + 1], cur))
-        out[r[::-1]] = _unpack(cur, bound, mask, shifts)
+        out[r[::-1]] = _unpack(cur, bound, mask, shifts, seen)
     return out
 
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import demkit.cli as cli
 import demkit.demazure as dz
 from demkit.characters import Character, augment, isInvariant
 from demkit.demazure import (
@@ -476,24 +477,81 @@ def overlappingWordSets(W, rng: random.Random):
         yield spellings([word, (), word]), f
 
 
+def assertFreshAndPlain(W, words, f, before, got):
+    """got = demWords(W, words, f), where f's terms were `before`: each
+    word's value equals oracles.demWordPlain and has no zero term, and each
+    is a fresh Character: mutating one (here, clearing it) touches no other
+    and not f."""
+    assert set(got) == set(words)
+    for word, g in got.items():
+        assert g.terms == oracles.demWordPlain(W, word, f).terms, (word, f)
+        assert 0 not in g.terms.values()
+    assert len({id(g.terms) for g in got.values()} | {id(f.terms)}) == len(got) + 1
+    first, *rest = got.values()
+    want = [dict(g.terms) for g in rest]
+    first.terms.clear()
+    assert f.terms == before and [g.terms for g in rest] == want
+
+
 @pytest.mark.parametrize("name", TYPES)
 def test_demwords_matches_plain_oracle(name):
     W = weylGroup(name)
     rng = random.Random(31)
     for words, f in overlappingWordSets(W, rng):
         before = dict(f.terms)
-        got = demWords(W, words, f)
-        assert set(got) == set(words)
-        for word, g in got.items():
-            assert g.terms == oracles.demWordPlain(W, word, f).terms, (word, f)
-            assert 0 not in g.terms.values()
-        # every value is a fresh Character: mutating one touches no other
-        # and not f
-        assert len({id(g.terms) for g in got.values()} | {id(f.terms)}) == len(got) + 1
-        first, *rest = got.values()
-        want = [dict(g.terms) for g in rest]
-        first.terms.clear()
-        assert f.terms == before and [g.terms for g in rest] == want
+        assertFreshAndPlain(W, words, f, before, demWords(W, words, f))
+
+
+class CountingBound(int):
+    """A packing bound that counts the subtractions `field - bound`: _unpack
+    makes one per field of each key it splits into a weight."""
+    def __rsub__(self, other):
+        self.subtractions += 1
+        return other - int(self)
+
+
+def test_demwords_splits_each_distinct_key_once_per_call(monkeypatch):
+    # the B3 word-independence inputs: each of the 20 characters with the
+    # 200 drawn words in one call, whose results share most of their weights
+    W = weylGroup("B3")
+    calls, unpacks = [], []
+    unpack, real = dz._unpack, dz.demWords
+
+    def countingUnpack(packed, bound, *rest):
+        bound = CountingBound(bound)
+        bound.subtractions = 0
+        g = unpack(packed, bound, *rest)
+        unpacks.append(bound.subtractions)
+        return g
+
+    def recording(W, words, f):
+        before = dict(f.terms)
+        unpacks.clear()
+        got = real(W, words, f)
+        calls.append((words, f, before, got, sum(unpacks)))
+        return got
+
+    monkeypatch.setattr(dz, "_unpack", countingUnpack)
+    monkeypatch.setattr(dz, "demWords", recording)
+    cli.runSuite("word-independence", W, None, None)
+    assert len(calls) == 20
+    for words, f, before, got, subtractions in calls:
+        distinct = set().union(*(g.terms for g in got.values()))
+        assert subtractions == W.sys.rank * len(distinct)
+        assert len(distinct) < sum(len(g.terms) for g in got.values())
+        assertFreshAndPlain(W, words, f, before, got)
+
+
+def test_packing_bound_is_checked_on_keys_a_later_word_reaches(monkeypatch):
+    # with the bound forced to 1, the empty word (unpacked first) stays
+    # inside it, and pi_1 first reaches (-1, 2): a key new to the call's
+    # table must be checked, even though the keys before it passed
+    W = weylGroup("A2")
+    monkeypatch.setattr(dz, "_coordBound", lambda W, f: 1)
+    f = Character.monomial((1, 1))
+    assert demWord(W, (), f) == f
+    with pytest.raises(AssertionError, match="coordinate 1 outside the packing bound 1"):
+        demWords(W, [(), (0,)], f)
 
 
 def test_demword_empty_word_is_a_fresh_copy():

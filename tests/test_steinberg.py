@@ -391,6 +391,15 @@ OPTIMIZED_SCRIPT = textwrap.dedent("""
             raise SystemExit("wrong refusal: " + str(e))
     else:
         raise SystemExit("a weight outside the packing bound was accepted")
+    # ... also when a later word of one call first reaches it: the empty word
+    # stays inside the bound, pi_1 reaches (-1, 2)
+    try:
+        dz.demWords(weylGroup("A2"), [(), (0,)], Character.monomial((1, 1)))
+    except AssertionError as e:
+        if "packing bound" not in str(e):
+            raise SystemExit("wrong refusal: " + str(e))
+    else:
+        raise SystemExit("a weight a later word reaches outside the packing bound was accepted")
     print("ok")
 """)
 
