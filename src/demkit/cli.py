@@ -10,13 +10,14 @@ and a witness string that is empty on success and otherwise names the last
 failure in scan order (ktheory.verdict).  The process exits 0 only if every
 check passed.
 
-A suite's extras are JSON values or Characters.  This module alone turns a
-character into text: JSON output, reports and eval payloads alike, comes
-from one emitter, `_jsonText`, whose bytes are those of json.dumps with
-sorted keys and an indent of 2; it writes a Character as its {"c", "w"}
-term rows in weight order, filled in from %-templates, instead of running
-the stdlib's pure-Python indenting encoder.  CSV quotes every cell that may
-hold a comma.
+A suite's extras are JSON values or Characters.  This module alone writes a
+character's JSON term rows; characters._formatTerms, the routine of compact
+and pretty, writes the text of witnesses, CSV matrix cells and pretty eval
+output.  JSON output, reports and eval payloads alike, comes from one
+emitter, `_jsonText`, whose bytes are those of json.dumps with sorted keys
+and an indent of 2; it writes a Character as its {"c", "w"} term rows in
+weight order, filled in from %-templates, instead of running the stdlib's
+pure-Python indenting encoder.  CSV quotes every cell that may hold a comma.
 
 Results are re-derivable, so caching is safe: pass --cache-dir (or set the
 DEMKIT_CACHE environment variable, unless it is empty) to reuse previous
@@ -177,6 +178,13 @@ def _suiteXclassGram(W: WeylGroup, order):
     return checks, {"belowDiagonalNonzero": below, "sameLengthPairs": pairs}
 
 
+def _suiteParabolic(W: WeylGroup, piP, order, rng):
+    # with no parabolic every QHAT layer is Q: the suite would compare G/B with itself
+    if not piP:
+        raise UsageError("suite parabolic needs --parabolic with at least one index")
+    return kt.parabolicChecks(W, piP, order), {"minimalReps": len(W.parabolicData(piP)[1])}
+
+
 def _suiteDualConjecture(W: WeylGroup):
     rows, failures = [], []
     for v in W.elements():
@@ -262,9 +270,7 @@ SUITES = {
     "xclass-gram": (
         _maxSize(48), lambda W, piP, order, rng: _suiteXclassGram(W, order)),
     "parabolic": (
-        _maxSize(48), lambda W, piP, order, rng: (
-            kt.parabolicChecks(W, piP, order),
-            {"minimalReps": len(W.parabolicData(piP)[1])})),
+        _maxSize(48), _suiteParabolic),
     "rank2-bundles": (
         _types(*RANK2), lambda W, *_: (kt.rank2BundleChecks(W), {})),
     "dual-conjecture-report": (

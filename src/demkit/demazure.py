@@ -39,6 +39,7 @@ character instead follows the Weyl character formula: e^mu goes to
 The R(G) routines that need chi(lam) live here too: expandGClass turns
 irreducible multiplicities back into the character sum of m chi(lam), and
 gAddMul multiplies two such sums, each chi(lam) chi(mu) by Brauer-Klimyk.
+The WeylGroup docstring lists the memo families this module fills.
 """
 from __future__ import annotations
 
@@ -212,11 +213,7 @@ def highestWeight(lam: Weight) -> Weight:
 def charNabla(W: WeylGroup, lam: Weight) -> Character:
     """Character of the irreducible with highest weight lam (dominant), by
     Freudenthal's formula on its dominant weights (see module docstring)."""
-    key = ("dem", lam)
-    r = W.memo.get(key)
-    if r is None:
-        r = W.memo[key] = _freudenthal(W, highestWeight(lam))
-    return r
+    return W.cached(("dem", lam), _freudenthal, W, lam)
 
 
 def _freudenthal(W: WeylGroup, lam: Weight) -> Character:
@@ -233,7 +230,7 @@ def _freudenthal(W: WeylGroup, lam: Weight) -> Character:
     """
     sys = W.sys
     roots = W.positiveRoots
-    doms, todo = {lam}, [lam]
+    doms, todo = {highestWeight(lam)}, [lam]
     while todo:
         nu = todo.pop()
         for beta in roots:
@@ -292,14 +289,11 @@ def gAddMul(W: WeylGroup, acc: GClassExpansion, h: GClassExpansion,
             k: GClassExpansion) -> None:
     """acc += h k in R(G), in place, dropping every multiplicity that cancels.
 
-    A factor chi(0) is a scaling.  Any other chi(lam) chi(mu) is
-    Brauer-Klimyk: the alternant of the irreducible of lower height shifted
-    by the other highest weight (alternantCoeffs), memoised per group in the
-    ("stxprod",) family of W.memo.
+    A factor chi(0) is a scaling.  Any other chi(lam) chi(mu) is Brauer-Klimyk:
+    the alternant of the irreducible of lower height shifted by the other
+    highest weight (alternantCoeffs), memoised per group ("stxprod").
     """
-    products = W.memo.get(("stxprod",))
-    if products is None:
-        products = W.memo[("stxprod",)] = {}
+    products = W.cached(("stxprod",), dict)
     for lam, a in h.items():
         if not any(lam):
             addMul(acc, k, a)
@@ -341,13 +335,12 @@ def charQ(W: WeylGroup, lam: Weight) -> Character:
     variety X_w minus the sections over its boundary, where (dom, w) =
     toDominant(lam).  That is the Demazure atom pi-bar_w(e^dom): one demWord
     along the canonical word of w, each letter i spelled ~i (pi_i - 1)."""
-    key = ("Q", lam)
-    r = W.memo.get(key)
-    if r is None:
-        dom, w = W.toDominant(lam)
-        r = W.memo[key] = demWord(W, tuple(~i for i in W.canonicalWord(w)),
-                                  Character.monomial(dom))
-    return r
+    return W.cached(("Q", lam), _atom, W, lam)
+
+
+def _atom(W: WeylGroup, lam: Weight) -> Character:
+    dom, w = W.toDominant(lam)
+    return demWord(W, tuple(~i for i in W.canonicalWord(w)), Character.monomial(dom))
 
 
 def _twistStep(W: WeylGroup, i: int, f: Character) -> Character:
@@ -372,35 +365,33 @@ def charSections(W: WeylGroup, mask: int, lam: Weight, below: int) -> Character:
     from the lower set with mask `below`, which must lie inside it (0 for the
     sections over the union of the Schubert varieties the lower set names).
 
-    No lower set is walked: the memo family ("orbit", lam) lists each
-    distinct u*lam, in sorted order, with the bitmask of the u reaching it
-    (W.orbit), and a weight is summed when its mask meets `mask` and misses
+    No lower set is walked: each distinct u*lam (the "orbit" memo family) is
+    summed when the bitmask of the u reaching it meets `mask` and misses
     `below`.
     """
     if below & ~mask:
         u = (below & ~mask).bit_length() - 1
         raise AssertionError(f"element {u} is left out but not in the lower set")
-    pairs = W.memo.get(("orbit", lam))
-    if pairs is None:
-        masks: dict[Weight, int] = {}
-        for u, mu in enumerate(W.orbit(lam)):
-            masks[mu] = masks.get(mu, 0) | 1 << u
-        pairs = W.memo[("orbit", lam)] = sorted(masks.items())
     r = Character.__new__(Character)
     r.terms = acc = {}
-    for mu, m in pairs:
+    for mu, m in W.cached(("orbit", lam), _orbitMasks, W, lam):
         if m & mask and not m & below:
             addMul(acc, charQ(W, mu).terms, 1)
     return r
 
 
+def _orbitMasks(W: WeylGroup, lam: Weight) -> list[tuple[Weight, int]]:
+    masks: dict[Weight, int] = {}
+    for u, mu in enumerate(W.orbit(lam)):
+        masks[mu] = masks.get(mu, 0) | 1 << u
+    return sorted(masks.items())
+
+
 def charQhat(W: WeylGroup, lam: Weight, piP: tuple[int, ...]) -> Character:
     """Layer character pushed to the parabolic chosen by piP: apply the
     longest parabolic operator, landing in the parabolic invariants."""
-    key = ("Qhat", lam, piP)
-    r = W.memo.get(key)
-    if r is None:
-        _, _, w0p = W.parabolicData(piP)
-        r = demElt(W, w0p, charQ(W, lam))
-        W.memo[key] = r
-    return r
+    return W.cached(("Qhat", lam, piP), _pushedQ, W, lam, piP)
+
+
+def _pushedQ(W: WeylGroup, lam: Weight, piP: tuple[int, ...]) -> Character:
+    return demElt(W, W.parabolicData(piP)[2], charQ(W, lam))

@@ -33,7 +33,6 @@ from .characters import (
     dual,
     gDual,
     isInvariant,
-    weylActionChar,
 )
 from .demazure import (
     charNabla,
@@ -141,13 +140,14 @@ def betaEntry(W: WeylGroup, v: int, w: int) -> Character:
 def alphaEntry(W: WeylGroup, v: int, w: int) -> Character:
     """Expansion coefficient of the v-th dual-section class over the Schubert
     basis, computed on the opposite Borel side and carried back by the longest
-    element."""
+    element: w0 mu = -(-w0 mu), a coordinate permutation (W.negW0) negated."""
     lam = W.theta(v)
     u = W.mul(W.mul(W.w0, w), W.w0)
     vi = W.inverse(v)
     top = W.demazureProduct(u, vi)
     below = lowerSetMask(W, [W.demazureProduct(u, z) for z in W.covers(vi)])
-    return weylActionChar(W, W.w0, charSections(W, W.bruhatBits[top], lam, below))
+    f = charSections(W, W.bruhatBits[top], lam, below)
+    return Character({negW(W.negW0(mu)): c for mu, c in f.terms.items()})
 
 
 def triangularityChecks(W: WeylGroup, ws) -> list[tuple[str, bool, str]]:
@@ -304,7 +304,7 @@ def parabolicChecks(
     """(a) the parabolic pairing table restricted to minimal representatives
     matches the full-flag one; (b) the parabolic classes coincide with the
     plain ones."""
-    wp, minimal, w0p = W.parabolicData(piP)
+    minimal = W.parabolicData(piP)[1]
     hat = pairingsWithP(W, minimal, {w: basisCharacter(W, w, QHAT, piP) for w in minimal})
     plain = pairingsWithP(W, minimal, _qChars(W, minimal))
     tables = [

@@ -15,18 +15,18 @@ which multiplies it into a layer character.
 
 The expansion has three parts, none of which depends on the choice map:
 
-* the UNIT table, one per group in ``W.memo``: e^lam over the Steinberg
-  exponentials e^{e_v}, cached by lam alone.  A Steinberg weight is its own
-  leaf; any other weight is rewritten through the pivot chi(omega_j) e^{w tau},
-  whose other terms lie strictly below it in the antipodal order, and an
-  explicit worklist builds the entries bottom-up;
-* basis rows, one per (v, choice, parabolic): the UNIT coordinates of the
-  basis character at v minus its head, stored with the sign the solve adds
-  them with.  Every row reaches only indices strictly below v in the
-  antipodal order, so each mixed family is unitriangular;
+* the UNIT table ("stx"): e^lam over the Steinberg exponentials e^{e_v},
+  cached by lam alone.  A Steinberg weight is its own leaf; any other weight
+  is rewritten through the pivot chi(omega_j) e^{w tau}, whose other terms
+  lie strictly below it in the antipodal order, and an explicit worklist
+  builds the entries bottom-up;
+* basis rows ("stxrow"), one per (v, choice, parabolic): the UNIT
+  coordinates of the basis character at v minus its head, stored with the
+  sign the solve adds them with.  Every row reaches only indices strictly
+  below v in the antipodal order, so each mixed family is unitriangular;
 * a per-call solve: sum the UNIT vectors of f's terms, then back-substitute
   through the rows over the |W| indices in one fixed linear extension of the
-  antipodal order.
+  antipodal order ("stxorder"; the WeylGroup docstring lists the families).
 
 Every product of two R(G) values, the pivot's chi(omega_j) times a UNIT
 coefficient and a solved coefficient times a row, is one Brauer-Klimyk
@@ -151,15 +151,10 @@ def _pivotPlan(W: WeylGroup, lam: Weight) -> list[tuple[Weight, object]]:
 
 
 def _unitVector(W: WeylGroup, lam: Weight) -> dict:
-    """e^lam over the Steinberg exponentials: {v: R(G) coefficient of
-    e^{e_v}}.  Cached by lam in the group's UNIT table and
-    built bottom-up from a worklist; entries are shared, never mutated."""
-    table = W.memo.get(("stx",))
-    if table is None:
-        table = W.memo[("stx",)] = {}
-    got = table.get(lam)
-    if got is not None:
-        return got
+    """e^lam over the Steinberg exponentials: {v: R(G) coefficient of e^{e_v}},
+    cached by lam in the UNIT table and built bottom-up from a worklist (a
+    cached lam leaves it at once); entries are shared, never mutated."""
+    table = W.cached(("stx",), dict)
     zeroW = zero(W.sys)
     plans: dict[Weight, list] = {}
     stack = [lam]
@@ -195,9 +190,7 @@ def _basisRow(
 ) -> dict:
     """UNIT coordinates of e^{e_v} minus the basis character at v: what the
     solve adds, times the coefficient at v, to the indices below v."""
-    rows = W.memo.get(("stxrow",))
-    if rows is None:
-        rows = W.memo[("stxrow",)] = {}
+    rows = W.cached(("stxrow",), dict)
     key = (v, choice, piP if choice == QHAT else None)
     row = rows.get(key)
     if row is None:
@@ -220,15 +213,12 @@ def _antipodalOrder(W: WeylGroup) -> dict[int, int]:
     """Position of each element in one fixed linear extension of the antipodal
     order on Steinberg weights, highest first: descending norm of -e_v, then
     length of its orbit witness (Bruhat-below witnesses are shorter)."""
-    pos = W.memo.get(("stxorder",))
-    if pos is None:
-        def key(v: int) -> tuple:
-            lam = negW(W.steinbergWeight(v))
-            return norm2Scaled(W.sys, lam), W.length[W.toDominant(lam)[1]], v
+    def key(v: int) -> tuple:
+        lam = negW(W.steinbergWeight(v))
+        return norm2Scaled(W.sys, lam), W.length[W.toDominant(lam)[1]], v
 
-        order = sorted(W.elements(), key=key, reverse=True)
-        pos = W.memo[("stxorder",)] = {v: k for k, v in enumerate(order)}
-    return pos
+    order = sorted(W.elements(), key=key, reverse=True)
+    return {v: k for k, v in enumerate(order)}
 
 
 def _solve(
@@ -244,7 +234,7 @@ def _solve(
     x: dict = {}
     for lam, c in f.terms.items():
         _addVec(W, x, _unitVector(W, lam), c)
-    pos = _antipodalOrder(W)
+    pos = W.cached(("stxorder",), _antipodalOrder, W)
     out: dict[int, GClassExpansion] = {}
     for v, k in pos.items():
         y = x.pop(v, None)

@@ -18,14 +18,11 @@ lower intervals.
 
 The orbit of a weight is listed by id with one reflection per element:
 dropping the first letter i of u's canonical word leaves the canonical word
-of s_i u, an earlier id, and u lam = s_i (s_i u) lam.  Two memo families
-read orbits: ("orbit", lam) holds the distinct u lam of one weight, each
-with the bitmask of the u reaching it (demazure.charSections), and the
-one-item ("stw",) the Steinberg weights e_v = v^-1 theta_v of every id,
-summed from the orbits of the fundamental weights on first use.  Here
-theta_v is the sum of the omega_i over the left descents i of v (Steinberg,
-"On a theorem of Pittie", 1975), dominant with 0/1 coordinates; theta reads
-it from the descents directly.
+of s_i u, an earlier id, and u lam = s_i (s_i u) lam.  The Steinberg
+weights e_v = v^-1 theta_v of every id are summed from the orbits of the
+fundamental weights on first use.  Here theta_v is the sum of the omega_i
+over the left descents i of v (Steinberg, "On a theorem of Pittie", 1975),
+dominant with 0/1 coordinates; theta reads it from the descents directly.
 """
 from __future__ import annotations
 
@@ -43,10 +40,19 @@ from .rootsystem import (
 class WeylGroup:
     """The full Weyl group of a root system, enumerated eagerly.
 
-    Immutable after construction; memo caches used by the character layers
-    hang off instances so distinct groups never share state.  A memo key is
-    a tuple whose first item names its family: a one-item key holds a whole
-    table of that family, a longer key one entry.
+    Immutable after construction.  Memo tables hang off the instance, so
+    distinct groups never share state; only cached reads or builds them.  A
+    key is a tuple headed by its family's name, a one-item key a whole table:
+
+    ("stw",)            [e_v for each id v]              steinbergWeight
+    ("dem", lam)        chi(lam)                         demazure.charNabla
+    ("Q", lam)          the layer character of lam       demazure.charQ
+    ("Qhat", lam, piP)  that layer pushed to piP         demazure.charQhat
+    ("orbit", lam)      sorted [(u lam, mask of the u)]  demazure.charSections
+    ("stxprod",)        {(lam, mu): chi(lam) chi(mu)}    demazure.gAddMul
+    ("stx",)            {lam: UNIT vector of e^lam}      steinberg._unitVector
+    ("stxrow",)         {(v, choice, piP or None): row}  steinberg._basisRow
+    ("stxorder",)       {v: antipodal position}          steinberg._solve
     """
 
     def __init__(self, sys: RootSystem):
@@ -123,6 +129,14 @@ class WeylGroup:
         self.memo: dict = {}   # shared scratch for the character layers
 
     # -- memo ------------------------------------------------------------------
+
+    def cached(self, key: tuple, build, *args):
+        """The memo entry under key, on a miss built by build(*args) and
+        stored; None counts as missing, and a build that raises stores nothing."""
+        r = self.memo.get(key)
+        if r is None:
+            r = self.memo[key] = build(*args)
+        return r
 
     def memoSizes(self) -> dict[str, int]:
         """Entries per memo family, families in name order."""
@@ -241,14 +255,13 @@ class WeylGroup:
     def steinbergWeight(self, v: int) -> Weight:
         """e_v = v^-1 theta_v (theta), read from the ("stw",) table (module
         docstring)."""
-        table = self.memo.get(("stw",))
-        if table is None:
-            n, inv = self.sys.rank, self.inv
-            orbits = [self.orbit(fundamental(self.sys, i)) for i in range(n)]
-            table = self.memo[("stw",)] = [
-                tuple(map(sum, zip((0,) * n, *[orbits[i][inv[u]] for i in self.leftDescents(u)])))
+        return self.cached(("stw",), self._steinbergWeights)[v]
+
+    def _steinbergWeights(self) -> list[Weight]:
+        n, inv = self.sys.rank, self.inv
+        orbits = [self.orbit(fundamental(self.sys, i)) for i in range(n)]
+        return [tuple(map(sum, zip((0,) * n, *[orbits[i][inv[u]] for i in self.leftDescents(u)])))
                 for u in range(self.size)]
-        return table[v]
 
     def parabolicData(self, piP: tuple[int, ...]) -> tuple[list[int], list[int], int]:
         """Subgroup elements and minimal coset representatives, both in id
@@ -289,6 +302,5 @@ def weylGroup(name: str) -> WeylGroup:
     """Shared per-type instance; enumeration and memo caches are reused."""
     g = _groups.get(name)
     if g is None:
-        g = WeylGroup(rootSystem(name))
-        _groups[name] = g
+        g = _groups[name] = WeylGroup(rootSystem(name))
     return g

@@ -21,7 +21,9 @@ import demkit.ktheory as kt
 from demkit.characters import Character, compact
 from demkit.cli import main
 from demkit.exprlang import MAX_DEPTH, clip, parse, printExpr
-from demkit.weyl import weylGroup
+from demkit.rootsystem import rootSystem
+from demkit.steinberg import steinbergDecompose
+from demkit.weyl import WeylGroup, weylGroup
 
 import oracles
 from test_exprlang import DEEP_INPUTS, nestedTo
@@ -352,6 +354,38 @@ def test_suite_extras_hold_characters_not_term_rows(name):
     piP = (0,) if name == "parabolic" else ()
     _, extras = cli.runSuite(name, weylGroup(smallestAcceptedType(name)), piP, None)
     assert termRowLists(extras) == []
+
+
+# The memo families and their key arity; bench/tracer.py and bench/child.py
+# read W.memo by these names.
+MEMO_ARITY = {"stw": 1, "stx": 1, "stxrow": 1, "stxorder": 1, "stxprod": 1,
+              "dem": 2, "Q": 2, "orbit": 2, "Qhat": 3}
+
+
+def test_memo_keys_keep_the_layout_the_benchmark_reads():
+    # every suite that accepts B3, then a mixed-choice solve, on a fresh group
+    W = WeylGroup(rootSystem("B3"))
+    for name, (gate, _) in cli.SUITES.items():
+        if gate(W) is None:
+            cli.runSuite(name, W, (0,) if name == "parabolic" else (), None)
+    rng = random.Random(3)
+    choices = {v: rng.choice(["UNIT", "Q", "PSTAR", "QHAT"]) for v in W.elements()}
+    steinbergDecompose(W, Character({(2, -1, 1): 1, (0, 1, -2): -2}), choices, (1,))
+    families = set()
+    for key in W.memo:
+        assert type(key) is tuple and MEMO_ARITY.get(key[0]) == len(key), key
+        families.add(key[0])
+    assert families == set(MEMO_ARITY)
+    weights = {k[1] for k in W.memo if k[0] in ("dem", "Q", "orbit", "Qhat")}
+    weights |= set(W.memo[("stx",)])
+    assert all(type(lam) is tuple and len(lam) == 3 for lam in weights)
+    assert {k[2] for k in W.memo if k[0] == "Qhat"} == {(0,), (1,)}
+    assert all(len(k) == 2 for k in W.memo[("stxprod",)])
+    rows = W.memo[("stxrow",)]
+    assert {(c, piP) for _, c, piP in rows} == {
+        ("UNIT", None), ("Q", None), ("PSTAR", None), ("QHAT", (0,)), ("QHAT", (1,))}
+    assert sorted(W.memo[("stxorder",)]) == list(W.elements())
+    assert len(W.memo[("stw",)]) == W.size
 
 
 def test_unknown_suite_rejected_by_argparse(capsys):
@@ -1205,9 +1239,18 @@ def test_all_suites_run_on_a_supported_type(capsys):
     }
     assert set(picks) == set(cli.SUITES)
     for name, typ in picks.items():
-        code, out, _ = run(capsys, "suite", name, "--type", typ)
+        extra = ["--parabolic", "1"] if name == "parabolic" else []
+        code, out, _ = run(capsys, "suite", name, "--type", typ, *extra)
         assert code == 0, (name, typ, out)
         assert json.loads(out)["failures"] == []
+
+
+@pytest.mark.parametrize("flag", [[], ["--parabolic", ""]], ids=["missing", "empty"])
+def test_parabolic_suite_refuses_an_empty_parabolic(capsys, flag):
+    # with no simple root chosen the suite would compare G/B with itself
+    code, out, err = run(capsys, "suite", "parabolic", "--type", "B3", "--no-cache", *flag)
+    assert (code, out) == (2, "")
+    assert err == "demkit: suite parabolic needs --parabolic with at least one index\n"
 
 
 def test_seed_recorded(capsys):

@@ -7,7 +7,9 @@ rationals, imports fractions, no module imports dataclasses, no module has
 an assert statement (python -O strips them), no except clause is bare or names
 AssertionError or Exception (an internal fault must surface, never pass as a
 failed check or a usage error), every text-mode open names its encoding, no
-module decodes JSON, and every import sits at module level.  The module
+module decodes JSON, every import sits at module level, and no module but
+weyl touches a memo attribute (the per-group tables are read and built
+through WeylGroup.cached).  The module
 doctests run here too, and every function the benchmark's tracer
 (bench/tracer.py) wraps must still resolve."""
 from __future__ import annotations
@@ -171,6 +173,15 @@ def test_every_private_definition_is_referenced():
     assert defined
     dead = [d for d in defined if d[2] not in read]
     assert dead == [], f"private definitions never referred to (module, line, name): {dead}"
+
+
+def test_only_weyl_touches_the_memo():
+    """Every per-group memo entry is read and built through WeylGroup.cached,
+    so no module but weyl names an attribute called memo."""
+    found = [(module, node.lineno) for module in MODULES if module != "weyl.py"
+             for node in ast.walk(tree(module))
+             if isinstance(node, ast.Attribute) and node.attr == "memo"]
+    assert found == [], f"memo attributes outside weyl (module, line): {found}"
 
 
 def test_no_assert_statements():

@@ -318,6 +318,28 @@ def test_reflection_keys_match_matrix_enumeration(name):
             assert W.act(w, lam) == oracles.matrixAct(old["mats"][w], lam)
 
 
+def test_cached_builds_once_and_stores_nothing_on_a_raise():
+    W = WeylGroup(rootSystem("A2"))
+    calls = []
+
+    def build(*args):
+        calls.append(args)
+        return list(args)
+
+    assert W.cached(("t", 1), build, 1, 2) == [1, 2]
+    assert W.cached(("t", 1), build, 3) is W.memo[("t", 1)]   # a hit: build is not called
+    assert calls == [(1, 2)]
+    W.memo[("t", 2)] = None   # None counts as missing
+    assert W.cached(("t", 2), build, 5) == [5]
+
+    def fail():
+        raise ValueError("no entry")
+
+    with pytest.raises(ValueError, match="no entry"):
+        W.cached(("t", 3), fail)
+    assert ("t", 3) not in W.memo
+
+
 def test_memo_sizes_count_entries_per_family():
     # a one-item key holds a table and counts its entries; a longer key is
     # one entry of its family
