@@ -28,7 +28,6 @@ from .characters import (
     decomposeWeylBasis,
     dual,
     pretty,
-    weylActionChar,
 )
 from .demazure import (
     charNabla,
@@ -73,7 +72,7 @@ __all__ = [
     "rootSystem", "rho",
     "WeylGroup", "weylGroup",
     "Character", "augment", "compact", "decomposeWeylBasis", "dual",
-    "expandGClass", "pretty", "weylActionChar",
+    "expandGClass", "pretty",
     "charNabla", "charP", "charQ", "charQhat", "charQviaTwist", "charSections",
     "demElt", "demStep", "demWord", "eulerChar",
     "PSTAR", "Q", "QHAT", "UNIT", "basisCharacter", "excellentLeq",

@@ -113,10 +113,6 @@ def dual(f: Character) -> Character:
     return Character({tuple(-x for x in w): c for w, c in f.terms.items()})
 
 
-def weylActionChar(W: WeylGroup, w: int, f: Character) -> Character:
-    return Character({W.act(w, lam): c for lam, c in f.terms.items()})
-
-
 def augment(f: Character) -> int:
     """Sum of all coefficients (the dimension of a genuine module's character)."""
     return sum(f.terms.values())

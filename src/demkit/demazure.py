@@ -2,17 +2,18 @@
 
 The push-pull operator pi_i for a simple reflection acts on monomials by a
 three-case geometric-series formula; its atom pi_i - 1 differs only in the
-head term.  demWords applies many words of them to one character, packing
-its weights once into single integers: coordinate j sits in a field of a
-width chosen per call from an exact bound on every weight any word reaches,
-so a step subtracts multiples of the packed simple root and reads the
-coroot pairing from one field.  Words that end alike share those steps,
-and the words of one call share one layout, so each distinct packed key is
-split back into its weight once per call, through a table {key: weight}
-that all the words look up.  demWord is its one-word case; it, and
-Freudenthal's orbit dict below, split every key directly.  Orbit
-characters, section characters over unions of Schubert varieties and their
-twisted variants are built on demWords.
+head term, and the twisted step D_i = pi_i e^(-alpha_i) first shifts every
+weight by -alpha_i.  demWords applies many words of these three letter
+kinds to one character, packing its weights once into single integers:
+coordinate j sits in a field of a width chosen per call from an exact bound
+on every weight any word reaches, so a step subtracts multiples of the
+packed simple root and reads the coroot pairing from one field.  Words
+that end alike share those steps, and the words of one call share one
+layout, so each distinct packed key is split back into its weight once per
+call, through a table {key: weight} that all the words look up.  demWord is
+its one-word case; it, and Freudenthal's orbit dict below, split every key
+directly.  Orbit characters, section characters over unions of Schubert
+varieties and their twisted variants are built on demWords.
 
 The irreducible character chi(lam) = pi_w0(e^lam) (charNabla) is built from
 its dominant weights instead.  Those below lam are reached from it along
@@ -29,12 +30,18 @@ interval masks W.bruhatBits of its generators.  The sections over one
 distinct u lam carries the bitmask of the u reaching it, built once per lam,
 so no lower set is walked.  A layer character (charQ)
 is a Demazure atom pi-bar_w(e^dom): one demWord along a reduced word of w
-in atom letters.  The rho-twisted operators of charQviaTwist give the same
-characters by a second route, which the q-equivalence suite compares; the
-inclusion-exclusion over the boundary that defines them is a test oracle
-only.  The Euler characteristic (the longest operator) of an arbitrary
-character instead follows the Weyl character formula: e^mu goes to
-(-1)^l(w) chi(w^-1(mu + rho) - rho), or to 0 when mu + rho lies on a wall.
+in atom letters.  The rho-twisted operators T_i = e^-rho pi_i e^(s_i rho)
+give the same characters by a second route, which the q-equivalence suite
+compares: as s_i rho = rho - alpha_i, T_i = e^-rho D_i e^rho, so
+charQviaTwist is one demWord in twisted letters between e^(+-rho).  The
+twisted letter is pi_i after a shift, not the atom conjugated by e^omega_i
+(the same operator): that would make the second route a conjugate of the
+first, and a fault in the head term or the sign of the shared step would
+then change both alike and pass the suite.  The inclusion-exclusion over
+the boundary that defines the layer characters is a test oracle only.  The
+Euler characteristic (the longest operator) of an arbitrary character
+instead follows the Weyl character formula: e^mu goes to (-1)^l(w)
+chi(w^-1(mu + rho) - rho), or to 0 when mu + rho lies on a wall.
 
 The R(G) routines that need chi(lam) live here too: expandGClass turns
 irreducible multiplicities back into the character sum of m chi(lam), and
@@ -123,24 +130,35 @@ def _unpack(packed: dict[int, int], bound: int, mask: int, shifts: list[int],
 def demWords(W: WeylGroup, words, f: Character) -> dict[tuple[int, ...], Character]:
     """pi_word(f) for each word of `words`, keyed by word; each value is a
     fresh Character.  A word i1..ik applies its rightmost letter first.  A
-    letter i applies pi_i, a letter ~i (that is, -i - 1) the atom pi_i - 1.
+    letter i applies pi_i, a letter ~i (that is, -i - 1) the atom pi_i - 1,
+    and a letter rank + i the twisted step D_i = pi_i e^(-alpha_i), with
+    which T_i = e^-rho D_i e^rho (see charQviaTwist).  The twisted letter
+    shifts the packed dict by -alpha_i and then runs the step of pi_i, so
+    the other two kinds pay nothing for it.
 
-    f is packed once (_layout), so lam - k alpha_i is key - k * D_i with D_i
+    f is packed once (_layout), so lam - k alpha_i is key - k * A_i with A_i
     the packed simple root, and field i holds <lam, alpha_i^vee> + bound.
-    One bound serves every word (see _coordBound).  Words that end alike
-    share those steps: the distinct words, reversed and sorted, are walked
-    as a trie whose nodes are the words and the suffixes where two of them
-    part (the common prefixes of sorted neighbours), each node applying
-    only its own letters to its parent's packed dict.  With more than one
-    distinct word, the words' results are unpacked through one table of
-    the keys split so far (see _unpack), so each distinct key is split and
-    bound-checked once per call.
+    One bound serves every word (see _coordBound).  The shift of a twisted
+    letter can leave that box by one simple root before pi_i brings the
+    weights back into it (in charQviaTwist, where each shift acts on e^rho
+    times an atom of e^dom), so a call holding a twisted letter widens
+    every field by the largest |Cartan entry|; any other call keeps the
+    box of _coordBound.  Words that end alike share those steps: the
+    distinct words, reversed and sorted, are walked as a trie whose nodes
+    are the words and the suffixes where two of them part (the common
+    prefixes of sorted neighbours), each node applying only its own letters
+    to its parent's packed dict.  With more than one distinct word, the
+    words' results are unpacked through one table of the keys split so far
+    (see _unpack), so each distinct key is split and bound-checked once per
+    call.
     """
-    bound = _coordBound(W, f)
-    mask, shifts, place, base = _layout(W, bound)
-    cols = W.cartanCols
-    low = bound - 1   # the field value of pairing -1, whose string is empty
+    rank, cols = W.sys.rank, W.cartanCols
     rs = sorted({tuple(reversed(word)) for word in words})
+    bound = _coordBound(W, f)
+    if any(x >= rank for r in rs for x in r):
+        bound += max(abs(x) for col in cols for x in col)
+    mask, shifts, place, base = _layout(W, bound)
+    low = bound - 1   # the field value of pairing -1, whose string is empty
     forks = set()
     for a, b in zip(rs, rs[1:]):
         n = 0
@@ -158,8 +176,10 @@ def demWords(W: WeylGroup, words, f: Character) -> dict[tuple[int, ...], Charact
         done, cur = path[-1]
         for t in range(len(done), len(r)):
             atom = r[t] < 0     # a letter ~i applies pi_i - 1
-            i = ~r[t] if atom else r[t]
+            twist, i = divmod(~r[t] if atom else r[t], rank)
             step = sum(map(mul, cols[i], place))
+            if twist:           # a letter rank + i applies pi_i after e^(-alpha_i)
+                cur = {key - step: c for key, c in cur.items()}
             sh = shifts[i]
             acc: dict[int, int] = {}
             get = acc.get
@@ -343,20 +363,15 @@ def _atom(W: WeylGroup, lam: Weight) -> Character:
     return demWord(W, tuple(~i for i in W.canonicalWord(w)), Character.monomial(dom))
 
 
-def _twistStep(W: WeylGroup, i: int, f: Character) -> Character:
-    rh = rho(W.sys)
-    g = demStep(W, i, Character.monomial(W.reflect(rh, i)) * f)
-    return Character.monomial(negW(rh)) * g
-
-
 def charQviaTwist(W: WeylGroup, lam: Weight) -> Character:
-    """Same layer character by the twisted-operator route: compose the
-    rho-shifted steps along the canonical word, rightmost letter first."""
+    """Same layer character by the rho-twisted operators T_i along the
+    canonical word: e^-rho times one demWord in twisted letters rank + i
+    applied to e^(dom + rho) (see the module docstring)."""
     dom, w = W.toDominant(lam)
-    f = Character.monomial(dom)
-    for i in reversed(W.canonicalWord(w)):
-        f = _twistStep(W, i, f)
-    return f
+    rank, rh = W.sys.rank, rho(W.sys)
+    word = tuple(rank + i for i in W.canonicalWord(w))
+    g = demWord(W, word, Character.monomial(tuple(map(add, dom, rh))))
+    return Character.monomial(negW(rh)) * g
 
 
 def charSections(W: WeylGroup, mask: int, lam: Weight, below: int) -> Character:

@@ -66,7 +66,7 @@ FUNCS: dict[str, tuple] = {
     "chi": ((WEIGHT,), CHAR, lambda ctx, lam: _dz.charNabla(ctx.W, lam)),
     "P": ((WEIGHT,), CHAR, lambda ctx, lam: _dz.charP(ctx.W, lam)),
     "Q": ((WEIGHT,), CHAR, lambda ctx, lam: _dz.charQ(ctx.W, lam)),
-    "Qhat": ((WEIGHT,), CHAR, lambda ctx, lam: _dz.charQhat(ctx.W, lam, ctx.piP)),
+    "Qhat": ((WEIGHT,), CHAR, lambda ctx, lam: _dz.charQhat(ctx.W, lam, _qhatPiP(ctx))),
     "dualOf": ((CHAR,), CHAR, lambda ctx, f: dual(f)),
     # demWord, not demElt: D on a non-reduced word is not D of its product
     "D": ((WORD, CHAR), CHAR, lambda ctx, word, f: _dz.demWord(ctx.W, word, f)),
@@ -75,9 +75,18 @@ FUNCS: dict[str, tuple] = {
     "decomposeG": ((RG,), GEXP, lambda ctx, h: gSorted(ctx.W, h)),
     "steinberg": ((WORD,), CHAR, lambda ctx, word: Character.monomial(
         ctx.W.steinbergWeight(reduce(ctx.W.rmul, word, 0)))),
+    # with a nonempty piP, the G/P class: a word that is not a minimal coset
+    # representative is refused
     "xclass": ((WORD,), CHAR, lambda ctx, word: _kt.xClass(
-        ctx.W, reduce(ctx.W.rmul, word, 0), ctx.order)),
+        ctx.W, reduce(ctx.W.rmul, word, 0), ctx.order, ctx.piP)),
 }
+
+
+def _qhatPiP(ctx) -> tuple[int, ...]:
+    """ctx.piP, refused when empty: Qhat over the Borel would be Q itself."""
+    if not ctx.piP:
+        raise ValueError("Qhat needs --parabolic with at least one index")
+    return ctx.piP
 
 
 def asciiInt(text: str) -> int | None:

@@ -37,9 +37,13 @@ tests that build one.  The layer characters by their definition, sections
 over a Schubert variety minus those over its boundary by inclusion-exclusion
 over the boundary antichain (charQBoundary), check demazure.charQ's one
 demWord in atom letters; demWordPlain folds the atom letters one step at a
-time.  The word-independence suite by one demWord per (word,
-character) pair (wordIndependencePairwise) checks the suite's one
-demWords call per character and the witness it names.
+time.  The rho-twisted route one letter at a time, each step a demStepPlain
+between two monomial products (charQviaTwistSteps), checks charQviaTwist's
+one demWord in twisted letters.  The Weyl action on a character
+(weylActionChar), which the package no longer needs, checks invariance.
+The word-independence suite by one demWord per (word, character) pair
+(wordIndependencePairwise) checks the suite's one demWords call per
+character and the witness it names.
 
 The character-at-a-time scanner that exprlang's one token pattern replaced
 (tokenizeScan) checks the tokens and the lexical errors of exprlang._tokenize.
@@ -527,6 +531,24 @@ def demWordPlain(W: WeylGroup, word: tuple[int, ...], f: Character) -> Character
     for i in reversed(word):
         f = demStepPlain(W, i, f) if i >= 0 else demStepPlain(W, ~i, f) - f
     return f
+
+
+def charQviaTwistSteps(W: WeylGroup, lam: Weight) -> Character:
+    """demazure.charQviaTwist one letter at a time: the rho-twisted step
+    T_i f = e^-rho demStepPlain(i, e^(s_i rho) f), folded along the canonical
+    word of w, rightmost letter first, where (dom, w) = toDominant(lam)."""
+    dom, w = W.toDominant(lam)
+    rh = rho(W.sys)
+    f = Character.monomial(dom)
+    for i in reversed(W.canonicalWord(w)):
+        twisted = Character.monomial(subW(rh, simpleRoot(W.sys, i))) * f
+        f = Character.monomial(negW(rh)) * demStepPlain(W, i, twisted)
+    return f
+
+
+def weylActionChar(W: WeylGroup, w: int, f: Character) -> Character:
+    """w f: each weight of f moved by W.act."""
+    return Character({W.act(w, lam): c for lam, c in f.terms.items()})
 
 
 def eulerCharTermwise(W: WeylGroup, f: Character) -> Character:

@@ -15,12 +15,11 @@ from demkit.characters import (
     gSorted,
     isInvariant,
     pretty,
-    weylActionChar,
 )
 from demkit.demazure import charNabla, expandGClass, gAddMul
 from demkit.rootsystem import fundamental, isDominant, rho, rootSystem
 from demkit.weyl import weylGroup
-from oracles import TYPES, decomposeGreedy, extremalWeights, height
+from oracles import TYPES, decomposeGreedy, extremalWeights, height, weylActionChar
 
 
 def randomChar(rank: int, rng: random.Random, nterms: int = 5) -> Character:

@@ -1253,6 +1253,33 @@ def test_parabolic_suite_refuses_an_empty_parabolic(capsys, flag):
     assert err == "demkit: suite parabolic needs --parabolic with at least one index\n"
 
 
+@pytest.mark.parametrize("flag", [[], ["--parabolic", ""]], ids=["missing", "empty"])
+def test_qhat_eval_refuses_an_empty_parabolic(capsys, flag):
+    # over the Borel itself Qhat would print Q's character, e[1,-1]
+    code, out, err = run(capsys, "eval", "Qhat([1,-1])", "--type", "B2", "--no-cache", *flag)
+    assert (code, out) == (2, "")
+    assert err == "demkit: Qhat needs --parabolic with at least one index\n"
+    code, out, _ = run(capsys, "eval", "Qhat([1,-1])", "--type", "B2", "--no-cache",
+                       "--parabolic", "1", "--format", "pretty")
+    assert (code, out) == (0, "e[-1,0] + e[1,-1]\n")
+
+
+def test_xclass_eval_passes_the_parabolic(monkeypatch, capsys):
+    # under --parabolic 1, s1 is no minimal coset representative of B2 and is
+    # refused; s2 is, and its G/P class prints, here equal to the G/B class
+    code, out, err = run(capsys, "eval", "xclass(s1)", "--type", "B2", "--no-cache",
+                         "--parabolic", "1")
+    assert (code, out) == (2, "")
+    assert err == "demkit: element s1 is not a minimal coset representative\n"
+    calls = []
+    xClass = kt.xClass
+    monkeypatch.setattr(kt, "xClass", lambda *args: calls.append(args[3]) or xClass(*args))
+    runs = [run(capsys, "eval", "xclass(s2)", "--type", "B2", "--no-cache", *flag)
+            for flag in (["--parabolic", "1"], [])]
+    assert calls == [(0,), ()]
+    assert runs[0] == runs[1] and runs[0][0] == 0 and runs[0][2] == ""
+
+
 def test_seed_recorded(capsys):
     code, out, _ = run(capsys, "suite", "word-independence", "--type", "A2")
     assert json.loads(out)["seed"] == cli.SEED == 20260819
@@ -1321,6 +1348,27 @@ def test_word_independence_packs_each_character_once(monkeypatch, capsys):
     code, out, _ = run(capsys, "suite", "word-independence", "--type", "B3", "--no-cache")
     assert code == 0 and json.loads(out)["comparisons"] == 100
     assert calls == [200] * 20
+
+
+def test_q_equivalence_walks_each_weight_once(monkeypatch, capsys):
+    # B3: one demWords call of one word in twisted letters per weight
+    # checked, and no one-letter demStep; charQ's layers are memoised first
+    W = WeylGroup(rootSystem("B3"))
+    lams = [W.steinbergWeight(v) for v in W.elements()]
+    lams += itertools.product(range(-2, 2), repeat=3)
+    for lam in lams:
+        cli.dz.charQ(W, lam)
+    monkeypatch.setattr(cli, "weylGroup", lambda name: W)
+    calls, steps = [], []
+    demWords, demStep = cli.dz.demWords, cli.dz.demStep
+    monkeypatch.setattr(cli.dz, "demWords",
+                        lambda W, words, f: calls.append(list(words)) or demWords(W, words, f))
+    monkeypatch.setattr(cli.dz, "demStep",
+                        lambda W, i, f: steps.append(i) or demStep(W, i, f))
+    code, _, _ = run(capsys, "suite", "q-equivalence", "--type", "B3", "--no-cache")
+    assert code == 0 and steps == []
+    assert calls == [[tuple(3 + i for i in W.canonicalWord(W.toDominant(lam)[1]))]
+                     for lam in lams]
 
 
 def test_order_file_errors_clip_a_long_path(tmp_path, capsys):

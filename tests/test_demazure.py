@@ -238,6 +238,38 @@ def test_charQ_equals_twisted_route(name):
         assert charQ(W, lam) == charQviaTwist(W, lam)
 
 
+# the rank-4 groups check a seeded sample of this many weights, which keeps
+# F4, whose Steinberg weights have the longest words, under a second
+TWIST_ORACLE_CAP = 24
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_charQviaTwist_matches_per_letter_oracle(name):
+    # one demWord in twisted letters against the rho-twisted steps folded
+    # one letter at a time on weight tuples
+    W = weylGroup(name)
+    lams = [W.steinbergWeight(v) for v in W.elements()]
+    lams += itertools.product(range(-2, 2), repeat=W.sys.rank)
+    if W.sys.rank == 4:
+        lams = random.Random(f"twist:{name}").sample(lams, TWIST_ORACLE_CAP)
+    for lam in lams:
+        assert charQviaTwist(W, lam) == oracles.charQviaTwistSteps(W, lam), lam
+
+
+@pytest.mark.parametrize("name,radius", [("A1", 4), ("B2", 4), ("G2", 4), ("B3", 2), ("F4", 2)])
+def test_twisted_letter_is_a_shifted_step(name, radius):
+    # the letter rank + i is pi_i after e^(-alpha_i); the shift leaves the
+    # box of _coordBound by up to one simple root, so without the widened
+    # fields this raises the packing check or aliases a weight
+    W = weylGroup(name)
+    rank = W.sys.rank
+    for mu in itertools.product(range(-radius, radius + 1), repeat=rank):
+        for i in range(rank):
+            shifted = Character.monomial(tuple(x - a for x, a in zip(mu, W.cartanCols[i])))
+            want = oracles.demStepPlain(W, i, shifted)
+            assert demWord(W, (rank + i,), Character.monomial(mu)) == want, (mu, i)
+
+
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3"])
 def test_charQ_matches_boundary_definition(name):
     # the atom fold against inclusion-exclusion over the boundary antichain

@@ -278,7 +278,9 @@ def test_eval_qhat_uses_context():
     from demkit.demazure import charQhat
     got = evalExpr(parse("Qhat([2,1])"), EvalContext(W, piP=(0,)))
     assert got == charQhat(W, (2, 1), (0,))
-    assert got != evalExpr(parse("Qhat([2,1])"), EvalContext(W, piP=()))
+    # an empty parabolic would make Qhat the layer character Q: refused
+    with pytest.raises(ValueError, match="Qhat needs --parabolic"):
+        evalExpr(parse("Qhat([2,1])"), EvalContext(W, piP=()))
 
 
 # -- decomposeG in R(G) coordinates ----------------------------------------------
